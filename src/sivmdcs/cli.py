@@ -6,8 +6,10 @@ Exit codes: 0 success, 1 a requested check failed, 2 usage error,
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
+from dataclasses import replace
 
 import numpy as np
 
@@ -38,9 +40,7 @@ def _load_config(args):
     else:
         text = DEFAULT_CONFIGS["fig1c"]
     cfg = parse_config(text)
-    if args.seed is not None:
-        object.__setattr__(cfg, "seed", args.seed)
-    return cfg
+    return cfg if args.seed is None else replace(cfg, seed=args.seed)
 
 
 def _out_path(args, name):
@@ -251,10 +251,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser, built once: ``parse_args`` leaves it unchanged."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
     try:

@@ -23,18 +23,27 @@ def signal_to_dataset(signal: TimeDomainSignal) -> DatasetFile:
         "waiting_time_ps": repr(signal.waiting_time_ps),
         "detection_mode": signal.detection_mode,
         "frame_thz": repr(grid.frame_thz),
+        "tau_step_ps": repr(grid.tau_step_ps),
+        "t_step_ps": repr(grid.t_step_ps),
     })
     axes = (("tau", "ps", grid.tau_ps), ("t", "ps", grid.t_ps))
     return DatasetFile(signal.data.astype(np.complex64), axes, meta)
 
 
+def _axis_step(axis, metadata, key) -> float:
+    """Step of a delay axis: its spacing, or for a one-point axis the step
+    recorded in the metadata (1.0 ps in files written without it)."""
+    if len(axis) > 1:
+        return float(axis[1] - axis[0])
+    return float(metadata.get(key, 1.0))
+
+
 def dataset_to_signal(data: DatasetFile) -> TimeDomainSignal:
     if data.metadata.get("kind") != "time-domain":
         raise IoFailure("dataset does not hold a time-domain signal")
-    (tau_name, _, tau), (t_name, _, t) = data.axes
-    grid = Grid(len(tau), len(t),
-                float(tau[1] - tau[0]) if len(tau) > 1 else 1.0,
-                float(t[1] - t[0]) if len(t) > 1 else 1.0,
+    (_, _, tau), (_, _, t) = data.axes
+    grid = Grid(len(tau), len(t), _axis_step(tau, data.metadata, "tau_step_ps"),
+                _axis_step(t, data.metadata, "t_step_ps"),
                 float(data.metadata["frame_thz"]))
     return TimeDomainSignal(np.asarray(data.matrix), grid,
                             float(data.metadata["waiting_time_ps"]),

@@ -298,6 +298,14 @@ two_level = true
 """
 
 
+def _shift_seed(cfg: ExperimentConfig, shift: int) -> ExperimentConfig:
+    """``cfg`` with its seed moved by ``shift``.  A seed override moves the
+    seed of every branch of a target by the same amount, so the branches
+    keep distinct seeds and noise streams, and an override equal to the
+    configured seed changes nothing."""
+    return replace(cfg, seed=cfg.seed + shift)
+
+
 def build_ensemble(cfg: ExperimentConfig):
     return sample_ensemble(cfg.ensemble, cfg.scheme, cfg.strain,
                            cfg.ensemble_size, cfg.seed)
@@ -360,7 +368,7 @@ def _truncate_decay(trace: DecayTrace, t_max: float) -> DecayTrace:
 
 # --- targets ---------------------------------------------------------------
 
-def _target_fig1c(cfg, out_dir, report, threads):
+def _target_fig1c(cfg, out_dir, report, threads, seed_shift):
     signal = run_simulation(cfg, threads=threads)
     spectrum = to_spectrum(signal)
     _write_signal(out_dir, "fig1c_pl", signal, report)
@@ -388,7 +396,7 @@ def _target_fig1c(cfg, out_dir, report, threads):
     report.add("cross_peak_contrast", ratio, "shared/unshared >= 5", ratio >= 5.0)
 
 
-def _target_fig1d(cfg, out_dir, report, threads):
+def _target_fig1d(cfg, out_dir, report, threads, seed_shift):
     signal = run_simulation(cfg, threads=threads)
     spectrum = to_spectrum(signal)
     _write_signal(out_dir, "fig1d_het", signal, report)
@@ -415,7 +423,7 @@ def _target_fig1d(cfg, out_dir, report, threads):
     report.add("diagonal_ridge_contrast", ratio, "diag/off >= 10", ratio >= 10.0)
 
 
-def _target_fig2(cfg, out_dir, report, threads):
+def _target_fig2(cfg, out_dir, report, threads, seed_shift):
     # bright branch (PL detection, coarse frequency grid)
     bright_signal = run_simulation(cfg, threads=threads)
     bright_proj = project_nu_t(to_spectrum(bright_signal))
@@ -427,7 +435,7 @@ def _target_fig2(cfg, out_dir, report, threads):
     report.add_interval("bright_fwhm_ghz", width_ghz, 28.0 * 0.9, 28.0 * 1.1)
 
     # hidden branch (heterodyne, fine grid, broad two-level ensemble)
-    hidden_cfg = parse_config(FIG2_HIDDEN_CONFIG)
+    hidden_cfg = _shift_seed(parse_config(FIG2_HIDDEN_CONFIG), seed_shift)
     hidden_signal = run_simulation(hidden_cfg, threads=threads)
     hidden_proj = project_nu_t(to_spectrum(hidden_signal))
     write_trace_csv(_art(out_dir, "fig2_hidden_projection.csv", report), hidden_proj)
@@ -453,7 +461,7 @@ def _target_fig2(cfg, out_dir, report, threads):
                f"expected <= {budget:.4g}", gap <= budget)
 
 
-def _target_fig3(cfg, out_dir, report, threads):
+def _target_fig3(cfg, out_dir, report, threads, seed_shift):
     emitters = build_ensemble(cfg)
     het = synthesize_signal(emitters, cfg.grid, cfg.waiting_time_ps,
                             "heterodyne", cfg.laser, threads=threads)
@@ -495,7 +503,7 @@ def _target_fig3(cfg, out_dir, report, threads):
                "expected <= 1e-6", dev <= 1e-6)
 
 
-def _target_fig4(cfg, out_dir, report, threads):
+def _target_fig4(cfg, out_dir, report, threads, seed_shift):
     # PL-detected bright diagonal: mono-exponential
     pl_signal = run_simulation(cfg, threads=threads)
     pl_decay = diagonal_lineout(pl_signal)
@@ -504,7 +512,7 @@ def _target_fig4(cfg, out_dir, report, threads):
     report.add_interval("pl_t2a_ps", mono["T2a_ps"], 122 - 7, 122 + 7)
 
     # heterodyne hidden diagonal: bi-exponential
-    het_cfg = parse_config(FIG4_HET_CONFIG)
+    het_cfg = _shift_seed(parse_config(FIG4_HET_CONFIG), seed_shift)
     het_signal = run_simulation(het_cfg, threads=threads)
     het_decay = diagonal_lineout(het_signal)
     write_decay_csv(_art(out_dir, "fig4_het_diagonal.csv", report), het_decay)
@@ -524,7 +532,7 @@ def _target_fig4(cfg, out_dir, report, threads):
     report.artifacts.append("fig4_fits.txt")
 
 
-def _target_t1scan(cfg, out_dir, report, threads):
+def _target_t1scan(cfg, out_dir, report, threads, seed_shift):
     emitters = build_ensemble(cfg)
     waits = np.arange(0.0, 4000.1, 250.0)
     scan = waiting_time_scan(emitters, 2.0, 2.0, waits, cfg.mode,
@@ -564,11 +572,11 @@ def run_reproduction(target: str, config_text: str | None = None,
                          f"choose from {', '.join(TARGETS)}")
     cfg = parse_config(config_text if config_text is not None
                        else DEFAULT_CONFIGS[target])
-    if seed is not None:
-        object.__setattr__(cfg, "seed", seed)
+    seed_shift = 0 if seed is None else seed - cfg.seed
+    cfg = _shift_seed(cfg, seed_shift)
     os.makedirs(out_dir, exist_ok=True)
     report = Report(target, cfg)
-    _TARGET_FNS[target](cfg, out_dir, report, threads)
+    _TARGET_FNS[target](cfg, out_dir, report, threads, seed_shift)
     with open(os.path.join(out_dir, f"{target}_report.txt"), "w") as fh:
         fh.write(report.to_text())
     report.artifacts.append(f"{target}_report.txt")

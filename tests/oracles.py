@@ -80,6 +80,19 @@ def rephasing_response_model(detuning_thz, t2_ps, t1_ps, tau_ps, wait_ps, t_ps):
         * np.exp((-2j * np.pi * detuning_thz - 1.0 / t2_ps) * t_ps)
 
 
+
+def gaussian_ensemble_response(nu0_thz, sigma_thz, t2_ps, t1_ps, tau_ps,
+                               wait_ps, t_ps):
+    """Mean heterodyne rephasing response per emitter of a two-level
+    ensemble with Gaussian detunings N(nu0, sigma^2), constant T2 and no
+    laser filter.  Averaging exp(2 pi i d (tau - t)) over the detunings
+    gives the Gaussian's characteristic function: the photon echo,
+    exp(-2 pi^2 sigma^2 (tau - t)^2), centred on the diagonal."""
+    lag = tau_ps - t_ps
+    return 2.0 * math.exp(-wait_ps / t1_ps) * math.exp(-(tau_ps + t_ps) / t2_ps) \
+        * np.exp(TWO_PI * 1j * nu0_thz * lag
+                 - 2.0 * math.pi ** 2 * sigma_thz ** 2 * lag ** 2)
+
 # --- pathway enumeration from level connectivity ----------------------------
 
 def enumerate_pathways_oracle(levels):

@@ -108,6 +108,17 @@ def test_seed_override_changes_output(tmp_path):
     assert a != (tmp_path / "c.mdcs").read_bytes()
 
 
+def test_seed_override_does_not_leak_into_next_call(tmp_path, capsys):
+    cfg = _write_config(tmp_path)
+    hashes = []
+    for extra in ([], ["--seed", "5"], []):
+        assert main(["simulate", "--config", cfg, "--out-dir", str(tmp_path),
+                     "--verbose", *extra]) == EXIT_OK
+        line = capsys.readouterr().out.splitlines()[0]
+        hashes.append(line.split()[-1])
+    assert hashes[0] == hashes[2] != hashes[1]
+
+
 def test_tscan_command(tmp_path, capsys):
     cfg = _write_config(tmp_path)
     assert main(["tscan", "--config", cfg, "--out-dir", str(tmp_path),

@@ -110,6 +110,14 @@ def test_signal_dataset_round_trip(tmp_path):
     assert again.detection_mode == "heterodyne"
 
 
+def test_one_point_axis_keeps_its_step(tmp_path):
+    grid = Grid(1, 4, 0.25, 0.25, 406.770)
+    signal = TimeDomainSignal(np.ones((1, 4), np.complex64), grid, 0.5, "pl")
+    path = tmp_path / "row.mdcs"
+    write_dataset(path, signal_to_dataset(signal))
+    assert dataset_to_signal(read_dataset(path)).grid == grid
+
+
 def test_spectrum_dataset_round_trip(tmp_path):
     spectrum = to_spectrum(_signal())
     path = tmp_path / "spec.mdcs"

@@ -1,10 +1,16 @@
 import numpy as np
 import pytest
 
-from oracles import rephasing_response_model, rephasing_response_oracle
-from sivmdcs.emitter import Emitter, LaserSpectrum, default_scheme
+from oracles import (gaussian_ensemble_response, rephasing_response_model,
+                     rephasing_response_oracle)
+from sivmdcs.emitter import (GAUSSIAN_FWHM_PER_SIGMA, Emitter, EnsembleSpec,
+                             LaserSpectrum, LevelScheme, PopulationComponent,
+                             StrainDistribution, StrainModel, T2Rule,
+                             default_scheme, sample_ensemble)
 from sivmdcs.errors import EmptyEnsemble, GridTooCoarse, InvalidSpec
-from sivmdcs.response import Grid, TimeDomainSignal, synthesize_signal, waiting_time_scan
+from sivmdcs.response import (Grid, TimeDomainSignal, _dense_sum, _echo_groups,
+                              _echo_sum, _pathway_terms, synthesize_signal,
+                              waiting_time_scan)
 
 FRAME = 406.770
 
@@ -22,6 +28,24 @@ def _emitter(detuning_thz=0.05, t2_ps=122.0, t1_ps=1700.0, yield_=1.0,
 
 def _grid(n=16, step=0.5):
     return Grid(n, n, step, step, FRAME)
+
+
+CONSTANT_T2 = T2Rule("constant", (80.0,))
+CLASS_T2 = T2Rule("classes", (40.0, 300.0), (0.6, 0.4))
+LOGNORMAL_T2 = T2Rule("lognormal", (60.0,), log_sigma=0.4)
+
+
+def _mixed_ensemble(hidden_t2, n=240, seed=3):
+    """Four-line bright emitters (narrow strain, constant T2) mixed with
+    broad two-level ones whose T2 follows ``hidden_t2``."""
+    spec = EnsembleSpec((
+        PopulationComponent(0.4, StrainDistribution("gaussian", 0.0, 0.03),
+                            CONSTANT_T2),
+        PopulationComponent(0.6, StrainDistribution("gaussian", 0.05, 0.4),
+                            hidden_t2, two_level=True),
+    ))
+    model = StrainModel(yield_crossover=0.05, yield_steepness=4.0)
+    return sample_ensemble(spec, default_scheme(), model, n, seed)
 
 
 def test_grid_validation():
@@ -85,15 +109,24 @@ def test_four_line_emitter_sums_twelve_pathways():
     assert signal.data[0, 0] == pytest.approx(12.0)
 
 
-def test_thread_count_does_not_change_bits():
+def _assert_thread_count_does_not_change_bits(grid):
     rng = np.random.default_rng(5)
     emitters = [_emitter(float(d), 60.0) for d in rng.normal(0.0, 0.2, 300)]
-    grid = _grid(32, 0.3)
+    emitters += _mixed_ensemble(CLASS_T2, n=200)
     a = synthesize_signal(emitters, grid, 0.5, "heterodyne", threads=1)
     b = synthesize_signal(emitters, grid, 0.5, "heterodyne", threads=4)
     c = synthesize_signal(emitters, grid, 0.5, "heterodyne", threads=3)
     assert np.array_equal(a.data, b.data)
     assert np.array_equal(a.data, c.data)
+
+
+def test_thread_count_does_not_change_bits():
+    _assert_thread_count_does_not_change_bits(_grid(32, 0.3))      # echo route
+
+
+def test_thread_count_does_not_change_dense_bits():
+    # unequal steps: dense route, three chunks of 500 terms
+    _assert_thread_count_does_not_change_bits(Grid(4, 8000, 0.3, 0.25, FRAME))
 
 
 def test_noise_is_seeded_and_scaled():
@@ -141,3 +174,61 @@ def test_waiting_time_scan_validation():
         waiting_time_scan([_emitter()], 1.0, 1.0, [-1.0], "pl")
     with pytest.raises(EmptyEnsemble):
         waiting_time_scan([], 1.0, 1.0, [0.0], "pl")
+
+
+# --- difference-axis (echo) route against the dense reference --------------
+
+@pytest.mark.parametrize("shape", [(24, 40), (40, 24)])
+@pytest.mark.parametrize("mode", ["pl", "heterodyne"])
+@pytest.mark.parametrize("laser", [None, LaserSpectrum(FRAME, 0.5)])
+@pytest.mark.parametrize("hidden_t2", [CONSTANT_T2, CLASS_T2])
+def test_echo_route_matches_dense_reference(shape, mode, laser, hidden_t2):
+    emitters = _mixed_ensemble(hidden_t2)
+    grid = Grid(*shape, 0.25, 0.25, FRAME)
+    terms = _pathway_terms(emitters, mode, laser, FRAME, 0.5)
+    groups = _echo_groups(*terms)
+    assert groups is not None
+    signal = synthesize_signal(emitters, grid, 0.5, mode, laser, threads=2)
+    assert np.array_equal(signal.data, _echo_sum(groups, grid))
+    dense = _dense_sum(*terms, grid, 1)
+    assert np.abs(signal.data - dense).max() <= 1e-10 * np.abs(dense).max()
+
+
+def test_echo_route_merges_direct_peak_pathways():
+    # two-level: GSB and SE coincide; four-line: 12 pathways -> 8 terms
+    two = _pathway_terms([_emitter(0.05)], "heterodyne", None, FRAME, 0.5)
+    four = _pathway_terms([_emitter(two_level=False)], "heterodyne", None, FRAME, 0.5)
+    for terms, merged in ((two, 1), (four, 8)):
+        groups = _echo_groups(*[np.tile(x, 64) for x in terms])
+        assert sum(len(nu) for _, _, nu, _ in groups) == merged
+
+
+@pytest.mark.parametrize("hidden_t2,grid", [
+    (LOGNORMAL_T2, Grid(24, 40, 0.25, 0.25, FRAME)),
+    (CONSTANT_T2, Grid(24, 40, 0.25, 0.2, FRAME)),
+])
+def test_dense_only_inputs_give_dense_bits(hidden_t2, grid):
+    emitters = _mixed_ensemble(hidden_t2)
+    terms = _pathway_terms(emitters, "heterodyne", None, FRAME, 0.5)
+    signal = synthesize_signal(emitters, grid, 0.5, "heterodyne")
+    assert np.array_equal(signal.data, _dense_sum(*terms, grid, 1))
+
+
+def test_gaussian_ensemble_matches_closed_form():
+    # heterodyne two-level ensemble, detunings N(nu0, sigma^2), no laser
+    nu0, fwhm, t2, t1, wait, n = 0.03, 0.2, 50.0, 1700.0, 40.0, 4000
+    spec = EnsembleSpec((PopulationComponent(
+        1.0, StrainDistribution("gaussian", 0.0, fwhm),
+        T2Rule("constant", (t2,)), t1_ns=t1 * 1e-3, two_level=True),))
+    base = LevelScheme(FRAME + nu0, 59.0, 261.0)
+    emitters = sample_ensemble(spec, base, StrainModel(), n, seed=3)
+    grid = _grid(16, 0.5)
+    signal = synthesize_signal(emitters, grid, wait, "heterodyne")
+    sigma = fwhm / GAUSSIAN_FWHM_PER_SIGMA
+    for i, j in ((0, 0), (3, 3), (6, 2), (2, 6), (9, 4), (15, 15), (12, 0)):
+        tau, t = grid.tau_ps[i], grid.t_ps[j]
+        expected = gaussian_ensemble_response(nu0, sigma, t2, t1, tau, wait, t)
+        bound = 5.0 * 2.0 * np.exp(-wait / t1 - (tau + t) / t2) / np.sqrt(n)
+        got = signal.data[i, j] / n
+        assert abs(got.real - expected.real) <= bound
+        assert abs(got.imag - expected.imag) <= bound
