@@ -44,12 +44,12 @@ two_level = true
 """
 
 cfg = parse_config(CONFIG)
-emitters = build_ensemble(cfg)
-yields = np.array([e.quantum_yield for e in emitters])
-print(f"{len(emitters)} emitters, median quantum yield {np.median(yields):.2e}")
+ensemble = build_ensemble(cfg)
+print(f"{len(ensemble)} emitters, median quantum yield "
+      f"{np.median(ensemble.quantum_yield):.2e}")
 
 for mode in ("heterodyne", "pl"):
-    signal = synthesize_signal(emitters, cfg.grid, cfg.waiting_time_ps, mode,
+    signal = synthesize_signal(ensemble, cfg.grid, cfg.waiting_time_ps, mode,
                                cfg.laser, threads=4)
     proj = project_nu_t(to_spectrum(signal))
     width = interpolated_fwhm(proj.freqs_thz, proj.amplitude)

@@ -24,9 +24,9 @@ two_level = true
 """
 
 cfg = parse_config(CONFIG)
-emitters = build_ensemble(cfg)
+ensemble = build_ensemble(cfg)
 waits = np.arange(0.0, 4000.1, 250.0)
-scan = waiting_time_scan(emitters, 2.0, 2.0, waits, cfg.mode, cfg.laser)
+scan = waiting_time_scan(ensemble, 2.0, 2.0, waits, cfg.mode, cfg.laser)
 amps = np.array([abs(a) for _, a in scan])
 
 print(" T (ps)   |signal|")

@@ -4,15 +4,13 @@ analysis for bright and strain-hidden SiV- populations."""
 
 __version__ = "0.1.0"
 
-from .emitter import (Emitter, EnsembleSpec, LaserSpectrum, LevelScheme,
+from .emitter import (Ensemble, EnsembleSpec, LaserSpectrum, LevelScheme,
                       PopulationComponent, StrainDistribution, StrainModel,
-                      T2Rule, default_scheme, quantum_yield, sample_ensemble,
-                      strained_level_scheme)
-from .pathways import (Pathway, TagSet, enumerate_rephasing_pathways,
-                       pathways_for, rephasing_frequency, signature_frequency)
+                      T2Rule, default_scheme, quantum_yield, sample_ensemble)
+from .pathways import (REPHASING_PATHWAYS, TagSet, rephasing_frequency,
+                       signature_frequency)
 from .response import Grid, TimeDomainSignal, synthesize_signal, waiting_time_scan
-from .pulsetrain import (RawTrainRecord, demodulate, fourth_order_signatures,
-                         simulate_pulse_train)
+from .pulsetrain import RawTrainRecord, demodulate, simulate_pulse_train
 from .spectra import (DecayTrace, Spectrum2D, Trace1D, deconvolve_laser,
                       diagonal_lineout, interpolated_fwhm, project_nu_t,
                       to_spectrum)

@@ -15,7 +15,7 @@ import numpy as np
 
 from . import __version__
 from .config import config_hash, parse_config, serialize_config
-from .errors import SivMdcsError
+from .errors import InvalidSpec, SivMdcsError
 from .fitting import fit_exponential, fit_finite_bandwidth, fwhm
 from .io_utils import (dataset_to_signal, dataset_to_spectrum, read_decay_csv,
                        read_trace_csv, signal_to_dataset, spectrum_to_dataset,
@@ -122,9 +122,9 @@ def _cmd_fit_width(args):
 
 def _cmd_tscan(args):
     cfg = _load_config(args)
-    emitters = build_ensemble(cfg)
+    ensemble = build_ensemble(cfg)
     waits = np.arange(args.start, args.stop + 0.5 * args.step, args.step)
-    scan = waiting_time_scan(emitters, args.tau, args.t, waits, cfg.mode,
+    scan = waiting_time_scan(ensemble, args.tau, args.t, waits, cfg.mode,
                              cfg.laser, cfg.grid.frame_thz)
     path = _out_path(args, args.output or "tscan.csv")
     write_tscan_csv(path, scan)
@@ -133,6 +133,8 @@ def _cmd_tscan(args):
 
 
 def _cmd_demod(args):
+    if not args.bandwidth > 0:
+        raise InvalidSpec(f"bandwidth must be positive, got {args.bandwidth} kHz")
     cfg = _load_config(args)
     amplitudes = {(-1, 1, 1, -1): complex(args.amplitude)}
     record = simulate_pulse_train(amplitudes, cfg.tags, args.duration,

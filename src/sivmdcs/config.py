@@ -14,6 +14,7 @@ Population components live in repeated ``[component.NAME]`` sections.  The
 from __future__ import annotations
 
 import hashlib
+import math
 from dataclasses import dataclass
 
 from .emitter import (EnsembleSpec, LaserSpectrum, LevelScheme,
@@ -39,6 +40,9 @@ def _quantity(canonical):
             value = float(parts[0])
         except ValueError:
             raise UnitError(f"bad number {parts[0]!r}", line=line, field=field)
+        if not math.isfinite(value):
+            raise UnitError(f"quantity must be finite, got {parts[0]!r}",
+                            line=line, field=field)
         unit = parts[1].lower()
         if unit not in dim:
             raise UnitError(f"unit {parts[1]!r} is not a "
@@ -54,9 +58,12 @@ def _quantity(canonical):
 
 def _number(text, line, field):
     try:
-        return float(text)
+        value = float(text)
     except ValueError:
         raise UnitError(f"expected a bare number, got {text!r}", line=line, field=field)
+    if not math.isfinite(value):
+        raise UnitError(f"number must be finite, got {text!r}", line=line, field=field)
+    return value
 
 
 def _integer(text, line, field):

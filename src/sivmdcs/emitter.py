@@ -9,8 +9,7 @@ quantum yield.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
-from typing import Sequence
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -54,30 +53,27 @@ class LevelScheme:
 
     def transition_frequencies(self) -> np.ndarray:
         """Four line positions in THz, strictly ascending."""
-        dg = self.ground_splitting_ghz * 1e-3
-        de = self.excited_splitting_ghz * 1e-3
-        c = self.center_thz
-        return np.array([
-            c - (de + dg) / 2.0,
-            c - (de - dg) / 2.0,
-            c + (de - dg) / 2.0,
-            c + (de + dg) / 2.0,
-        ])
+        return _line_quadruple(self.center_thz, self.ground_splitting_ghz,
+                               self.excited_splitting_ghz)
 
     def transition_levels(self) -> tuple[tuple[int, int], ...]:
         """(ground sublevel, excited sublevel) for each line, same order as
         ``transition_frequencies``.  Index 0 is the lower sublevel."""
         return ((1, 0), (0, 0), (1, 1), (0, 1))
 
-    @classmethod
-    def from_transition_frequencies(cls, lines: Sequence[float]) -> "LevelScheme":
-        """Solve (center, ground, excited splitting) from an ascending line
-        quadruple.  Inverse of ``transition_frequencies``."""
-        l0, l1, l2, l3 = [float(x) for x in lines]
-        center = (l0 + l3) / 2.0
-        de = ((l3 - l0) + (l2 - l1)) / 2.0 * 1e3
-        dg = ((l3 - l0) - (l2 - l1)) / 2.0 * 1e3
-        return cls(center, dg, de)
+
+def _line_quadruple(center_thz, ground_splitting_ghz, excited_splitting_ghz) -> np.ndarray:
+    """Line positions center +- (excited +- ground)/2 in THz, ascending along a
+    new last axis; the arguments may be scalars or equal-shape arrays."""
+    dg = np.multiply(ground_splitting_ghz, 1e-3)
+    de = np.multiply(excited_splitting_ghz, 1e-3)
+    c = center_thz
+    return np.stack([
+        c - (de + dg) / 2.0,
+        c - (de - dg) / 2.0,
+        c + (de - dg) / 2.0,
+        c + (de + dg) / 2.0,
+    ], axis=-1)
 
 
 def default_scheme() -> LevelScheme:
@@ -105,60 +101,31 @@ class StrainModel:
             raise InvalidSpec("yield crossover and steepness must be positive")
 
 
-def quantum_yield(model: StrainModel, s: float) -> float:
-    """Strain-dependent radiative quantum yield, in (0, Y0]."""
-    return model.bright_yield / (1.0 + (abs(s) / model.yield_crossover) ** model.yield_steepness)
-
-
-def strained_level_scheme(base: LevelScheme, model: StrainModel, s: float) -> LevelScheme:
-    """Apply the linear strain perturbation to a level scheme.
-
-    Raises SplittingCollapse when a perturbed splitting is driven to zero or
-    below (or the line quadruple stops being strictly increasing).
-    """
-    return LevelScheme(
-        base.center_thz + model.shift_thz_per_unit * s,
-        base.ground_splitting_ghz + model.ground_splitting_ghz_per_unit * s,
-        base.excited_splitting_ghz + model.excited_splitting_ghz_per_unit * s,
-    )
+def quantum_yield(model: StrainModel, s):
+    """Strain-dependent radiative quantum yield, in (0, Y0], of one strain
+    value or elementwise of an array of them."""
+    return model.bright_yield / (1.0 + (np.abs(s) / model.yield_crossover) ** model.yield_steepness)
 
 
 @dataclass(frozen=True)
 class LaserSpectrum:
-    """Measured excitation spectrum, normalized to unit peak.
+    """Gaussian excitation spectrum, normalized to unit peak.
 
-    The stored values are spectrometer-style (intensity) spectral weights;
-    the field amplitude seen by one light-matter interaction is their square
-    root.  Default shape is Gaussian; a tabulated spectrum may be supplied
-    instead (strictly positive on its grid).
+    The values are spectrometer-style (intensity) spectral weights; the
+    field amplitude seen by one light-matter interaction is their square
+    root.
     """
 
     center_thz: float = 406.770
     fwhm_thz: float = 4.14
-    table_freqs_thz: tuple[float, ...] | None = None
-    table_values: tuple[float, ...] | None = None
 
     def __post_init__(self):
-        if self.table_values is not None:
-            vals = np.asarray(self.table_values, dtype=float)
-            freqs = np.asarray(self.table_freqs_thz, dtype=float)
-            if freqs.shape != vals.shape or vals.ndim != 1 or vals.size < 2:
-                raise InvalidSpec("tabulated laser spectrum needs matching 1-d grids")
-            if np.any(vals <= 0):
-                raise InvalidSpec("tabulated laser spectrum must be strictly positive")
-            if np.any(np.diff(freqs) <= 0):
-                raise InvalidSpec("tabulated laser frequency grid must be increasing")
-            peak = vals.max()
-            object.__setattr__(self, "table_values", tuple(vals / peak))
-        elif self.fwhm_thz <= 0:
+        if self.fwhm_thz <= 0:
             raise InvalidSpec(f"laser FWHM must be positive, got {self.fwhm_thz}")
 
     def amplitude(self, freq_thz) -> np.ndarray:
         """Unit-peak spectral weight at the given absolute frequencies."""
         nu = np.asarray(freq_thz, dtype=float)
-        if self.table_values is not None:
-            return np.interp(nu, self.table_freqs_thz, self.table_values,
-                             left=self.table_values[0], right=self.table_values[-1])
         sigma = self.fwhm_thz / GAUSSIAN_FWHM_PER_SIGMA
         return np.exp(-0.5 * ((nu - self.center_thz) / sigma) ** 2)
 
@@ -255,42 +222,53 @@ class EnsembleSpec:
             raise InvalidSpec(f"component weights must sum to 1, got {total}")
 
 
-@dataclass(frozen=True)
-class Emitter:
-    """One sampled color center: strained level scheme plus local dynamics."""
+@dataclass(frozen=True, eq=False)
+class Ensemble:
+    """Sampled color centers as parallel numpy arrays, one entry per emitter.
 
-    strain: float
-    scheme: LevelScheme
-    dipole: float
-    t1_ps: float
-    t2_ps: float
-    quantum_yield: float
-    two_level: bool = False
+    ``lines_thz`` has shape (n, 4): a four-line emitter's strained line
+    quadruple in ascending order.  A two-level emitter has one line, its
+    strained center, in column 0; it fills the other columns too, whose
+    pathway terms are masked off.
+    """
+
+    strain: np.ndarray
+    lines_thz: np.ndarray
+    dipole: np.ndarray
+    t1_ps: np.ndarray
+    t2_ps: np.ndarray
+    quantum_yield: np.ndarray
+    two_level: np.ndarray        # bool
 
     def __post_init__(self):
-        if self.dipole <= 0:
+        n = len(self.strain)
+        per_emitter = (self.dipole, self.t1_ps, self.t2_ps, self.quantum_yield,
+                       self.two_level)
+        if np.shape(self.lines_thz) != (n, 4) or any(np.shape(a) != (n,) for a in per_emitter):
+            raise InvalidSpec(f"ensemble of {n} emitters needs (n, 4) lines and "
+                              "one value per emitter in every other field")
+        # the comparisons are written so that NaN fails them
+        if not np.all(self.lines_thz[:, 0] > 0):
+            raise InvalidSpec("line frequencies must be positive")
+        if not np.all(np.diff(self.lines_thz[~self.two_level], axis=1) > 0):
+            raise SplittingCollapse(
+                "every four-line emitter needs a strictly increasing line "
+                "quadruple, i.e. 0 < ground splitting < excited splitting")
+        if not np.all(self.dipole > 0):
             raise InvalidSpec("dipole must be positive")
-        if not (0.0 < self.quantum_yield <= 1.0):
-            raise InvalidSpec(f"quantum yield must be in (0, 1], got {self.quantum_yield}")
-        if self.t2_ps > 2.0 * self.t1_ps + 1e-9:
-            raise InvalidSpec(
-                f"T2 = {self.t2_ps} ps exceeds coherent limit 2*T1 = {2 * self.t1_ps} ps")
+        if not np.all((self.quantum_yield > 0) & (self.quantum_yield <= 1.0)):
+            raise InvalidSpec("quantum yield must be in (0, 1]")
+        if not np.all(self.t2_ps <= 2.0 * self.t1_ps + 1e-9):
+            raise InvalidSpec("T2 exceeds the coherent limit 2*T1")
 
-    def transition_frequencies(self) -> np.ndarray:
-        if self.two_level:
-            return np.array([self.scheme.center_thz])
-        return self.scheme.transition_frequencies()
-
-    def transition_levels(self) -> tuple[tuple[int, int], ...]:
-        if self.two_level:
-            return ((0, 0),)
-        return self.scheme.transition_levels()
+    def __len__(self) -> int:
+        return len(self.strain)
 
 
 def sample_ensemble(spec: EnsembleSpec, base: LevelScheme, model: StrainModel,
-                    n: int, seed: int) -> list[Emitter]:
+                    n: int, seed: int) -> Ensemble:
     """Draw ``n`` emitters from the population mixture, deterministically in
-    ``seed``.  Every emitter satisfies the Emitter invariants."""
+    ``seed``.  The result satisfies every Ensemble invariant."""
     if n < 1:
         raise InvalidSpec(f"ensemble size must be >= 1, got {n}")
     rng = np.random.default_rng(seed)
@@ -308,21 +286,25 @@ def sample_ensemble(spec: EnsembleSpec, base: LevelScheme, model: StrainModel,
         strains[mask] = comp.strain.sample(rng, m)
         t2s[mask] = comp.t2.sample(rng, m)
 
-    emitters = []
-    for i in range(n):
-        comp = spec.components[comp_idx[i]]
-        s = float(strains[i])
-        if comp.two_level:
-            scheme = replace(base, center_thz=base.center_thz + model.shift_thz_per_unit * s)
-        else:
-            scheme = strained_level_scheme(base, model, s)
-        if comp.yield_rule == "strain":
-            y = quantum_yield(model, s)
-        else:
-            y = float(comp.yield_rule)
-        t1_ps = comp.t1_ns * 1e3
-        t2 = min(float(t2s[i]), 2.0 * t1_ps)
-        emitters.append(Emitter(strain=s, scheme=scheme, dipole=comp.dipole,
-                                t1_ps=t1_ps, t2_ps=t2, quantum_yield=y,
-                                two_level=comp.two_level))
-    return emitters
+    def per_emitter(values):
+        return np.asarray(values)[comp_idx]
+
+    components = spec.components
+    two_level = per_emitter([c.two_level for c in components])
+    center = base.center_thz + model.shift_thz_per_unit * strains
+    # a two-level emitter feels only the strain shift of its center
+    quadruple = _line_quadruple(
+        center,
+        base.ground_splitting_ghz + model.ground_splitting_ghz_per_unit * strains,
+        base.excited_splitting_ghz + model.excited_splitting_ghz_per_unit * strains)
+    lines = np.where(two_level[:, None], center[:, None], quadruple)
+    by_strain = per_emitter([c.yield_rule == "strain" for c in components])
+    fixed_yield = per_emitter([1.0 if c.yield_rule == "strain" else float(c.yield_rule)
+                               for c in components])
+    t1 = per_emitter([c.t1_ns for c in components]) * 1e3
+    return Ensemble(strain=strains, lines_thz=lines,
+                    dipole=per_emitter([float(c.dipole) for c in components]),
+                    t1_ps=t1, t2_ps=np.minimum(t2s, 2.0 * t1),
+                    quantum_yield=np.where(by_strain, quantum_yield(model, strains),
+                                           fixed_yield),
+                    two_level=two_level)

@@ -45,10 +45,6 @@ class NoConvergence(SivMdcsError):
     """Optimizer failed to converge within the iteration budget."""
 
 
-class DegenerateFit(SivMdcsError):
-    """Bi-exponential time constants collapsed onto each other."""
-
-
 class NoHalfCrossing(SivMdcsError):
     """Peak is truncated; half-maximum crossings not bracketed by the trace."""
 

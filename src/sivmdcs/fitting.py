@@ -181,28 +181,6 @@ def lorentzian_peak_jac(x, params):
     ])
 
 
-def bi_lorentzian(x, params):
-    """Two Lorentzians sharing a center: [a1, hwhm1, a2, hwhm2, center]."""
-    a1, g1, a2, g2, c = params
-    d2 = (x - c) ** 2
-    return a1 * g1 ** 2 / (d2 + g1 ** 2) + a2 * g2 ** 2 / (d2 + g2 ** 2)
-
-
-def bi_lorentzian_jac(x, params):
-    a1, g1, a2, g2, c = params
-    d = x - c
-    d2 = d * d
-    den1 = d2 + g1 ** 2
-    den2 = d2 + g2 ** 2
-    return np.column_stack([
-        g1 ** 2 / den1,
-        a1 * 2.0 * g1 * d2 / den1 ** 2,
-        g2 ** 2 / den2,
-        a2 * 2.0 * g2 * d2 / den2 ** 2,
-        a1 * g1 ** 2 * 2.0 * d / den1 ** 2 + a2 * g2 ** 2 * 2.0 * d / den2 ** 2,
-    ])
-
-
 def finite_bandwidth_model(x, params, laser_sq):
     """Gaussian inhomogeneous distribution seen through the squared laser
     spectrum: amp * G(x; center, sigma) * L(x)^2 with L^2 precomputed."""

@@ -1,8 +1,9 @@
-"""Third-order rephasing pathway enumeration and pulse-tag signatures.
+"""Third-order rephasing pathways and pulse-tag signatures.
 
 Only the rephasing ordering is handled: the first interaction is conjugate,
-so every pathway carries the phase signature (-1, +1, +1, -1) and shows up
-at the radio-frequency beatnote -nu1 + nu2 + nu3 - nu4.
+so every pathway carries the phase signature (-1, +1, +1, -1), shows up
+at the radio-frequency beatnote -nu1 + nu2 + nu3 - nu4, and adds with a
+positive sign.
 
 Model rules for a doublet-doublet scheme (fixed by design):
   * ground-state bleach (GSB) pathways connect any ordered pair of
@@ -11,24 +12,28 @@ Model rules for a doublet-doublet scheme (fixed by design):
   * stimulated emission (SE) pathways are direct only -- shared-excited
     emission would require excited-state coherences that are out of scope;
   * excited-state absorption is excluded (no higher-lying manifold).
+
+With the line order of ``LevelScheme.transition_frequencies`` these rules
+give the static table ``REPHASING_PATHWAYS``: twelve rows for a four-line
+emitter, of which a two-level emitter (one line) has the first two.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .emitter import Emitter, LevelScheme
-
 REPHASING_SIGNATURE = (-1, 1, 1, -1)
 
-
-@dataclass(frozen=True)
-class Pathway:
-    kind: str                    # "gsb" | "se"
-    excitation: int              # index into the scheme's transition list
-    emission: int
-    sign: int = 1
-    shares_ground: bool = True
-    phase_signature: tuple[int, int, int, int] = REPHASING_SIGNATURE
+# (kind, excitation line, emission line): GSB and SE on each direct peak,
+# then GSB on the cross peaks between lines 0-2 and 1-3, which share a
+# ground sublevel.
+REPHASING_PATHWAYS = (
+    ("gsb", 0, 0), ("se", 0, 0),
+    ("gsb", 1, 1), ("se", 1, 1),
+    ("gsb", 2, 2), ("se", 2, 2),
+    ("gsb", 3, 3), ("se", 3, 3),
+    ("gsb", 0, 2), ("gsb", 1, 3), ("gsb", 2, 0), ("gsb", 3, 1),
+)
+TWO_LEVEL_PATHWAYS = 2
 
 
 @dataclass(frozen=True)
@@ -54,38 +59,3 @@ def signature_frequency(signature, tags: TagSet) -> float:
 def rephasing_frequency(tags: TagSet) -> float:
     """Beatnote of the rephasing signal, -nu1 + nu2 + nu3 - nu4 (MHz)."""
     return signature_frequency(REPHASING_SIGNATURE, tags)
-
-
-def _enumerate_for_levels(levels: tuple[tuple[int, int], ...]) -> tuple[Pathway, ...]:
-    pathways = []
-    n = len(levels)
-    # SE first per transition, then GSB, ascending indices: a stable order.
-    for i in range(n):
-        pathways.append(Pathway("gsb", i, i, shares_ground=True))
-        pathways.append(Pathway("se", i, i, shares_ground=True))
-    for i in range(n):
-        for j in range(n):
-            if i != j and levels[i][0] == levels[j][0]:
-                pathways.append(Pathway("gsb", i, j, shares_ground=True))
-    return tuple(pathways)
-
-
-_LEVEL_CACHE: dict[tuple, tuple[Pathway, ...]] = {}
-
-
-def enumerate_rephasing_pathways(scheme: LevelScheme) -> list[Pathway]:
-    """All GSB and SE rephasing pathways of a doublet-doublet scheme."""
-    return list(_enumerate_cached(scheme.transition_levels()))
-
-
-def pathways_for(emitter: Emitter) -> tuple[Pathway, ...]:
-    """Pathways for a sampled emitter (two-level emitters get GSB + SE)."""
-    return _enumerate_cached(emitter.transition_levels())
-
-
-def _enumerate_cached(levels: tuple[tuple[int, int], ...]) -> tuple[Pathway, ...]:
-    cached = _LEVEL_CACHE.get(levels)
-    if cached is None:
-        cached = _enumerate_for_levels(levels)
-        _LEVEL_CACHE[levels] = cached
-    return cached

@@ -12,7 +12,6 @@ dimensionally consistent.
 """
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 from typing import Mapping
 
@@ -21,19 +20,11 @@ import numpy as np
 from .errors import AliasError, InsufficientRecord
 from .pathways import TagSet, signature_frequency
 
-DEFAULT_REP_RATE_MHZ = 76.0
-
-
-def fourth_order_signatures() -> list[tuple[int, int, int, int]]:
-    """All 16 signed fourth-order tag combinations."""
-    return [sig for sig in itertools.product((-1, 1), repeat=4)]
-
 
 @dataclass
 class RawTrainRecord:
     sample_rate_msps: float          # megasamples per second == samples/us
     series: np.ndarray               # real detector intensity
-    rep_rate_mhz: float
     tags: TagSet
     metadata: dict = field(default_factory=dict)
 
@@ -49,14 +40,13 @@ class RawTrainRecord:
 def simulate_pulse_train(amplitudes: Mapping[tuple[int, int, int, int], complex],
                          tags: TagSet, duration_us: float,
                          sample_rate_msps: float,
-                         rep_rate_mhz: float = DEFAULT_REP_RATE_MHZ,
                          dc_offset: float = 1.0) -> RawTrainRecord:
     """Detector intensity record containing one beat per signature.
 
     Each entry contributes Re[A exp(2 pi i nu_sig t)]; a DC pedestal stands
     in for the average photocurrent of the 76 MHz train (the train comb
-    itself is far above the record's Nyquist frequency and is recorded as
-    metadata only).
+    itself is far above the record's Nyquist frequency and is not
+    modelled).
     """
     beats = {sig: signature_frequency(sig, tags) for sig in amplitudes}
     max_beat = max((abs(f) for f in beats.values()), default=0.0)
@@ -70,7 +60,7 @@ def simulate_pulse_train(amplitudes: Mapping[tuple[int, int, int, int], complex]
     for sig, amp in amplitudes.items():
         if amp != 0:
             series = series + np.real(amp * np.exp(2j * np.pi * beats[sig] * t))
-    return RawTrainRecord(sample_rate_msps, series, rep_rate_mhz, tags,
+    return RawTrainRecord(sample_rate_msps, series, tags,
                           metadata={"dc_offset": dc_offset})
 
 

@@ -312,8 +312,8 @@ def build_ensemble(cfg: ExperimentConfig):
 
 
 def run_simulation(cfg: ExperimentConfig, mode: str | None = None, threads: int = 1):
-    emitters = build_ensemble(cfg)
-    return synthesize_signal(emitters, cfg.grid, cfg.waiting_time_ps,
+    ensemble = build_ensemble(cfg)
+    return synthesize_signal(ensemble, cfg.grid, cfg.waiting_time_ps,
                              mode or cfg.mode, cfg.laser,
                              noise_rms=cfg.noise, noise_seed=cfg.seed + 1,
                              threads=threads)
@@ -355,10 +355,6 @@ def _window_trace(trace, center, half_width):
     return replace(trace, freqs_thz=trace.freqs_thz[mask],
                    amplitude=trace.amplitude[mask],
                    valid=None if trace.valid is None else trace.valid[mask])
-
-
-def _peak_window_fwhm(trace, center, half_width, model="gaussian"):
-    return fwhm(_window_trace(trace, center, half_width), model=model)
 
 
 def _truncate_decay(trace: DecayTrace, t_max: float) -> DecayTrace:
@@ -462,10 +458,10 @@ def _target_fig2(cfg, out_dir, report, threads, seed_shift):
 
 
 def _target_fig3(cfg, out_dir, report, threads, seed_shift):
-    emitters = build_ensemble(cfg)
-    het = synthesize_signal(emitters, cfg.grid, cfg.waiting_time_ps,
+    ensemble = build_ensemble(cfg)
+    het = synthesize_signal(ensemble, cfg.grid, cfg.waiting_time_ps,
                             "heterodyne", cfg.laser, threads=threads)
-    pl = synthesize_signal(emitters, cfg.grid, cfg.waiting_time_ps,
+    pl = synthesize_signal(ensemble, cfg.grid, cfg.waiting_time_ps,
                            "pl", cfg.laser, threads=threads)
     het_proj = project_nu_t(to_spectrum(het))
     pl_proj = project_nu_t(to_spectrum(pl))
@@ -491,11 +487,11 @@ def _target_fig3(cfg, out_dir, report, threads, seed_shift):
     # (c) with yield suppression disabled, PL == Y0 * heterodyne
     flat = replace(cfg.ensemble, components=tuple(
         replace(c, yield_rule=0.8) for c in cfg.ensemble.components))
-    flat_emitters = sample_ensemble(flat, cfg.scheme, cfg.strain,
+    flat_ensemble = sample_ensemble(flat, cfg.scheme, cfg.strain,
                                     cfg.ensemble_size, cfg.seed)
-    het_flat = synthesize_signal(flat_emitters, cfg.grid, cfg.waiting_time_ps,
+    het_flat = synthesize_signal(flat_ensemble, cfg.grid, cfg.waiting_time_ps,
                                  "heterodyne", cfg.laser, threads=threads)
-    pl_flat = synthesize_signal(flat_emitters, cfg.grid, cfg.waiting_time_ps,
+    pl_flat = synthesize_signal(flat_ensemble, cfg.grid, cfg.waiting_time_ps,
                                 "pl", cfg.laser, threads=threads)
     dev = np.max(np.abs(pl_flat.data - 0.8 * het_flat.data)) \
         / np.max(np.abs(het_flat.data)) / 0.8
@@ -533,9 +529,9 @@ def _target_fig4(cfg, out_dir, report, threads, seed_shift):
 
 
 def _target_t1scan(cfg, out_dir, report, threads, seed_shift):
-    emitters = build_ensemble(cfg)
+    ensemble = build_ensemble(cfg)
     waits = np.arange(0.0, 4000.1, 250.0)
-    scan = waiting_time_scan(emitters, 2.0, 2.0, waits, cfg.mode,
+    scan = waiting_time_scan(ensemble, 2.0, 2.0, waits, cfg.mode,
                              cfg.laser, cfg.grid.frame_thz)
     write_tscan_csv(_art(out_dir, "t1scan.csv", report), scan)
     amps = np.array([abs(a) for _, a in scan])

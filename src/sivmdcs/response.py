@@ -4,13 +4,16 @@ Everything is computed in a rotating frame at ``grid.frame_thz`` so that
 desk-scale grids resolve all detunings.  Each (emitter, pathway) pair
 contributes a separable term
 
-    sign * w_det * mu^4 * I(exc) * I(emit) * exp(-T/T1)
+    w_det * mu^4 * I(exc) * I(emit) * exp(-T/T1)
         * exp[(+2 pi i d_exc - 1/T2) tau] * exp[(-2 pi i d_emit - 1/T2) t]
 
 where I is the unit-peak laser spectral weight (so the filter equals the
 field amplitude to the fourth power for a direct peak), d_* are detunings
 from the frame origin, and w_det is 1 for heterodyne detection or the
-emitter quantum yield for PL detection.
+emitter quantum yield for PL detection.  The pairs come from the static
+table ``pathways.REPHASING_PATHWAYS`` applied to the arrays of an
+``Ensemble``: twelve terms per four-line emitter, two per two-level one,
+listed emitter by emitter in table order.
 
 Two routes evaluate the double sum:
 
@@ -40,9 +43,9 @@ from typing import Sequence
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .emitter import Emitter, LaserSpectrum
+from .emitter import Ensemble, LaserSpectrum
 from .errors import EmptyEnsemble, GridTooCoarse, InvalidSpec
-from .pathways import pathways_for
+from .pathways import REPHASING_PATHWAYS, TWO_LEVEL_PATHWAYS
 
 DETECTION_MODES = ("pl", "heterodyne")
 
@@ -89,26 +92,41 @@ class TimeDomainSignal:
             raise InvalidSpec("signal matrix does not match its grid")
 
 
-def _pathway_terms(emitters: Sequence[Emitter], mode: str,
+_EXCITATION = np.array([exc for _, exc, _ in REPHASING_PATHWAYS])
+_EMISSION = np.array([emit for _, _, emit in REPHASING_PATHWAYS])
+
+
+def _term_mask(ensemble: Ensemble) -> np.ndarray:
+    """(n, 12) mask of the pathway-table rows each emitter has: all of them
+    for a four-line emitter, the first two for a two-level one."""
+    keep = np.ones((len(ensemble), len(REPHASING_PATHWAYS)), dtype=bool)
+    keep[ensemble.two_level, TWO_LEVEL_PATHWAYS:] = False
+    return keep
+
+
+def _per_term(values: np.ndarray, keep: np.ndarray) -> np.ndarray:
+    """A per-emitter array repeated onto each of that emitter's terms."""
+    return np.broadcast_to(values[:, None], keep.shape)[keep]
+
+
+def _pathway_terms(ensemble: Ensemble, mode: str,
                    laser: LaserSpectrum | None, frame_thz: float,
                    waiting_time_ps: float):
-    """Flatten the ensemble into per-term arrays (detunings, rates, weights)."""
-    nu_exc, nu_emit, weight, t2 = [], [], [], []
-    for em in emitters:
-        freqs = em.transition_frequencies()
-        if laser is None:
-            filt = np.ones_like(freqs)
-        else:
-            filt = laser.amplitude(freqs)
-        det_weight = em.quantum_yield if mode == "pl" else 1.0
-        base = det_weight * em.dipole ** 4 * math.exp(-waiting_time_ps / em.t1_ps)
-        for pw in pathways_for(em):
-            nu_exc.append(freqs[pw.excitation] - frame_thz)
-            nu_emit.append(freqs[pw.emission] - frame_thz)
-            weight.append(pw.sign * base * filt[pw.excitation] * filt[pw.emission])
-            t2.append(em.t2_ps)
-    return (np.asarray(nu_exc), np.asarray(nu_emit),
-            np.asarray(weight, dtype=complex), np.asarray(t2))
+    """Flatten the ensemble into per-term arrays (detunings, rates, weights).
+
+    Each is an (n, 12) emitter-by-pathway array with the missing rows of
+    two-level emitters masked off, read row-major, so the terms come
+    emitter by emitter in pathway-table order."""
+    lines = ensemble.lines_thz
+    filt = np.ones_like(lines) if laser is None else laser.amplitude(lines)
+    det_weight = ensemble.quantum_yield if mode == "pl" else 1.0
+    base = det_weight * ensemble.dipole ** 4 \
+        * np.exp(-waiting_time_ps / ensemble.t1_ps)
+    weight = base[:, None] * filt[:, _EXCITATION] * filt[:, _EMISSION]
+    keep = _term_mask(ensemble)
+    return ((lines[:, _EXCITATION] - frame_thz)[keep],
+            (lines[:, _EMISSION] - frame_thz)[keep],
+            weight[keep].astype(complex), _per_term(ensemble.t2_ps, keep))
 
 
 # The echo route assembles every (delta, T2) group over the whole grid, which
@@ -231,7 +249,7 @@ def _echo_sum(groups, grid: Grid) -> np.ndarray:
     return data
 
 
-def synthesize_signal(emitters: Sequence[Emitter], grid: Grid,
+def synthesize_signal(ensemble: Ensemble, grid: Grid,
                       waiting_time_ps: float, mode: str,
                       laser: LaserSpectrum | None = None,
                       noise_rms: float = 0.0, noise_seed: int = 0,
@@ -239,11 +257,11 @@ def synthesize_signal(emitters: Sequence[Emitter], grid: Grid,
     """Sum pathway responses over the ensemble on the (tau, t) grid."""
     if mode not in DETECTION_MODES:
         raise InvalidSpec(f"unknown detection mode {mode!r}")
-    if not emitters:
+    if len(ensemble) == 0:
         raise EmptyEnsemble("synthesize_signal needs at least one emitter")
 
     nu_exc, nu_emit, weight, t2 = _pathway_terms(
-        emitters, mode, laser, grid.frame_thz, waiting_time_ps)
+        ensemble, mode, laser, grid.frame_thz, waiting_time_ps)
 
     nyq_tau = 0.5 / grid.tau_step_ps
     nyq_t = 0.5 / grid.t_step_ps
@@ -271,7 +289,7 @@ def synthesize_signal(emitters: Sequence[Emitter], grid: Grid,
         "detection_mode": mode,
         "noise_rms": noise_rms,
         "noise_seed": noise_seed,
-        "n_emitters": len(emitters),
+        "n_emitters": len(ensemble),
     }
     if laser is not None:
         meta["laser_center_thz"] = laser.center_thz
@@ -279,7 +297,7 @@ def synthesize_signal(emitters: Sequence[Emitter], grid: Grid,
     return TimeDomainSignal(data, grid, waiting_time_ps, mode, meta)
 
 
-def waiting_time_scan(emitters: Sequence[Emitter], tau0_ps: float, t0_ps: float,
+def waiting_time_scan(ensemble: Ensemble, tau0_ps: float, t0_ps: float,
                       waiting_times_ps: Sequence[float], mode: str,
                       laser: LaserSpectrum | None = None,
                       frame_thz: float = 406.770) -> list[tuple[float, complex]]:
@@ -289,12 +307,11 @@ def waiting_time_scan(emitters: Sequence[Emitter], tau0_ps: float, t0_ps: float,
         raise InvalidSpec("waiting-time list must be non-empty")
     if any(T < 0 for T in waiting_times_ps):
         raise InvalidSpec("waiting times must be non-negative")
-    if not emitters:
+    if len(ensemble) == 0:
         raise EmptyEnsemble("waiting_time_scan needs at least one emitter")
 
-    nu_exc, nu_emit, weight, t2 = _pathway_terms(emitters, mode, laser, frame_thz, 0.0)
-    t1 = np.repeat([em.t1_ps for em in emitters],
-                   [len(pathways_for(em)) for em in emitters])
+    nu_exc, nu_emit, weight, t2 = _pathway_terms(ensemble, mode, laser, frame_thz, 0.0)
+    t1 = _per_term(ensemble.t1_ps, _term_mask(ensemble))
     point = np.exp((2j * np.pi * nu_exc - 1.0 / t2) * tau0_ps) \
         * np.exp((-2j * np.pi * nu_emit - 1.0 / t2) * t0_ps)
     out = []

@@ -11,9 +11,9 @@ import time
 import numpy as np
 import pytest
 
+from ensembles import two_level
 from oracles import rephasing_response_oracle
 from sivmdcs.config import parse_config
-from sivmdcs.emitter import Emitter, default_scheme
 from sivmdcs.pathways import TagSet, rephasing_frequency
 from sivmdcs.pulsetrain import demodulate, simulate_pulse_train
 from sivmdcs.reproduce import run_reproduction, run_simulation
@@ -134,10 +134,8 @@ def test_criterion_07_density_matrix_oracle():
     for d in (-0.3, 0.0, 0.45):
         for t2 in (15.0, 122.0):
             for wait in (0.5, 300.0):
-                scheme = type(default_scheme())(frame + d, 59.0, 261.0)
-                emitter = Emitter(0.0, scheme, 1.0, 1700.0, t2,
-                                  quantum_yield=1.0, two_level=True)
-                signal = synthesize_signal([emitter], grid, wait, "heterodyne")
+                emitter = two_level(frame + d, t2_ps=t2, t1_ps=1700.0)
+                signal = synthesize_signal(emitter, grid, wait, "heterodyne")
                 for i, tau in enumerate(grid.tau_ps):
                     for j, t in enumerate(grid.t_ps):
                         oracle = rephasing_response_oracle(d, t2, 1700.0,

@@ -1,4 +1,5 @@
 import numpy as np
+import pytest
 
 from sivmdcs.cli import (EXIT_CHECK_FAILED, EXIT_OK, EXIT_RUNTIME, EXIT_USAGE,
                          main)
@@ -46,6 +47,20 @@ def test_missing_input_is_runtime_error(tmp_path, capsys):
                  "--out-dir", str(tmp_path)])
     assert code == EXIT_RUNTIME
     assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+@pytest.mark.parametrize("line,template", [("t2 = 40 ps", "t2 = {} ps"),
+                                           ("strain_fwhm = 0.1", "strain_fwhm = {}")])
+def test_non_finite_config_value_is_runtime_error(tmp_path, capsys, line,
+                                                  template, value):
+    text = TINY_CONFIG.replace(line, template.format(value))
+    path = tmp_path / "bad.cfg"
+    path.write_text(text)
+    assert main(["simulate", "--config", str(path), "--out-dir", str(tmp_path),
+                 "--output", "sig.mdcs"]) == EXIT_RUNTIME
+    assert "finite" in capsys.readouterr().err
+    assert not (tmp_path / "sig.mdcs").exists()
 
 
 def test_pipeline_chain(tmp_path, capsys):
@@ -137,6 +152,12 @@ def test_demod_command(capsys):
     assert "demodulated" in out
     value = float(out.split("|.| = ")[1].rstrip(")\n"))
     assert abs(value - 0.5) <= 0.005
+
+
+def test_demod_rejects_non_positive_bandwidth(capsys):
+    for bandwidth in ("0", "-1", "nan"):
+        assert main(["demod", "--bandwidth", bandwidth]) == EXIT_RUNTIME
+        assert "bandwidth must be positive" in capsys.readouterr().err
 
 
 def test_reproduce_t1scan(tmp_path, capsys):

@@ -3,11 +3,10 @@ import math
 import numpy as np
 import pytest
 
-from sivmdcs.emitter import (GAUSSIAN_FWHM_PER_SIGMA, Emitter, EnsembleSpec,
+from sivmdcs.emitter import (GAUSSIAN_FWHM_PER_SIGMA, Ensemble, EnsembleSpec,
                              LaserSpectrum, LevelScheme, PopulationComponent,
                              StrainDistribution, StrainModel, T2Rule,
-                             default_scheme, quantum_yield, sample_ensemble,
-                             strained_level_scheme)
+                             default_scheme, quantum_yield, sample_ensemble)
 from sivmdcs.errors import InvalidSpec, SplittingCollapse
 
 EXPECTED_LINES = [406.654, 406.713, 406.915, 406.974]
@@ -28,12 +27,17 @@ def test_transition_levels_pairing():
     assert levels[0][0] != levels[3][0]
 
 
-def test_scheme_from_lines_round_trip():
-    scheme = LevelScheme.from_transition_frequencies(EXPECTED_LINES)
-    assert scheme.center_thz == pytest.approx(406.8140)
-    assert scheme.ground_splitting_ghz == pytest.approx(59.0)
-    assert scheme.excited_splitting_ghz == pytest.approx(261.0)
-    assert np.allclose(scheme.transition_frequencies(), EXPECTED_LINES)
+def _ensemble(**changes):
+    """Two emitters, one four-line and one two-level, valid unless changed."""
+    lines = default_scheme().transition_frequencies()
+    fields = dict(strain=np.zeros(2),
+                  lines_thz=np.array([lines, np.full(4, lines[0])]),
+                  dipole=np.ones(2), t1_ps=np.full(2, 1700.0),
+                  t2_ps=np.array([122.0, 3400.0]),
+                  quantum_yield=np.array([1.0, 0.3]),
+                  two_level=np.array([False, True]))
+    fields.update(changes)
+    return Ensemble(**fields)
 
 
 @pytest.mark.parametrize("ground,excited", [(0.0, 261.0), (59.0, 0.0),
@@ -42,6 +46,11 @@ def test_scheme_from_lines_round_trip():
 def test_scheme_rejects_collapsed_splittings(ground, excited):
     with pytest.raises(SplittingCollapse):
         LevelScheme(406.8140, ground, excited)
+    # the same lines in an ensemble
+    dg, de = ground * 1e-3, excited * 1e-3
+    lines = 406.8140 + np.array([-(de + dg), -(de - dg), de - dg, de + dg]) / 2.0
+    with pytest.raises(SplittingCollapse):
+        _ensemble(lines_thz=np.array([lines, np.full(4, 406.8140)]))
 
 
 def test_scheme_rejects_nonpositive_center():
@@ -49,20 +58,31 @@ def test_scheme_rejects_nonpositive_center():
         LevelScheme(0.0, 59.0, 261.0)
 
 
+def _delta_strain_spec(strain, two_level=False):
+    return EnsembleSpec((PopulationComponent(
+        strain=StrainDistribution("delta", center=strain), two_level=two_level),))
+
+
 def test_strained_scheme_is_linear_in_strain():
     model = StrainModel(shift_thz_per_unit=2.0,
                         ground_splitting_ghz_per_unit=3.0,
                         excited_splitting_ghz_per_unit=-4.0)
-    out = strained_level_scheme(default_scheme(), model, 0.5)
-    assert out.center_thz == pytest.approx(406.8140 + 1.0)
-    assert out.ground_splitting_ghz == pytest.approx(60.5)
-    assert out.excited_splitting_ghz == pytest.approx(259.0)
+    ens = sample_ensemble(_delta_strain_spec(0.5), default_scheme(), model, 2, seed=1)
+    want = LevelScheme(406.8140 + 1.0, 60.5, 259.0).transition_frequencies()
+    assert np.allclose(ens.lines_thz, want, rtol=0.0, atol=1e-12)
+    # a two-level emitter feels only the shift of its center
+    ens = sample_ensemble(_delta_strain_spec(0.5, two_level=True),
+                          default_scheme(), model, 2, seed=1)
+    assert np.allclose(ens.lines_thz, 406.8140 + 1.0, rtol=0.0, atol=1e-12)
 
 
 def test_strained_scheme_collapse_raises():
     model = StrainModel(ground_splitting_ghz_per_unit=-59.0)
     with pytest.raises(SplittingCollapse):
-        strained_level_scheme(default_scheme(), model, 1.0)
+        sample_ensemble(_delta_strain_spec(1.0), default_scheme(), model, 3, seed=1)
+    # the two-level population has no splitting to collapse
+    sample_ensemble(_delta_strain_spec(1.0, two_level=True), default_scheme(),
+                    model, 3, seed=1)
 
 
 def test_quantum_yield_crossover_and_monotonicity():
@@ -71,8 +91,11 @@ def test_quantum_yield_crossover_and_monotonicity():
     assert quantum_yield(model, 0.0) == pytest.approx(0.8)
     assert quantum_yield(model, 0.02) == pytest.approx(0.4)
     assert quantum_yield(model, -0.02) == pytest.approx(0.4)
-    samples = [quantum_yield(model, s) for s in np.linspace(0.0, 0.5, 40)]
-    assert all(a >= b for a, b in zip(samples, samples[1:]))
+    strains = np.linspace(0.0, 0.5, 40)
+    samples = quantum_yield(model, strains)
+    assert np.all(np.diff(samples) <= 0)
+    assert np.allclose(samples, [quantum_yield(model, s) for s in strains],
+                       rtol=1e-15, atol=0.0)
 
 
 def test_laser_spectrum_gaussian_shape():
@@ -82,24 +105,11 @@ def test_laser_spectrum_gaussian_shape():
     assert laser.amplitude(406.770 - 2.07) == pytest.approx(0.5)
 
 
-def test_laser_spectrum_tabulated():
-    laser = LaserSpectrum(table_freqs_thz=(405.0, 406.0, 407.0),
-                          table_values=(1.0, 4.0, 2.0))
-    assert laser.amplitude(406.0) == pytest.approx(1.0)   # renormalized peak
-    assert laser.amplitude(405.0) == pytest.approx(0.25)
-    assert laser.amplitude(406.5) == pytest.approx(0.75)  # linear interp
-    assert laser.amplitude(404.0) == pytest.approx(0.25)  # clamped edges
-
-
 def test_laser_spectrum_validation():
     with pytest.raises(InvalidSpec):
         LaserSpectrum(fwhm_thz=0.0)
     with pytest.raises(InvalidSpec):
-        LaserSpectrum(table_freqs_thz=(1.0, 2.0), table_values=(1.0, 0.0))
-    with pytest.raises(InvalidSpec):
-        LaserSpectrum(table_freqs_thz=(2.0, 1.0), table_values=(1.0, 1.0))
-    with pytest.raises(InvalidSpec):
-        LaserSpectrum(table_freqs_thz=(1.0, 2.0, 3.0), table_values=(1.0, 1.0))
+        LaserSpectrum(fwhm_thz=-1.0)
 
 
 def test_strain_distribution_sampling():
@@ -143,16 +153,21 @@ def test_t2_rule_lognormal_median():
 
 
 def test_emitter_invariants():
-    scheme = default_scheme()
-    with pytest.raises(InvalidSpec):
-        Emitter(0.0, scheme, 1.0, 1700.0, 122.0, quantum_yield=0.0)
-    with pytest.raises(InvalidSpec):
-        Emitter(0.0, scheme, 1.0, 100.0, 500.0, quantum_yield=1.0)
-    em = Emitter(0.0, scheme, 1.0, 1700.0, 122.0, quantum_yield=1.0,
-                 two_level=True)
-    assert len(em.transition_frequencies()) == 1
-    assert em.transition_frequencies()[0] == pytest.approx(scheme.center_thz)
-    assert em.transition_levels() == ((0, 0),)
+    ens = _ensemble()
+    assert len(ens) == 2
+    bad = {
+        "quantum_yield": np.array([1.0, 0.0]),
+        "dipole": np.array([1.0, -1.0]),
+        "t2_ps": np.array([122.0, 3401.0]),
+        "t1_ps": np.array([1700.0, np.nan]),
+        "lines_thz": np.array([ens.lines_thz[0], np.zeros(4)]),
+        "strain": np.zeros(3),
+        "two_level": np.array([True]),
+    }
+    for name, value in bad.items():
+        with pytest.raises(InvalidSpec):
+            _ensemble(**{name: value})
+    assert _ensemble(quantum_yield=np.array([1.0, 1.0])).quantum_yield[1] == 1.0
 
 
 def test_ensemble_spec_weights_must_sum_to_one():
@@ -177,31 +192,31 @@ def test_sample_ensemble_deterministic_in_seed():
     a = sample_ensemble(spec, default_scheme(), model, 50, seed=7)
     b = sample_ensemble(spec, default_scheme(), model, 50, seed=7)
     c = sample_ensemble(spec, default_scheme(), model, 50, seed=8)
-    assert [e.strain for e in a] == [e.strain for e in b]
-    assert [e.strain for e in a] != [e.strain for e in c]
+    assert np.array_equal(a.strain, b.strain)
+    assert np.array_equal(a.lines_thz, b.lines_thz)
+    assert not np.array_equal(a.strain, c.strain)
 
 
 def test_sample_ensemble_clamps_t2_to_coherent_limit():
     spec = _simple_spec(t2=T2Rule("constant", (5000.0,)), t1_ns=1.7)
-    emitters = sample_ensemble(spec, default_scheme(), StrainModel(), 10, seed=1)
-    assert all(e.t2_ps == pytest.approx(3400.0) for e in emitters)
+    ens = sample_ensemble(spec, default_scheme(), StrainModel(), 10, seed=1)
+    assert np.allclose(ens.t2_ps, 3400.0)
 
 
 def test_sample_ensemble_fixed_yield_and_two_level():
     spec = _simple_spec(yield_rule=0.25, two_level=True)
-    emitters = sample_ensemble(spec, default_scheme(), StrainModel(), 10, seed=1)
-    assert all(e.quantum_yield == 0.25 for e in emitters)
-    assert all(e.two_level for e in emitters)
+    ens = sample_ensemble(spec, default_scheme(), StrainModel(), 10, seed=1)
+    assert np.all(ens.quantum_yield == 0.25)
+    assert np.all(ens.two_level)
     # a two-level emitter keeps only the strained center frequency
-    em = emitters[0]
-    assert em.scheme.center_thz == pytest.approx(406.8140 + em.strain)
+    assert np.allclose(ens.lines_thz[:, 0], 406.8140 + ens.strain)
 
 
 def test_sample_ensemble_strain_yield():
     model = StrainModel(yield_crossover=0.02, yield_steepness=4.0)
     spec = _simple_spec(strain=StrainDistribution("delta", center=0.02))
-    emitters = sample_ensemble(spec, default_scheme(), model, 3, seed=1)
-    assert all(e.quantum_yield == pytest.approx(0.5) for e in emitters)
+    ens = sample_ensemble(spec, default_scheme(), model, 3, seed=1)
+    assert np.allclose(ens.quantum_yield, 0.5)
 
 
 def test_sample_ensemble_rejects_empty():
@@ -218,9 +233,7 @@ def test_sample_ensemble_component_mixture():
                             strain=StrainDistribution("delta", center=1.0),
                             t2=T2Rule("constant", (990.0,))),
     ))
-    emitters = sample_ensemble(spec, default_scheme(), StrainModel(), 400, seed=4)
-    strains = np.array([e.strain for e in emitters])
-    assert 100 < np.sum(strains == 0.0) < 300
-    assert np.all((strains == 0.0) | (strains == 1.0))
-    for e in emitters:
-        assert e.t2_ps == (122.0 if e.strain == 0.0 else 990.0)
+    ens = sample_ensemble(spec, default_scheme(), StrainModel(), 400, seed=4)
+    assert 100 < np.sum(ens.strain == 0.0) < 300
+    assert np.all((ens.strain == 0.0) | (ens.strain == 1.0))
+    assert np.array_equal(ens.t2_ps, np.where(ens.strain == 0.0, 122.0, 990.0))

@@ -5,8 +5,7 @@ import pytest
 
 from oracles import jacobian_fd_error
 from sivmdcs.emitter import GAUSSIAN_FWHM_PER_SIGMA, LaserSpectrum
-from sivmdcs.fitting import (bi_lorentzian, bi_lorentzian_jac,
-                             finite_bandwidth_jac, finite_bandwidth_model,
+from sivmdcs.fitting import (finite_bandwidth_jac, finite_bandwidth_model,
                              fit_exponential, fit_finite_bandwidth, fwhm,
                              gaussian_peak, gaussian_peak_jac,
                              levenberg_marquardt, lorentzian_peak,
@@ -28,8 +27,6 @@ JACOBIAN_CASES = [
      np.linspace(-2.0, 2.0, 50), [1.2, 0.1, 0.4]),
     ("lorentzian", lorentzian_peak, lorentzian_peak_jac,
      np.linspace(-2.0, 2.0, 50), [0.8, -0.2, 0.3]),
-    ("bi-lorentzian", bi_lorentzian, bi_lorentzian_jac,
-     np.linspace(-2.0, 2.0, 50), [1.0, 0.05, 0.4, 0.6, 0.1]),
     ("gaussian-background", *with_background(gaussian_peak, gaussian_peak_jac),
      np.linspace(-2.0, 2.0, 50), [1.2, 0.1, 0.4, 0.2]),
 ]

@@ -1,21 +1,16 @@
 from collections import Counter
 
+import numpy as np
 import pytest
 
+from ensembles import concat, four_line, two_level
 from oracles import enumerate_pathways_oracle
-from sivmdcs.emitter import Emitter, default_scheme
-from sivmdcs.pathways import (REPHASING_SIGNATURE, TagSet,
-                              enumerate_rephasing_pathways, pathways_for,
+from sivmdcs.emitter import LaserSpectrum, default_scheme
+from sivmdcs.pathways import (REPHASING_PATHWAYS, TWO_LEVEL_PATHWAYS, TagSet,
                               rephasing_frequency, signature_frequency)
+from sivmdcs.response import _pathway_terms
 
-
-def _two_level_emitter():
-    return Emitter(0.0, default_scheme(), 1.0, 1700.0, 122.0,
-                   quantum_yield=1.0, two_level=True)
-
-
-def _full_emitter():
-    return Emitter(0.0, default_scheme(), 1.0, 1700.0, 122.0, quantum_yield=1.0)
+FRAME = 406.770
 
 
 def test_rephasing_beatnote_default_tags():
@@ -31,42 +26,45 @@ def test_signature_frequency_other_combinations():
 
 
 def test_pathway_count_matches_connectivity_oracle():
-    for emitter in (_full_emitter(), _two_level_emitter()):
-        got = Counter((p.kind, p.excitation, p.emission)
-                      for p in pathways_for(emitter))
-        want = Counter(enumerate_pathways_oracle(emitter.transition_levels()))
-        assert got == want
+    four = Counter(REPHASING_PATHWAYS)
+    assert four == Counter(enumerate_pathways_oracle(default_scheme().transition_levels()))
+    two = Counter(REPHASING_PATHWAYS[:TWO_LEVEL_PATHWAYS])
+    assert two == Counter(enumerate_pathways_oracle(((0, 0),)))
 
 
 def test_pathway_counts():
-    assert len(enumerate_rephasing_pathways(default_scheme())) == 12
-    assert len(pathways_for(_two_level_emitter())) == 2
+    assert len(REPHASING_PATHWAYS) == 12
+    assert TWO_LEVEL_PATHWAYS == 2
+    # the row order fixes the term order, and with it the summation order
+    assert REPHASING_PATHWAYS[:8] == tuple((kind, i, i) for i in range(4)
+                                           for kind in ("gsb", "se"))
+    assert [exc for _, exc, _ in REPHASING_PATHWAYS[8:]] == [0, 1, 2, 3]
+    ens = concat(two_level(FRAME), four_line(default_scheme()), two_level(FRAME))
+    nu_exc, _, _, _ = _pathway_terms(ens, "heterodyne", None, FRAME, 0.5)
+    assert len(nu_exc) == 2 + 12 + 2
 
 
 def test_all_pathways_positive_rephasing():
-    for p in enumerate_rephasing_pathways(default_scheme()):
-        assert p.sign == 1
-        assert p.phase_signature == REPHASING_SIGNATURE
+    # every pathway adds with a positive real weight, whatever the mode
+    ens = concat(four_line(default_scheme(), quantum_yield=0.4),
+                 two_level(FRAME + 0.3, quantum_yield=0.2))
+    for mode in ("heterodyne", "pl"):
+        _, _, weight, _ = _pathway_terms(ens, mode, LaserSpectrum(FRAME, 0.5),
+                                         FRAME, 40.0)
+        assert np.all(weight.imag == 0.0)
+        assert np.all(weight.real > 0.0)
 
 
 def test_cross_pathways_only_on_shared_ground():
     levels = default_scheme().transition_levels()
-    for p in enumerate_rephasing_pathways(default_scheme()):
-        if p.excitation != p.emission:
-            assert p.kind == "gsb"
-            assert levels[p.excitation][0] == levels[p.emission][0]
-        if p.kind == "se":
-            assert p.excitation == p.emission
+    for kind, exc, emit in REPHASING_PATHWAYS:
+        if exc != emit:
+            assert kind == "gsb"
+            assert levels[exc][0] == levels[emit][0]
+        if kind == "se":
+            assert exc == emit
 
 
 def test_cross_pathway_pairs_are_exactly_the_ground_sharing_ones():
-    cross = {(p.excitation, p.emission)
-             for p in enumerate_rephasing_pathways(default_scheme())
-             if p.excitation != p.emission}
+    cross = {(exc, emit) for _, exc, emit in REPHASING_PATHWAYS if exc != emit}
     assert cross == {(0, 2), (2, 0), (1, 3), (3, 1)}
-
-
-def test_pathway_cache_is_stable():
-    a = pathways_for(_full_emitter())
-    b = pathways_for(_full_emitter())
-    assert a is b

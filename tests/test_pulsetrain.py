@@ -3,18 +3,10 @@ import pytest
 
 from sivmdcs.errors import AliasError, InsufficientRecord
 from sivmdcs.pathways import TagSet, rephasing_frequency, signature_frequency
-from sivmdcs.pulsetrain import (fourth_order_signatures, demodulate,
-                                simulate_pulse_train)
+from sivmdcs.pulsetrain import demodulate, simulate_pulse_train
 
 TAGS = TagSet()
 SIG = (-1, 1, 1, -1)
-
-
-def test_fourth_order_signatures_cover_all_sign_choices():
-    sigs = fourth_order_signatures()
-    assert len(sigs) == 16
-    assert len(set(sigs)) == 16
-    assert SIG in sigs
 
 
 def test_record_layout_and_duration():

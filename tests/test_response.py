@@ -1,13 +1,17 @@
+import math
+
 import numpy as np
 import pytest
 
+import ensembles
 from oracles import (gaussian_ensemble_response, rephasing_response_model,
                      rephasing_response_oracle)
-from sivmdcs.emitter import (GAUSSIAN_FWHM_PER_SIGMA, Emitter, EnsembleSpec,
+from sivmdcs.emitter import (GAUSSIAN_FWHM_PER_SIGMA, EnsembleSpec,
                              LaserSpectrum, LevelScheme, PopulationComponent,
                              StrainDistribution, StrainModel, T2Rule,
                              default_scheme, sample_ensemble)
 from sivmdcs.errors import EmptyEnsemble, GridTooCoarse, InvalidSpec
+from sivmdcs.pathways import REPHASING_PATHWAYS
 from sivmdcs.response import (Grid, TimeDomainSignal, _dense_sum, _echo_groups,
                               _echo_sum, _pathway_terms, synthesize_signal,
                               waiting_time_scan)
@@ -17,13 +21,11 @@ FRAME = 406.770
 
 def _emitter(detuning_thz=0.05, t2_ps=122.0, t1_ps=1700.0, yield_=1.0,
              two_level=True):
-    scheme = default_scheme()
+    """One emitter: two-level at the given detuning, or four-line on the
+    default scheme."""
     if two_level:
-        scheme = type(scheme)(FRAME + detuning_thz,
-                              scheme.ground_splitting_ghz,
-                              scheme.excited_splitting_ghz)
-    return Emitter(0.0, scheme, 1.0, t1_ps, t2_ps, quantum_yield=yield_,
-                   two_level=two_level)
+        return ensembles.two_level(FRAME + detuning_thz, t2_ps, t1_ps, yield_)
+    return ensembles.four_line(default_scheme(), 1, t2_ps, t1_ps, yield_)
 
 
 def _grid(n=16, step=0.5):
@@ -67,7 +69,7 @@ def test_signal_shape_must_match_grid():
 def test_single_two_level_emitter_matches_closed_form():
     d, t2, t1, wait = 0.07, 40.0, 1700.0, 12.0
     grid = _grid(12, 0.4)
-    signal = synthesize_signal([_emitter(d, t2, t1)], grid, wait, "heterodyne")
+    signal = synthesize_signal(_emitter(d, t2, t1), grid, wait, "heterodyne")
     tau = grid.tau_ps[:, None]
     t = grid.t_ps[None, :]
     expected = 2.0 * np.exp(-wait / t1) \
@@ -79,7 +81,7 @@ def test_single_two_level_emitter_matches_closed_form():
 def test_single_emitter_matches_density_matrix_oracle():
     d, t2, t1, wait = -0.21, 35.0, 1700.0, 5.0
     grid = _grid(4, 0.7)
-    signal = synthesize_signal([_emitter(d, t2, t1)], grid, wait, "heterodyne")
+    signal = synthesize_signal(_emitter(d, t2, t1), grid, wait, "heterodyne")
     for i, tau in enumerate(grid.tau_ps):
         for j, t in enumerate(grid.t_ps):
             oracle = rephasing_response_oracle(d, t2, t1, tau, wait, t)
@@ -88,16 +90,16 @@ def test_single_emitter_matches_density_matrix_oracle():
 
 def test_pl_mode_weights_by_quantum_yield():
     grid = _grid()
-    het = synthesize_signal([_emitter(yield_=0.3)], grid, 0.5, "heterodyne")
-    pl = synthesize_signal([_emitter(yield_=0.3)], grid, 0.5, "pl")
+    het = synthesize_signal(_emitter(yield_=0.3), grid, 0.5, "heterodyne")
+    pl = synthesize_signal(_emitter(yield_=0.3), grid, 0.5, "pl")
     assert np.allclose(pl.data, 0.3 * het.data, rtol=1e-12)
 
 
 def test_laser_filter_applies_per_interaction_pair():
     laser = LaserSpectrum(FRAME, 4.14)
     grid = _grid()
-    plain = synthesize_signal([_emitter(0.3)], grid, 0.5, "heterodyne")
-    filtered = synthesize_signal([_emitter(0.3)], grid, 0.5, "heterodyne", laser)
+    plain = synthesize_signal(_emitter(0.3), grid, 0.5, "heterodyne")
+    filtered = synthesize_signal(_emitter(0.3), grid, 0.5, "heterodyne", laser)
     weight = laser.amplitude(FRAME + 0.3) ** 2
     assert np.allclose(filtered.data, weight * plain.data, rtol=1e-12)
 
@@ -105,17 +107,18 @@ def test_laser_filter_applies_per_interaction_pair():
 def test_four_line_emitter_sums_twelve_pathways():
     # at tau = t = 0 every pathway term reduces to its weight
     grid = _grid(2, 0.001)
-    signal = synthesize_signal([_emitter(two_level=False)], grid, 0.0, "heterodyne")
+    signal = synthesize_signal(_emitter(two_level=False), grid, 0.0, "heterodyne")
     assert signal.data[0, 0] == pytest.approx(12.0)
 
 
 def _assert_thread_count_does_not_change_bits(grid):
     rng = np.random.default_rng(5)
-    emitters = [_emitter(float(d), 60.0) for d in rng.normal(0.0, 0.2, 300)]
-    emitters += _mixed_ensemble(CLASS_T2, n=200)
-    a = synthesize_signal(emitters, grid, 0.5, "heterodyne", threads=1)
-    b = synthesize_signal(emitters, grid, 0.5, "heterodyne", threads=4)
-    c = synthesize_signal(emitters, grid, 0.5, "heterodyne", threads=3)
+    ensemble = ensembles.concat(
+        ensembles.two_level(FRAME + rng.normal(0.0, 0.2, 300), 60.0),
+        _mixed_ensemble(CLASS_T2, n=200))
+    a = synthesize_signal(ensemble, grid, 0.5, "heterodyne", threads=1)
+    b = synthesize_signal(ensemble, grid, 0.5, "heterodyne", threads=4)
+    c = synthesize_signal(ensemble, grid, 0.5, "heterodyne", threads=3)
     assert np.array_equal(a.data, b.data)
     assert np.array_equal(a.data, c.data)
 
@@ -131,12 +134,12 @@ def test_thread_count_does_not_change_dense_bits():
 
 def test_noise_is_seeded_and_scaled():
     grid = _grid(64, 0.3)
-    quiet = synthesize_signal([_emitter()], grid, 0.5, "heterodyne")
-    a = synthesize_signal([_emitter()], grid, 0.5, "heterodyne",
+    quiet = synthesize_signal(_emitter(), grid, 0.5, "heterodyne")
+    a = synthesize_signal(_emitter(), grid, 0.5, "heterodyne",
                           noise_rms=2.0, noise_seed=9)
-    b = synthesize_signal([_emitter()], grid, 0.5, "heterodyne",
+    b = synthesize_signal(_emitter(), grid, 0.5, "heterodyne",
                           noise_rms=2.0, noise_seed=9)
-    c = synthesize_signal([_emitter()], grid, 0.5, "heterodyne",
+    c = synthesize_signal(_emitter(), grid, 0.5, "heterodyne",
                           noise_rms=2.0, noise_seed=10)
     assert np.array_equal(a.data, b.data)
     assert not np.array_equal(a.data, c.data)
@@ -146,21 +149,21 @@ def test_noise_is_seeded_and_scaled():
 
 def test_grid_too_coarse_raises():
     with pytest.raises(GridTooCoarse):
-        synthesize_signal([_emitter(detuning_thz=1.2)], _grid(8, 0.5), 0.5,
+        synthesize_signal(_emitter(detuning_thz=1.2), _grid(8, 0.5), 0.5,
                           "heterodyne")
 
 
 def test_mode_and_ensemble_validation():
     with pytest.raises(InvalidSpec):
-        synthesize_signal([_emitter()], _grid(), 0.5, "fluorescence")
+        synthesize_signal(_emitter(), _grid(), 0.5, "fluorescence")
     with pytest.raises(EmptyEnsemble):
-        synthesize_signal([], _grid(), 0.5, "pl")
+        synthesize_signal(ensembles.two_level([]), _grid(), 0.5, "pl")
 
 
 def test_waiting_time_scan_recovers_t1():
-    emitters = [_emitter(0.01, 122.0, 1700.0)] * 5
+    ensemble = ensembles.two_level([FRAME + 0.01] * 5, 122.0, 1700.0)
     waits = np.arange(0.0, 4000.1, 500.0)
-    scan = waiting_time_scan(emitters, 2.0, 2.0, waits, "heterodyne",
+    scan = waiting_time_scan(ensemble, 2.0, 2.0, waits, "heterodyne",
                              frame_thz=FRAME)
     amps = np.array([abs(a) for _, a in scan])
     ratios = amps[:-1] / amps[1:]
@@ -169,11 +172,11 @@ def test_waiting_time_scan_recovers_t1():
 
 def test_waiting_time_scan_validation():
     with pytest.raises(InvalidSpec):
-        waiting_time_scan([_emitter()], 1.0, 1.0, [], "pl")
+        waiting_time_scan(_emitter(), 1.0, 1.0, [], "pl")
     with pytest.raises(InvalidSpec):
-        waiting_time_scan([_emitter()], 1.0, 1.0, [-1.0], "pl")
+        waiting_time_scan(_emitter(), 1.0, 1.0, [-1.0], "pl")
     with pytest.raises(EmptyEnsemble):
-        waiting_time_scan([], 1.0, 1.0, [0.0], "pl")
+        waiting_time_scan(ensembles.two_level([]), 1.0, 1.0, [0.0], "pl")
 
 
 # --- difference-axis (echo) route against the dense reference --------------
@@ -183,12 +186,12 @@ def test_waiting_time_scan_validation():
 @pytest.mark.parametrize("laser", [None, LaserSpectrum(FRAME, 0.5)])
 @pytest.mark.parametrize("hidden_t2", [CONSTANT_T2, CLASS_T2])
 def test_echo_route_matches_dense_reference(shape, mode, laser, hidden_t2):
-    emitters = _mixed_ensemble(hidden_t2)
+    ensemble = _mixed_ensemble(hidden_t2)
     grid = Grid(*shape, 0.25, 0.25, FRAME)
-    terms = _pathway_terms(emitters, mode, laser, FRAME, 0.5)
+    terms = _pathway_terms(ensemble, mode, laser, FRAME, 0.5)
     groups = _echo_groups(*terms)
     assert groups is not None
-    signal = synthesize_signal(emitters, grid, 0.5, mode, laser, threads=2)
+    signal = synthesize_signal(ensemble, grid, 0.5, mode, laser, threads=2)
     assert np.array_equal(signal.data, _echo_sum(groups, grid))
     dense = _dense_sum(*terms, grid, 1)
     assert np.abs(signal.data - dense).max() <= 1e-10 * np.abs(dense).max()
@@ -196,8 +199,8 @@ def test_echo_route_matches_dense_reference(shape, mode, laser, hidden_t2):
 
 def test_echo_route_merges_direct_peak_pathways():
     # two-level: GSB and SE coincide; four-line: 12 pathways -> 8 terms
-    two = _pathway_terms([_emitter(0.05)], "heterodyne", None, FRAME, 0.5)
-    four = _pathway_terms([_emitter(two_level=False)], "heterodyne", None, FRAME, 0.5)
+    two = _pathway_terms(_emitter(0.05), "heterodyne", None, FRAME, 0.5)
+    four = _pathway_terms(_emitter(two_level=False), "heterodyne", None, FRAME, 0.5)
     for terms, merged in ((two, 1), (four, 8)):
         groups = _echo_groups(*[np.tile(x, 64) for x in terms])
         assert sum(len(nu) for _, _, nu, _ in groups) == merged
@@ -208,9 +211,9 @@ def test_echo_route_merges_direct_peak_pathways():
     (CONSTANT_T2, Grid(24, 40, 0.25, 0.2, FRAME)),
 ])
 def test_dense_only_inputs_give_dense_bits(hidden_t2, grid):
-    emitters = _mixed_ensemble(hidden_t2)
-    terms = _pathway_terms(emitters, "heterodyne", None, FRAME, 0.5)
-    signal = synthesize_signal(emitters, grid, 0.5, "heterodyne")
+    ensemble = _mixed_ensemble(hidden_t2)
+    terms = _pathway_terms(ensemble, "heterodyne", None, FRAME, 0.5)
+    signal = synthesize_signal(ensemble, grid, 0.5, "heterodyne")
     assert np.array_equal(signal.data, _dense_sum(*terms, grid, 1))
 
 
@@ -221,9 +224,9 @@ def test_gaussian_ensemble_matches_closed_form():
         1.0, StrainDistribution("gaussian", 0.0, fwhm),
         T2Rule("constant", (t2,)), t1_ns=t1 * 1e-3, two_level=True),))
     base = LevelScheme(FRAME + nu0, 59.0, 261.0)
-    emitters = sample_ensemble(spec, base, StrainModel(), n, seed=3)
+    ensemble = sample_ensemble(spec, base, StrainModel(), n, seed=3)
     grid = _grid(16, 0.5)
-    signal = synthesize_signal(emitters, grid, wait, "heterodyne")
+    signal = synthesize_signal(ensemble, grid, wait, "heterodyne")
     sigma = fwhm / GAUSSIAN_FWHM_PER_SIGMA
     for i, j in ((0, 0), (3, 3), (6, 2), (2, 6), (9, 4), (15, 15), (12, 0)):
         tau, t = grid.tau_ps[i], grid.t_ps[j]
@@ -232,3 +235,57 @@ def test_gaussian_ensemble_matches_closed_form():
         got = signal.data[i, j] / n
         assert abs(got.real - expected.real) <= bound
         assert abs(got.imag - expected.imag) <= bound
+
+
+def test_monte_carlo_error_converges_as_inverse_sqrt_n():
+    # RMS deviation from the Gaussian closed form over the grid and 16 seeds
+    # per ensemble size; Monte Carlo error falls as N^-1/2
+    nu0, fwhm, t2, t1, wait = 0.03, 0.2, 50.0, 1700.0, 40.0
+    spec = EnsembleSpec((PopulationComponent(
+        1.0, StrainDistribution("gaussian", 0.0, fwhm),
+        T2Rule("constant", (t2,)), t1_ns=t1 * 1e-3, two_level=True),))
+    base = LevelScheme(FRAME + nu0, 59.0, 261.0)
+    grid = _grid(16, 0.5)
+    tau, t = grid.tau_ps[:, None], grid.t_ps[None, :]
+    sigma = fwhm / GAUSSIAN_FWHM_PER_SIGMA
+    expected = np.vectorize(gaussian_ensemble_response)(nu0, sigma, t2, t1,
+                                                         tau, wait, t)
+    scale = 2.0 * np.exp(-wait / t1 - (tau + t) / t2)
+    sizes = (250, 1000, 4000)
+    errors = []
+    for k, n in enumerate(sizes):
+        sq = [np.mean(np.abs(synthesize_signal(
+            sample_ensemble(spec, base, StrainModel(), n, seed=16 * k + s),
+            grid, wait, "heterodyne").data / n - expected) ** 2 / scale ** 2)
+            for s in range(16)]
+        errors.append(np.sqrt(np.mean(sq)))
+    slope = np.polyfit(np.log(sizes), np.log(errors), 1)[0]
+    assert slope == pytest.approx(-0.5, abs=0.15)
+
+
+def test_pathway_terms_layout_on_mixed_ensemble():
+    # terms come emitter by emitter: 12 table rows for a four-line emitter,
+    # the first 2 for a two-level one, rebuilt here one term at a time
+    ens = _mixed_ensemble(CLASS_T2, n=9, seed=2)
+    assert 0 < np.count_nonzero(ens.two_level) < len(ens)
+    laser = LaserSpectrum(FRAME, 0.5)
+    wait = 300.0
+    nu_exc, nu_emit, weight, t2 = _pathway_terms(ens, "pl", laser, FRAME, wait)
+    want = []
+    for i in range(len(ens)):
+        lines = ens.lines_thz[i]
+        rows = REPHASING_PATHWAYS[:2] if ens.two_level[i] else REPHASING_PATHWAYS
+        base = ens.quantum_yield[i] * ens.dipole[i] ** 4 \
+            * math.exp(-wait / ens.t1_ps[i])
+        for _, exc, emit in rows:
+            want.append((lines[exc] - FRAME, lines[emit] - FRAME,
+                         base * laser.amplitude(lines[exc])
+                         * laser.amplitude(lines[emit]), ens.t2_ps[i]))
+    want = np.array(want).T
+    assert len(nu_exc) == 12 * np.count_nonzero(~ens.two_level) \
+        + 2 * np.count_nonzero(ens.two_level)
+    assert np.array_equal(nu_exc, want[0])
+    assert np.array_equal(nu_emit, want[1])
+    assert np.array_equal(t2, want[3])
+    assert weight.dtype == complex and np.all(weight.imag == 0)
+    assert np.allclose(weight.real, want[2], rtol=1e-15, atol=0.0)

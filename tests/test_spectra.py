@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
+from ensembles import two_level
 from oracles import direct_spectrum_oracle
-from sivmdcs.emitter import Emitter, LaserSpectrum, default_scheme
+from sivmdcs.emitter import LaserSpectrum
 from sivmdcs.errors import InvalidSpec, NoHalfCrossing, NonSquareGrid
 from sivmdcs.response import Grid, TimeDomainSignal, synthesize_signal
 from sivmdcs.spectra import (Trace1D, deconvolve_laser, diagonal_lineout,
@@ -18,13 +19,8 @@ def _random_signal(n_tau=16, n_t=16, seed=0, step=0.5):
 
 
 def _two_level_signal(detuning_thz=0.25, n=64, step=0.25):
-    scheme = default_scheme()
-    scheme = type(scheme)(FRAME + detuning_thz, scheme.ground_splitting_ghz,
-                          scheme.excited_splitting_ghz)
-    emitter = Emitter(0.0, scheme, 1.0, 1700.0, 40.0, quantum_yield=1.0,
-                      two_level=True)
-    return synthesize_signal([emitter], Grid(n, n, step, step, FRAME), 0.5,
-                             "heterodyne")
+    return synthesize_signal(two_level(FRAME + detuning_thz, t2_ps=40.0),
+                             Grid(n, n, step, step, FRAME), 0.5, "heterodyne")
 
 
 def test_transform_matches_direct_sums():
