@@ -6,7 +6,7 @@ __version__ = "0.1.0"
 
 from .emitter import (Ensemble, EnsembleSpec, LaserSpectrum, LevelScheme,
                       PopulationComponent, StrainDistribution, StrainModel,
-                      T2Rule, default_scheme, quantum_yield, sample_ensemble)
+                      T2Rule, quantum_yield, sample_ensemble)
 from .pathways import (REPHASING_PATHWAYS, TagSet, rephasing_frequency,
                        signature_frequency)
 from .response import Grid, TimeDomainSignal, synthesize_signal, waiting_time_scan

@@ -14,17 +14,18 @@ from dataclasses import replace
 import numpy as np
 
 from . import __version__
-from .config import config_hash, parse_config, serialize_config
+from .config import config_hash, parse_config
 from .errors import InvalidSpec, SivMdcsError
 from .fitting import fit_exponential, fit_finite_bandwidth, fwhm
 from .io_utils import (dataset_to_signal, dataset_to_spectrum, read_decay_csv,
                        read_trace_csv, signal_to_dataset, spectrum_to_dataset,
                        write_decay_csv, write_trace_csv, write_tscan_csv)
 from .dataset import read_dataset, write_dataset
+from .pathways import REPHASING_SIGNATURE, rephasing_frequency
 from .pulsetrain import demodulate, simulate_pulse_train
 from .reproduce import (DEFAULT_CONFIGS, TARGETS, build_ensemble,
                         run_reproduction, run_simulation)
-from .response import waiting_time_scan
+from .response import DETECTION_MODES, waiting_time_scan
 from .spectra import deconvolve_laser, diagonal_lineout, project_nu_t, to_spectrum
 
 EXIT_OK = 0
@@ -43,57 +44,46 @@ def _load_config(args):
     return cfg if args.seed is None else replace(cfg, seed=args.seed)
 
 
-def _out_path(args, name):
+def _write(args, name, write, obj):
+    """Write ``obj`` with ``write`` to ``--output`` (else ``name``) in
+    ``--out-dir``, and report the path."""
     os.makedirs(args.out_dir, exist_ok=True)
-    return os.path.join(args.out_dir, name)
+    path = os.path.join(args.out_dir, args.output or name)
+    write(path, obj)
+    print(f"wrote {path}")
+    return EXIT_OK
 
 
 def _cmd_simulate(args):
     cfg = _load_config(args)
     signal = run_simulation(cfg, mode=args.mode, threads=args.threads)
-    path = _out_path(args, args.output or f"{cfg.basename}_signal.mdcs")
-    write_dataset(path, signal_to_dataset(signal))
     if args.verbose:
         print(f"config sha256 {config_hash(cfg)}")
-    print(f"wrote {path}")
-    return EXIT_OK
+    return _write(args, f"{cfg.basename}_signal.mdcs", write_dataset,
+                  signal_to_dataset(signal))
 
 
 def _cmd_spectrum(args):
     signal = dataset_to_signal(read_dataset(args.input))
     spectrum = to_spectrum(signal, pad_factor=args.pad)
-    path = _out_path(args, args.output or "spectrum.mdcs")
-    write_dataset(path, spectrum_to_dataset(spectrum))
-    print(f"wrote {path}")
-    return EXIT_OK
+    return _write(args, "spectrum.mdcs", write_dataset, spectrum_to_dataset(spectrum))
 
 
 def _cmd_project(args):
     spectrum = dataset_to_spectrum(read_dataset(args.input))
-    trace = project_nu_t(spectrum)
-    path = _out_path(args, args.output or "projection.csv")
-    write_trace_csv(path, trace)
-    print(f"wrote {path}")
-    return EXIT_OK
+    return _write(args, "projection.csv", write_trace_csv, project_nu_t(spectrum))
 
 
 def _cmd_deconvolve(args):
     cfg = _load_config(args)
     trace = read_trace_csv(args.input)
     out = deconvolve_laser(trace, cfg.laser, floor=args.floor)
-    path = _out_path(args, args.output or "deconvolved.csv")
-    write_trace_csv(path, out)
-    print(f"wrote {path}")
-    return EXIT_OK
+    return _write(args, "deconvolved.csv", write_trace_csv, out)
 
 
 def _cmd_lineout(args):
     signal = dataset_to_signal(read_dataset(args.input))
-    decay = diagonal_lineout(signal)
-    path = _out_path(args, args.output or "diagonal.csv")
-    write_decay_csv(path, decay)
-    print(f"wrote {path}")
-    return EXIT_OK
+    return _write(args, "diagonal.csv", write_decay_csv, diagonal_lineout(signal))
 
 
 def _cmd_fit_decay(args):
@@ -126,20 +116,19 @@ def _cmd_tscan(args):
     waits = np.arange(args.start, args.stop + 0.5 * args.step, args.step)
     scan = waiting_time_scan(ensemble, args.tau, args.t, waits, cfg.mode,
                              cfg.laser, cfg.grid.frame_thz)
-    path = _out_path(args, args.output or "tscan.csv")
-    write_tscan_csv(path, scan)
-    print(f"wrote {path}")
-    return EXIT_OK
+    return _write(args, "tscan.csv", write_tscan_csv, scan)
 
 
 def _cmd_demod(args):
     if not args.bandwidth > 0:
         raise InvalidSpec(f"bandwidth must be positive, got {args.bandwidth} kHz")
     cfg = _load_config(args)
-    amplitudes = {(-1, 1, 1, -1): complex(args.amplitude)}
+    amplitudes = {REPHASING_SIGNATURE: complex(args.amplitude)}
     record = simulate_pulse_train(amplitudes, cfg.tags, args.duration,
                                   args.sample_rate)
-    value = demodulate(record, args.reference, bandwidth_khz=args.bandwidth)
+    reference = (rephasing_frequency(cfg.tags) if args.reference is None
+                 else args.reference)
+    value = demodulate(record, reference, bandwidth_khz=args.bandwidth)
     print(f"demodulated = {value.real:.6g}{value.imag:+.6g}j "
           f"(|.| = {abs(value):.6g})")
     return EXIT_OK
@@ -176,7 +165,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("simulate", parents=[common],
                        help="synthesize a time-domain 2D signal")
-    p.add_argument("--mode", choices=("pl", "heterodyne"), default=None)
+    p.add_argument("--mode", choices=DETECTION_MODES, default=None)
     p.add_argument("--output")
     p.set_defaults(fn=_cmd_simulate)
 
@@ -239,8 +228,9 @@ def build_parser() -> argparse.ArgumentParser:
                    help="record length in microseconds")
     p.add_argument("--sample-rate", type=float, default=5.0,
                    help="samples per microsecond")
-    p.add_argument("--reference", type=float, default=0.021,
-                   help="demodulation frequency in MHz")
+    p.add_argument("--reference", type=float, default=None,
+                   help="demodulation frequency in MHz (default: the "
+                        "rephasing beatnote of the config's tags)")
     p.add_argument("--bandwidth", type=float, default=1.0,
                    help="detection bandwidth in kHz")
     p.set_defaults(fn=_cmd_demod)

@@ -10,19 +10,25 @@ Population components live in repeated ``[component.NAME]`` sections.  The
 ``t2`` key accepts a constant ("122 ps"), weighted classes
 ("120 ps : 0.65, 990 ps : 0.35"), or a log-normal spread
 ("lognormal 300 ps 0.5").
+
+The table ``_SCHEMA`` is the full schema: each key, its parser and
+formatter, its default and the field it fills.  ``parse_config`` and
+``serialize_config`` both walk it.
 """
 from __future__ import annotations
 
+import functools
 import hashlib
 import math
+import typing
 from dataclasses import dataclass
+from operator import attrgetter, itemgetter
 
-from .emitter import (EnsembleSpec, LaserSpectrum, LevelScheme,
-                      PopulationComponent, StrainDistribution, StrainModel,
-                      T2Rule)
+from .emitter import (STRAIN_SHAPES, EnsembleSpec, LaserSpectrum, LevelScheme,
+                      PopulationComponent, StrainModel, T2Rule)
 from .errors import ConfigSyntaxError, InvalidSpec, SchemaError, UnitError
 from .pathways import TagSet
-from .response import Grid
+from .response import DETECTION_MODES, Grid
 
 _TO_THZ = {"thz": 1.0, "ghz": 1e-3, "mhz": 1e-6}
 _TO_PS = {"ps": 1.0, "ns": 1e3, "us": 1e6}
@@ -40,20 +46,29 @@ def _quantity(canonical):
             value = float(parts[0])
         except ValueError:
             raise UnitError(f"bad number {parts[0]!r}", line=line, field=field)
-        if not math.isfinite(value):
-            raise UnitError(f"quantity must be finite, got {parts[0]!r}",
-                            line=line, field=field)
         unit = parts[1].lower()
         if unit not in dim:
             raise UnitError(f"unit {parts[1]!r} is not a "
                             f"{'frequency' if dim is _TO_THZ else 'time'} unit",
                             line=line, field=field)
-        return value * dim[unit] / dim[canonical]
+        value = value * dim[unit] / dim[canonical]
+        # checked after the conversion, which can overflow a finite number
+        if not math.isfinite(value):
+            raise UnitError(f"quantity must be finite, got {text!r}",
+                            line=line, field=field)
+        return value
 
     def fmt(value):
         return f"{value!r} {canonical}"
 
     return parse, fmt
+
+
+_THZ = _quantity("thz")
+_GHZ = _quantity("ghz")
+_MHZ = _quantity("mhz")
+_PS = _quantity("ps")
+_NS = _quantity("ns")
 
 
 def _number(text, line, field):
@@ -82,12 +97,12 @@ def _boolean(text, line, field):
     raise SchemaError(f"expected a boolean, got {text!r}", line=line, field=field)
 
 
-def _enum(*allowed):
+def _enum(allowed):
     def parse(text, line, field):
         if text not in allowed:
             raise SchemaError(f"value {text!r} not in {allowed}", line=line, field=field)
         return text
-    return parse
+    return parse, str
 
 
 def _string(text, line, field):
@@ -95,25 +110,18 @@ def _string(text, line, field):
 
 
 def _parse_t2(text, line, field):
-    try:
-        return _parse_t2_inner(text, line, field)
-    except InvalidSpec as exc:
-        raise SchemaError(str(exc), line=line, field=field) from exc
-
-
-def _parse_t2_inner(text, line, field):
-    parse_ps, _ = _quantity("ps")
+    parse_ps = _PS[0]
     text = text.strip()
+    kind, sigma = "constant", 0.0
     if text.startswith("lognormal"):
         parts = text.split()
         if len(parts) != 4:
             raise SchemaError("lognormal T2 rule is 'lognormal <median> <unit> <sigma>'",
                               line=line, field=field)
-        median = parse_ps(" ".join(parts[1:3]), line, field)
-        sigma = _number(parts[3], line, field)
-        return T2Rule("lognormal", (median,), (1.0,), sigma)
-    if "," in text or ":" in text:
-        values, weights = [], []
+        kind, sigma = "lognormal", _number(parts[3], line, field)
+        values, weights = [parse_ps(" ".join(parts[1:3]), line, field)], [1.0]
+    elif "," in text or ":" in text:
+        kind, values, weights = "classes", [], []
         for chunk in text.split(","):
             if ":" not in chunk:
                 raise SchemaError(f"T2 class {chunk.strip()!r} needs '<time> : <weight>'",
@@ -121,8 +129,13 @@ def _parse_t2_inner(text, line, field):
             tpart, wpart = chunk.split(":", 1)
             values.append(parse_ps(tpart.strip(), line, field))
             weights.append(_number(wpart.strip(), line, field))
-        return T2Rule("classes", tuple(values), tuple(weights))
-    return T2Rule("constant", (parse_ps(text, line, field),), (1.0,))
+    else:
+        values, weights = [parse_ps(text, line, field)], [1.0]
+    try:
+        return T2Rule(kind=kind, values_ps=tuple(values), weights=tuple(weights),
+                      log_sigma=sigma)
+    except InvalidSpec as exc:
+        raise SchemaError(str(exc), line=line, field=field) from exc
 
 
 def _fmt_t2(rule: T2Rule) -> str:
@@ -136,72 +149,81 @@ def _fmt_t2(rule: T2Rule) -> str:
 def _parse_yield(text, line, field):
     if text.strip() == "strain":
         return "strain"
-    value = _number(text, line, field)
-    return value
+    return _number(text, line, field)
 
 
-_Q_THZ = _quantity("thz")
-_Q_GHZ = _quantity("ghz")
-_Q_MHZ = _quantity("mhz")
-_Q_PS = _quantity("ps")
-_Q_NS = _quantity("ns")
+_NUMBER = (_number, repr)
+_INTEGER = (_integer, repr)
+_STRING = (_string, str)
 
-# key -> (parser, formatter, default)
-_SCHEMA = {
-    "scheme": {
-        "center": (_Q_THZ[0], _Q_THZ[1], 406.8140),
-        "ground_splitting": (_Q_GHZ[0], _Q_GHZ[1], 59.0),
-        "excited_splitting": (_Q_GHZ[0], _Q_GHZ[1], 261.0),
-    },
-    "strain": {
-        "shift": (_Q_THZ[0], _Q_THZ[1], 1.0),
-        "ground_splitting_shift": (_Q_GHZ[0], _Q_GHZ[1], 0.0),
-        "excited_splitting_shift": (_Q_GHZ[0], _Q_GHZ[1], 0.0),
-        "yield_crossover": (_number, repr, 1.0),
-        "yield_steepness": (_number, repr, 2.0),
-        "bright_yield": (_number, repr, 1.0),
-    },
-    "laser": {
-        "center": (_Q_THZ[0], _Q_THZ[1], 406.770),
-        "fwhm": (_Q_THZ[0], _Q_THZ[1], 4.14),
-    },
-    "grid": {
-        "tau_points": (_integer, repr, 512),
-        "t_points": (_integer, repr, 512),
-        "tau_step": (_Q_PS[0], _Q_PS[1], 1.171875),
-        "t_step": (_Q_PS[0], _Q_PS[1], 1.171875),
-        "frame": (_Q_THZ[0], _Q_THZ[1], None),   # defaults to laser center
-    },
-    "simulation": {
-        "waiting_time": (_Q_PS[0], _Q_PS[1], 0.5),
-        "mode": (_enum("pl", "heterodyne"), str, "pl"),
-        "noise": (_number, repr, 0.0),
-        "seed": (_integer, repr, 7),
-        "ensemble_size": (_integer, repr, 400),
-    },
-    "tags": {
-        "nu1": (_Q_MHZ[0], _Q_MHZ[1], 80.000),
-        "nu2": (_Q_MHZ[0], _Q_MHZ[1], 80.107),
-        "nu3": (_Q_MHZ[0], _Q_MHZ[1], 80.214),
-        "nu4": (_Q_MHZ[0], _Q_MHZ[1], 80.300),
-    },
-    "output": {
-        "directory": (_string, str, "out"),
-        "basename": (_string, str, "run"),
-    },
-}
 
-_COMPONENT_SCHEMA = {
-    "weight": (_number, repr, 1.0),
-    "strain_shape": (_enum("gaussian", "lorentzian", "delta"), str, "gaussian"),
-    "strain_center": (_number, repr, 0.0),
-    "strain_fwhm": (_number, repr, 0.028),
-    "t2": (_parse_t2, _fmt_t2, T2Rule("constant", (122.0,), (1.0,))),
-    "t1": (_Q_NS[0], _Q_NS[1], 1.7),
-    "dipole": (_number, repr, 1.0),
-    "yield": (_parse_yield, lambda v: v if isinstance(v, str) else repr(v), "strain"),
-    "two_level": (_boolean, lambda v: "true" if v else "false", False),
-}
+class _Key(typing.NamedTuple):
+    section: str
+    key: str
+    parse: typing.Callable
+    format: typing.Callable
+    default: object
+    field: str
+
+
+# A population component's keys, repeated in every [component.NAME] section.
+_COMPONENT = "component.NAME"
+
+# One row per key: section, key, parser and formatter, default, and the field
+# it fills.  Component rows fill a PopulationComponent; the others fill
+# ExperimentConfig.  A dotted field fills a field of the sub-object named
+# before the dot.  A callable default is computed from the fields of the rows
+# above it.  Row order is the order of the canonical text, which every
+# config hash depends on.
+_SCHEMA = (
+    # the SiV- zero-phonon lines 406.654, 406.713, 406.915 and 406.974 THz
+    _Key("scheme", "center", *_THZ, 406.8140, "scheme.center_thz"),
+    _Key("scheme", "ground_splitting", *_GHZ, 59.0, "scheme.ground_splitting_ghz"),
+    _Key("scheme", "excited_splitting", *_GHZ, 261.0, "scheme.excited_splitting_ghz"),
+    _Key("strain", "shift", *_THZ, 1.0, "strain.shift_thz_per_unit"),
+    _Key("strain", "ground_splitting_shift", *_GHZ, 0.0,
+         "strain.ground_splitting_ghz_per_unit"),
+    _Key("strain", "excited_splitting_shift", *_GHZ, 0.0,
+         "strain.excited_splitting_ghz_per_unit"),
+    _Key("strain", "yield_crossover", *_NUMBER, 1.0, "strain.yield_crossover"),
+    _Key("strain", "yield_steepness", *_NUMBER, 2.0, "strain.yield_steepness"),
+    _Key("strain", "bright_yield", *_NUMBER, 1.0, "strain.bright_yield"),
+    _Key("laser", "center", *_THZ, 406.770, "laser.center_thz"),
+    _Key("laser", "fwhm", *_THZ, 4.14, "laser.fwhm_thz"),
+    _Key("grid", "tau_points", *_INTEGER, 512, "grid.n_tau"),
+    _Key("grid", "t_points", *_INTEGER, 512, "grid.n_t"),
+    _Key("grid", "tau_step", *_PS, 1.171875, "grid.tau_step_ps"),
+    _Key("grid", "t_step", *_PS, 1.171875, "grid.t_step_ps"),
+    _Key("grid", "frame", *_THZ, itemgetter("laser.center_thz"), "grid.frame_thz"),
+    _Key("simulation", "waiting_time", *_PS, 0.5, "waiting_time_ps"),
+    _Key("simulation", "mode", *_enum(DETECTION_MODES), "pl", "mode"),
+    _Key("simulation", "noise", *_NUMBER, 0.0, "noise"),
+    _Key("simulation", "seed", *_INTEGER, 7, "seed"),
+    _Key("simulation", "ensemble_size", *_INTEGER, 400, "ensemble_size"),
+    _Key("tags", "nu1", *_MHZ, 80.000, "tags.nu1_mhz"),
+    _Key("tags", "nu2", *_MHZ, 80.107, "tags.nu2_mhz"),
+    _Key("tags", "nu3", *_MHZ, 80.214, "tags.nu3_mhz"),
+    _Key("tags", "nu4", *_MHZ, 80.300, "tags.nu4_mhz"),
+    _Key("output", "directory", *_STRING, "out", "out_dir"),
+    _Key("output", "basename", *_STRING, "run", "basename"),
+    _Key(_COMPONENT, "weight", *_NUMBER, 1.0, "weight"),
+    _Key(_COMPONENT, "strain_shape", *_enum(STRAIN_SHAPES), "gaussian", "strain.shape"),
+    _Key(_COMPONENT, "strain_center", *_NUMBER, 0.0, "strain.center"),
+    _Key(_COMPONENT, "strain_fwhm", *_NUMBER, 0.028, "strain.fwhm"),
+    _Key(_COMPONENT, "t2", _parse_t2, _fmt_t2,
+         T2Rule(kind="constant", values_ps=(122.0,), weights=(1.0,)), "t2"),
+    _Key(_COMPONENT, "t1", *_NS, 1.7, "t1_ns"),
+    _Key(_COMPONENT, "dipole", *_NUMBER, 1.0, "dipole"),
+    _Key(_COMPONENT, "yield", _parse_yield,
+         lambda v: v if isinstance(v, str) else repr(v), "strain", "yield_rule"),
+    _Key(_COMPONENT, "two_level", _boolean, lambda v: "true" if v else "false",
+         False, "two_level"),
+)
+
+# section -> {key: row}, in table order
+_SECTIONS = {section: {row.key: row for row in _SCHEMA if row.section == section}
+             for section in dict.fromkeys(row.section for row in _SCHEMA)}
+_CONFIG_SECTIONS = [section for section in _SECTIONS if section != _COMPONENT]
 
 
 @dataclass(frozen=True)
@@ -222,9 +244,46 @@ class ExperimentConfig:
     basename: str
 
 
+def _fields(sections, given) -> dict:
+    """{field: value} for every row of ``sections``: the value ``given``
+    holds for its section and key, else the row's default."""
+    values = {}
+    for section in sections:
+        got = given.get(section, {})
+        for key, row in _SECTIONS[section].items():
+            if key in got:
+                values[row.field] = got[key]
+            elif callable(row.default):
+                values[row.field] = row.default(values)
+            else:
+                values[row.field] = row.default
+    return values
+
+
+@functools.cache
+def _field_types(cls) -> dict:
+    return typing.get_type_hints(cls)
+
+
+def _build(cls, values: dict):
+    """``cls`` built by keyword from {field: value}.  A dotted field fills a
+    field of the sub-object named before the dot; that sub-object is built
+    the same way, as the type that ``cls`` declares for it."""
+    kwargs, parts = {}, {}
+    for name, value in values.items():
+        head, dot, rest = name.partition(".")
+        if dot:
+            parts.setdefault(head, {})[rest] = value
+        else:
+            kwargs[name] = value
+    for head, sub in parts.items():
+        kwargs[head] = _build(_field_types(cls)[head], sub)
+    return cls(**kwargs)
+
+
 def parse_config(text: str) -> ExperimentConfig:
     """Parse and validate a configuration, or raise a structured error."""
-    sections: dict[str, dict] = {}
+    given: dict[str, dict] = {}
     component_order: list[str] = []
     current = None
     current_name = None
@@ -235,141 +294,68 @@ def parse_config(text: str) -> ExperimentConfig:
             continue
         if line.startswith("[") and line.endswith("]"):
             name = line[1:-1].strip()
+            section = name
             if name.startswith("component."):
                 comp = name[len("component."):]
                 if not comp:
                     raise SchemaError("component section needs a name", line=lineno)
-                if name in sections:
+                if name in given:
                     raise SchemaError(f"duplicate section [{name}]", line=lineno)
                 component_order.append(comp)
-            elif name not in _SCHEMA:
+                section = _COMPONENT
+            elif name not in _SECTIONS:
                 raise SchemaError(f"unknown section [{name}]", line=lineno)
-            current_name = name
-            current = sections.setdefault(name, {})
+            current_name, keys = name, _SECTIONS[section]
+            current = given.setdefault(name, {})
             continue
         if "=" not in line:
             raise ConfigSyntaxError(f"expected 'key = value', got {line!r}", line=lineno)
         if current is None:
             raise ConfigSyntaxError("key outside any [section]", line=lineno)
-        key, value = (part.strip() for part in line.split("=", 1))
-        schema = (_COMPONENT_SCHEMA if current_name.startswith("component.")
-                  else _SCHEMA[current_name])
+        key, _, value = line.partition("=")
+        key, value = key.strip(), value.strip()
         if key in current:
             raise SchemaError(f"duplicate key {key!r} in [{current_name}]",
                               line=lineno, field=f"{current_name}.{key}")
-        if key not in schema:
+        if key not in keys:
             raise SchemaError(f"unknown key {key!r} in [{current_name}]",
                               line=lineno, field=f"{current_name}.{key}")
-        parser = schema[key][0]
-        current[key] = parser(value, lineno, f"{current_name}.{key}")
+        current[key] = keys[key].parse(value, lineno, f"{current_name}.{key}")
 
     if not component_order:
         raise SchemaError("at least one [component.NAME] section is required",
                           field="component")
 
-    def resolved(section):
-        got = sections.get(section, {})
-        return {key: got.get(key, default) for key, (_, _, default) in _SCHEMA[section].items()}
-
-    scheme_v = resolved("scheme")
-    strain_v = resolved("strain")
-    laser_v = resolved("laser")
-    grid_v = resolved("grid")
-    sim_v = resolved("simulation")
-    tags_v = resolved("tags")
-    out_v = resolved("output")
-
     components = []
-    for comp_name in component_order:
-        got = sections[f"component.{comp_name}"]
-        vals = {key: got.get(key, default)
-                for key, (_, _, default) in _COMPONENT_SCHEMA.items()}
+    for comp in component_order:
+        values = _fields([_COMPONENT], {_COMPONENT: given[f"component.{comp}"]})
         try:
-            components.append(PopulationComponent(
-                weight=vals["weight"],
-                strain=StrainDistribution(vals["strain_shape"],
-                                          vals["strain_center"],
-                                          vals["strain_fwhm"]),
-                t2=vals["t2"],
-                t1_ns=vals["t1"],
-                dipole=vals["dipole"],
-                yield_rule=vals["yield"],
-                two_level=vals["two_level"],
-            ))
+            components.append(_build(PopulationComponent, values))
         except InvalidSpec as exc:
-            raise SchemaError(str(exc), field=f"component.{comp_name}") from exc
-
-    total = sum(c.weight for c in components)
-    if abs(total - 1.0) > 1e-9:
-        raise SchemaError(f"component weights must sum to 1, got {total}",
-                          field="component.weight")
-
+            raise SchemaError(str(exc), field=f"component.{comp}") from exc
     try:
-        scheme = LevelScheme(scheme_v["center"], scheme_v["ground_splitting"],
-                             scheme_v["excited_splitting"])
-        strain = StrainModel(strain_v["shift"],
-                             strain_v["ground_splitting_shift"],
-                             strain_v["excited_splitting_shift"],
-                             strain_v["yield_crossover"],
-                             strain_v["yield_steepness"],
-                             strain_v["bright_yield"])
-        laser = LaserSpectrum(laser_v["center"], laser_v["fwhm"])
-        frame = grid_v["frame"] if grid_v["frame"] is not None else laser.center_thz
-        grid = Grid(grid_v["tau_points"], grid_v["t_points"],
-                    grid_v["tau_step"], grid_v["t_step"], frame)
         ensemble = EnsembleSpec(tuple(components))
     except InvalidSpec as exc:
-        raise SchemaError(str(exc)) from exc
+        raise SchemaError(str(exc), field="component.weight") from exc
 
-    return ExperimentConfig(
-        scheme=scheme, strain=strain, laser=laser, grid=grid,
-        tags=TagSet(tags_v["nu1"], tags_v["nu2"], tags_v["nu3"], tags_v["nu4"]),
-        ensemble=ensemble, component_names=tuple(component_order),
-        waiting_time_ps=sim_v["waiting_time"], mode=sim_v["mode"],
-        noise=sim_v["noise"], seed=sim_v["seed"],
-        ensemble_size=sim_v["ensemble_size"],
-        out_dir=out_v["directory"], basename=out_v["basename"],
-    )
+    values = _fields(_CONFIG_SECTIONS, given)
+    values.update(ensemble=ensemble, component_names=tuple(component_order))
+    try:
+        return _build(ExperimentConfig, values)
+    except InvalidSpec as exc:
+        raise SchemaError(str(exc)) from exc
 
 
 def serialize_config(cfg: ExperimentConfig) -> str:
     """Canonical text form; parse(serialize(cfg)) == cfg."""
-    values = {
-        "scheme": {"center": cfg.scheme.center_thz,
-                   "ground_splitting": cfg.scheme.ground_splitting_ghz,
-                   "excited_splitting": cfg.scheme.excited_splitting_ghz},
-        "strain": {"shift": cfg.strain.shift_thz_per_unit,
-                   "ground_splitting_shift": cfg.strain.ground_splitting_ghz_per_unit,
-                   "excited_splitting_shift": cfg.strain.excited_splitting_ghz_per_unit,
-                   "yield_crossover": cfg.strain.yield_crossover,
-                   "yield_steepness": cfg.strain.yield_steepness,
-                   "bright_yield": cfg.strain.bright_yield},
-        "laser": {"center": cfg.laser.center_thz, "fwhm": cfg.laser.fwhm_thz},
-        "grid": {"tau_points": cfg.grid.n_tau, "t_points": cfg.grid.n_t,
-                 "tau_step": cfg.grid.tau_step_ps, "t_step": cfg.grid.t_step_ps,
-                 "frame": cfg.grid.frame_thz},
-        "simulation": {"waiting_time": cfg.waiting_time_ps, "mode": cfg.mode,
-                       "noise": cfg.noise, "seed": cfg.seed,
-                       "ensemble_size": cfg.ensemble_size},
-        "tags": {"nu1": cfg.tags.nu1_mhz, "nu2": cfg.tags.nu2_mhz,
-                 "nu3": cfg.tags.nu3_mhz, "nu4": cfg.tags.nu4_mhz},
-        "output": {"directory": cfg.out_dir, "basename": cfg.basename},
-    }
+    blocks = [(section, section, cfg) for section in _CONFIG_SECTIONS]
+    blocks += [(f"component.{name}", _COMPONENT, comp)
+               for name, comp in zip(cfg.component_names, cfg.ensemble.components)]
     lines = []
-    for section, schema in _SCHEMA.items():
-        lines.append(f"[{section}]")
-        for key, (_, fmt, _default) in schema.items():
-            lines.append(f"{key} = {fmt(values[section][key])}")
-        lines.append("")
-    for name, comp in zip(cfg.component_names, cfg.ensemble.components):
-        lines.append(f"[component.{name}]")
-        comp_vals = {"weight": comp.weight, "strain_shape": comp.strain.shape,
-                     "strain_center": comp.strain.center,
-                     "strain_fwhm": comp.strain.fwhm, "t2": comp.t2,
-                     "t1": comp.t1_ns, "dipole": comp.dipole,
-                     "yield": comp.yield_rule, "two_level": comp.two_level}
-        for key, (_, fmt, _default) in _COMPONENT_SCHEMA.items():
-            lines.append(f"{key} = {fmt(comp_vals[key])}")
+    for header, section, obj in blocks:
+        lines.append(f"[{header}]")
+        for key, row in _SECTIONS[section].items():
+            lines.append(f"{key} = {row.format(attrgetter(row.field)(obj))}")
         lines.append("")
     return "\n".join(lines)
 

@@ -17,12 +17,6 @@ from .errors import InvalidSpec, SplittingCollapse
 
 GAUSSIAN_FWHM_PER_SIGMA = 2.0 * math.sqrt(2.0 * math.log(2.0))
 
-# Default SiV- zero-phonon line quadruple: 406.654, 406.713, 406.915,
-# 406.974 THz, solved back to center + doublet splittings.
-DEFAULT_SCHEME_CENTER_THZ = 406.8140
-DEFAULT_GROUND_SPLITTING_GHZ = 59.0
-DEFAULT_EXCITED_SPLITTING_GHZ = 261.0
-
 
 @dataclass(frozen=True)
 class LevelScheme:
@@ -74,12 +68,6 @@ def _line_quadruple(center_thz, ground_splitting_ghz, excited_splitting_ghz) -> 
         c + (de - dg) / 2.0,
         c + (de + dg) / 2.0,
     ], axis=-1)
-
-
-def default_scheme() -> LevelScheme:
-    return LevelScheme(DEFAULT_SCHEME_CENTER_THZ,
-                       DEFAULT_GROUND_SPLITTING_GHZ,
-                       DEFAULT_EXCITED_SPLITTING_GHZ)
 
 
 @dataclass(frozen=True)

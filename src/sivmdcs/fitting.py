@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .emitter import GAUSSIAN_FWHM_PER_SIGMA, LaserSpectrum
-from .errors import NoConvergence, NoHalfCrossing
+from .errors import InvalidSpec, NoConvergence, NoHalfCrossing
 from .spectra import DecayTrace, Trace1D, interpolated_fwhm
 
 MAX_ITER = 200
@@ -37,9 +37,6 @@ class FitResult:
     def __getitem__(self, name: str) -> float:
         return float(self.values[self.names.index(name)])
 
-    def sigma(self, name: str) -> float:
-        return float(self.sigmas[self.names.index(name)])
-
     def as_text(self) -> str:
         lines = [f"model = {self.model}",
                  f"converged = {self.converged}",
@@ -52,13 +49,6 @@ class FitResult:
         for w in self.warnings:
             lines.append(f"warning = {w}")
         return "\n".join(lines)
-
-    def as_csv_row(self) -> str:
-        cells = [self.model]
-        for n, v, s in zip(self.names, self.values, self.sigmas):
-            cells += [n, f"{v:.8g}", f"{s:.4g}"]
-        cells.append(f"{self.residual_norm:.8g}")
-        return ",".join(cells)
 
 
 def levenberg_marquardt(model_fn, jac_fn, x, y, p0, lower=None,
@@ -214,14 +204,14 @@ def fit_exponential(trace: DecayTrace, n_components: int = 1,
     single-exponential result and carries a 'degenerate-fit' warning.
     """
     if n_components not in (1, 2):
-        raise ValueError("n_components must be 1 or 2")
+        raise InvalidSpec("n_components must be 1 or 2")
     x = np.asarray(trace.time_ps, float)
     y = np.asarray(trace.amplitude, float)
     n_par = 2 * n_components
     if len(x) < 4 * n_par:
-        raise ValueError(f"trace too short: need >= {4 * n_par} points, got {len(x)}")
+        raise InvalidSpec(f"trace too short: need >= {4 * n_par} points, got {len(x)}")
     if floor < 0:
-        raise ValueError("floor must be >= 0")
+        raise InvalidSpec("floor must be >= 0")
 
     p0 = _exponential_init(x, y, n_components)
     lower = np.tile([0.0, 1e-9], n_components)
@@ -257,7 +247,7 @@ def _exponential_init(x, y, n_components):
     pos = y > 0
     xs, ys = x[pos], y[pos]
     if len(xs) < 4:
-        raise ValueError("trace has too few positive samples to initialize a fit")
+        raise InvalidSpec("trace has too few positive samples to initialize a fit")
     if n_components == 1:
         slope, intercept = np.polyfit(xs, np.log(ys), 1)
         tau = -1.0 / slope if slope < 0 else (xs[-1] - xs[0])
@@ -295,7 +285,7 @@ def fwhm(trace: Trace1D, model: str = "interpolated",
     x = np.asarray(trace.freqs_thz, float)[mask]
     y = np.asarray(trace.amplitude, float)[mask]
     if len(x) < 5:
-        raise ValueError("trace too short for a width measurement")
+        raise InvalidSpec("trace too short for a width measurement")
     if model == "interpolated":
         width = interpolated_fwhm(x, y)
         bin_w = float(np.median(np.diff(x)))
@@ -316,7 +306,7 @@ def fwhm(trace: Trace1D, model: str = "interpolated",
         p0 = [amp0, center0, width0 / 2.0]
         scale = 2.0
     else:
-        raise ValueError(f"unknown width model {model!r}")
+        raise InvalidSpec(f"unknown width model {model!r}")
     lower = [0.0, -np.inf, 1e-12]
     if background:
         fn, jac = with_background(fn, jac)

@@ -73,54 +73,70 @@ def dataset_to_spectrum(data: DatasetFile) -> Spectrum2D:
                       dict(data.metadata))
 
 
-def write_trace_csv(path, trace: Trace1D) -> None:
-    valid = trace.valid_mask()
+def _write_csv(path, header, *columns) -> None:
+    """Write ``header``, then one row per position of the equal-length array
+    ``columns``; a float cell is written as the ``repr`` of a Python float."""
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(["nu_t (THz)", "amplitude (arb)", "valid"])
-        for f, a, v in zip(trace.freqs_thz, trace.amplitude, valid):
-            writer.writerow([repr(float(f)), repr(float(a)), int(v)])
+        writer.writerow(header)
+        writer.writerows(zip(*(np.asarray(column).tolist() for column in columns)))
+
+
+def _is_number(cell: str) -> bool:
+    try:
+        float(cell)
+    except ValueError:
+        return False
+    return True
+
+
+def _read_csv(path, required: int, optional=()) -> list[np.ndarray]:
+    """Float columns of a CSV file with one header row: the first
+    ``required`` cells of each row, then one column per default cell in
+    ``optional``, which a row may leave out.  Line numbers count rows, as
+    ``_write_csv`` puts no line break inside a cell."""
+    with open(path, newline="") as fh:
+        header, *rows = list(csv.reader(fh)) or [[]]     # empty: no header cells
+    if len(header) < required or _is_number(header[0]):
+        raise IoFailure(f"{path}: line 1 is not a header row of at least "
+                        f"{required} columns")
+    for lineno, row in enumerate(rows, start=2):
+        if len(row) < required:
+            raise IoFailure(f"{path}: line {lineno} has {len(row)} cells, "
+                            f"expected at least {required}")
+        row.extend(optional[len(row) - required:])
+    width = required + len(optional)
+    try:
+        return [np.array(list(map(float, column)))
+                for column in list(zip(*rows))[:width] or [()] * width]
+    except ValueError:
+        lineno, cell = next((lineno, cell) for lineno, row in enumerate(rows, start=2)
+                            for cell in row[:width] if not _is_number(cell))
+        raise IoFailure(f"{path}: line {lineno}: {cell!r} is not a number") from None
+
+
+def write_trace_csv(path, trace: Trace1D) -> None:
+    _write_csv(path, ["nu_t (THz)", "amplitude (arb)", "valid"], trace.freqs_thz,
+               trace.amplitude, trace.valid_mask().astype(int))
 
 
 def read_trace_csv(path, provenance: str = "projection") -> Trace1D:
-    freqs, amps, valid = [], [], []
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader)
-        if len(header) < 2:
-            raise IoFailure(f"{path}: not a trace CSV")
-        for row in reader:
-            freqs.append(float(row[0]))
-            amps.append(float(row[1]))
-            valid.append(bool(int(row[2])) if len(row) > 2 else True)
-    return Trace1D(np.array(freqs), np.array(amps), provenance,
-                   np.array(valid, dtype=bool))
+    freqs, amps, valid = _read_csv(path, 2, optional=("1",))
+    return Trace1D(freqs, amps, provenance, valid != 0)
 
 
 def write_decay_csv(path, trace: DecayTrace) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["t_plus_tau (ps)", "amplitude (arb)"])
-        for x, a in zip(trace.time_ps, trace.amplitude):
-            writer.writerow([repr(float(x)), repr(float(a))])
+    _write_csv(path, ["t_plus_tau (ps)", "amplitude (arb)"], trace.time_ps,
+               trace.amplitude)
 
 
 def read_decay_csv(path) -> DecayTrace:
-    xs, amps = [], []
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        next(reader)
-        for row in reader:
-            xs.append(float(row[0]))
-            amps.append(float(row[1]))
-    return DecayTrace(np.array(xs), np.array(amps))
+    return DecayTrace(*_read_csv(path, 2))
 
 
 def write_tscan_csv(path, scan) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["T (ps)", "amplitude_real (arb)",
-                         "amplitude_imag (arb)", "amplitude_abs (arb)"])
-        for T, amp in scan:
-            writer.writerow([repr(float(T)), repr(amp.real), repr(amp.imag),
-                             repr(abs(amp))])
+    # Python's complex abs: numpy's rounds some moduli differently in the last bit
+    amps = [complex(amp) for _, amp in scan]
+    _write_csv(path, ["T (ps)", "amplitude_real (arb)", "amplitude_imag (arb)",
+                      "amplitude_abs (arb)"], [float(T) for T, _ in scan],
+               [a.real for a in amps], [a.imag for a in amps], [abs(a) for a in amps])

@@ -4,7 +4,13 @@ from dataclasses import fields
 
 import numpy as np
 
-from sivmdcs.emitter import Ensemble
+from sivmdcs.config import parse_config
+from sivmdcs.emitter import Ensemble, LevelScheme
+
+
+def default_scheme() -> LevelScheme:
+    """The level scheme of a config that leaves ``[scheme]`` at its defaults."""
+    return parse_config("[component.only]\nweight = 1.0\n").scheme
 
 
 def _build(lines, two_level, t2_ps, t1_ps, quantum_yield):

@@ -49,9 +49,21 @@ def test_missing_input_is_runtime_error(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
-@pytest.mark.parametrize("line,template", [("t2 = 40 ps", "t2 = {} ps"),
-                                           ("strain_fwhm = 0.1", "strain_fwhm = {}")])
+NON_FINITE_CASES = [
+    pytest.param(line, template, value, id=f"{line}-{template}-{value}")
+    for line, template in [("t2 = 40 ps", "t2 = {} ps"),
+                           ("strain_fwhm = 0.1", "strain_fwhm = {}")]
+    for value in ("nan", "inf", "-inf")
+] + [
+    # finite numbers that overflow when converted to the canonical unit
+    pytest.param("seed = 3", "seed = 3\nwaiting_time = {} us", "1e308",
+                 id="waiting_time-overflows"),
+    pytest.param("t2 = 40 ps", "t2 = 40 ps\nt1 = {} us", "1e308",
+                 id="t1-overflows"),
+]
+
+
+@pytest.mark.parametrize("line,template,value", NON_FINITE_CASES)
 def test_non_finite_config_value_is_runtime_error(tmp_path, capsys, line,
                                                   template, value):
     text = TINY_CONFIG.replace(line, template.format(value))
@@ -61,6 +73,18 @@ def test_non_finite_config_value_is_runtime_error(tmp_path, capsys, line,
                  "--output", "sig.mdcs"]) == EXIT_RUNTIME
     assert "finite" in capsys.readouterr().err
     assert not (tmp_path / "sig.mdcs").exists()
+
+
+@pytest.mark.parametrize("command,text", [
+    ("fit-width", "nu_t (THz),amplitude (arb),valid\n406.7,abc,1\n"),
+    ("fit-width", ""),
+    ("fit-decay", "t_plus_tau (ps),amplitude (arb)\n0.0,1.0\n2.0,0.9\n"),
+])
+def test_malformed_analysis_input_is_runtime_error(tmp_path, capsys, command, text):
+    path = tmp_path / "input.csv"
+    path.write_text(text)
+    assert main([command, str(path)]) == EXIT_RUNTIME
+    assert "error:" in capsys.readouterr().err
 
 
 def test_pipeline_chain(tmp_path, capsys):
@@ -150,6 +174,16 @@ def test_demod_command(capsys):
     assert main(["demod", "--amplitude", "0.5"]) == EXIT_OK
     out = capsys.readouterr().out
     assert "demodulated" in out
+    value = float(out.split("|.| = ")[1].rstrip(")\n"))
+    assert abs(value - 0.5) <= 0.005
+
+
+def test_demod_reference_follows_the_config_tags(tmp_path, capsys):
+    # nu2 moved by 0.1 MHz puts the rephasing beatnote at 0.121 MHz
+    path = tmp_path / "tags.cfg"
+    path.write_text(TINY_CONFIG + "\n[tags]\nnu2 = 80.207 mhz\n")
+    assert main(["demod", "--config", str(path), "--amplitude", "0.5"]) == EXIT_OK
+    out = capsys.readouterr().out
     value = float(out.split("|.| = ")[1].rstrip(")\n"))
     assert abs(value - 0.5) <= 0.005
 

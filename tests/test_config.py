@@ -1,7 +1,13 @@
-import pytest
+import dataclasses
+from operator import attrgetter
 
-from sivmdcs.config import config_hash, parse_config, serialize_config
-from sivmdcs.errors import ConfigSyntaxError, SchemaError, UnitError
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from sivmdcs.config import _SCHEMA, config_hash, parse_config, serialize_config
+from sivmdcs.emitter import T2Rule
+from sivmdcs.errors import ConfigSyntaxError, SchemaError, SivMdcsError, UnitError
 from sivmdcs.reproduce import DEFAULT_CONFIGS, FIG2_HIDDEN_CONFIG, FIG4_HET_CONFIG
 
 MINIMAL = """
@@ -178,3 +184,164 @@ def test_default_target_configs_are_valid():
     for name, text in DEFAULT_CONFIGS.items():
         cfg = parse_config(text)
         assert cfg.ensemble.components, name
+
+
+def test_frame_defaults_to_laser_center():
+    cfg = parse_config(MINIMAL + "[laser]\ncenter = 406.9 thz\n")
+    assert cfg.grid.frame_thz == cfg.laser.center_thz == 406.9
+
+
+# config_hash of every built-in config, as first recorded; a change in the
+# canonical text (key order, formatting, defaults) shows up here
+BUILT_IN_HASHES = {
+    "fig1c": "76b5c40dd1250b7be02988ed60da897a7fe90a719fb3631cff28cf76e2b6b11d",
+    "fig1d": "b34562a962274b3fd37522a34cb697a438849f88b5085fb5181135d9ecffa7ba",
+    "fig2": "421cbc3255dba61a8ccfb704062a3c16fc1a95c0f7a84bcceeb77b4fe56f654d",
+    "fig3": "be888e6a6b8fa4d33e73d4ae7c30abf19592986ea84347d1569fc797b5680b2a",
+    "fig4": "8c56eb3717474ed22c5ed1212e4d8c330c86bca0201f7863df26762f2da35909",
+    "t1scan": "527572a240690a40ee58a3ffa6818db4b82137f841affba1f043f341d97c9513",
+    "fig2_hidden": "dcfda5075e7a9ab88dda77aae400790d356e838c0c37dc0a0c8bf702b51372a4",
+    "fig4_het": "3084d437f1d590c72bc7790de7f7e553ed321ccd534dc24b6af9439ffd75fc40",
+}
+
+
+def test_built_in_config_hashes_are_pinned():
+    texts = {**DEFAULT_CONFIGS, "fig2_hidden": FIG2_HIDDEN_CONFIG,
+             "fig4_het": FIG4_HET_CONFIG}
+    assert {name: config_hash(parse_config(text))
+            for name, text in texts.items()} == BUILT_IN_HASHES
+
+
+# (section, key) -> (valid non-default value, field it must fill, parsed value),
+# written out apart from the schema table so that a row pointing at the
+# wrong field fails
+KEY_CASES = {
+    ("scheme", "center"): ("406.9 thz", "scheme.center_thz", 406.9),
+    ("scheme", "ground_splitting"): ("50 ghz", "scheme.ground_splitting_ghz", 50.0),
+    ("scheme", "excited_splitting"): ("300 ghz", "scheme.excited_splitting_ghz", 300.0),
+    ("strain", "shift"): ("2 thz", "strain.shift_thz_per_unit", 2.0),
+    ("strain", "ground_splitting_shift"):
+        ("1 ghz", "strain.ground_splitting_ghz_per_unit", 1.0),
+    ("strain", "excited_splitting_shift"):
+        ("2 ghz", "strain.excited_splitting_ghz_per_unit", 2.0),
+    ("strain", "yield_crossover"): ("0.5", "strain.yield_crossover", 0.5),
+    ("strain", "yield_steepness"): ("3", "strain.yield_steepness", 3.0),
+    ("strain", "bright_yield"): ("0.8", "strain.bright_yield", 0.8),
+    ("laser", "center"): ("406.9 thz", "laser.center_thz", 406.9),
+    ("laser", "fwhm"): ("2 thz", "laser.fwhm_thz", 2.0),
+    ("grid", "tau_points"): ("64", "grid.n_tau", 64),
+    ("grid", "t_points"): ("32", "grid.n_t", 32),
+    ("grid", "tau_step"): ("0.5 ps", "grid.tau_step_ps", 0.5),
+    ("grid", "t_step"): ("0.25 ps", "grid.t_step_ps", 0.25),
+    ("grid", "frame"): ("406.5 thz", "grid.frame_thz", 406.5),
+    ("simulation", "waiting_time"): ("2 ps", "waiting_time_ps", 2.0),
+    ("simulation", "mode"): ("heterodyne", "mode", "heterodyne"),
+    ("simulation", "noise"): ("0.5", "noise", 0.5),
+    ("simulation", "seed"): ("11", "seed", 11),
+    ("simulation", "ensemble_size"): ("50", "ensemble_size", 50),
+    ("tags", "nu1"): ("79.5 mhz", "tags.nu1_mhz", 79.5),
+    ("tags", "nu2"): ("80.5 mhz", "tags.nu2_mhz", 80.5),
+    ("tags", "nu3"): ("81 mhz", "tags.nu3_mhz", 81.0),
+    ("tags", "nu4"): ("81.5 mhz", "tags.nu4_mhz", 81.5),
+    ("output", "directory"): ("elsewhere", "out_dir", "elsewhere"),
+    ("output", "basename"): ("trial", "basename", "trial"),
+    ("component.NAME", "weight"): ("0.25", "weight", 0.25),
+    ("component.NAME", "strain_shape"): ("lorentzian", "strain.shape", "lorentzian"),
+    ("component.NAME", "strain_center"): ("0.1", "strain.center", 0.1),
+    ("component.NAME", "strain_fwhm"): ("0.05", "strain.fwhm", 0.05),
+    ("component.NAME", "t2"): ("300 ps", "t2", T2Rule("constant", (300.0,), (1.0,))),
+    ("component.NAME", "t1"): ("2.5 ns", "t1_ns", 2.5),
+    ("component.NAME", "dipole"): ("2", "dipole", 2.0),
+    ("component.NAME", "yield"): ("0.5", "yield_rule", 0.5),
+    ("component.NAME", "two_level"): ("true", "two_level", True),
+}
+
+
+def _leaves(obj, path=""):
+    """{dotted field: value} for every field below ``obj`` that is not
+    itself a dataclass."""
+    if not dataclasses.is_dataclass(obj):
+        return {path: obj}
+    leaves = {}
+    for f in dataclasses.fields(obj):
+        leaves.update(_leaves(getattr(obj, f.name), f"{path}.{f.name}".lstrip(".")))
+    return leaves
+
+
+def _render(sections):
+    return "".join(f"[{name}]\n" + "".join(f"{k} = {v}\n" for k, v in keys.items())
+                   for name, keys in sections.items())
+
+
+def test_every_table_key_fills_its_own_field():
+    assert {(row.section, row.key) for row in _SCHEMA} == set(KEY_CASES)
+
+    def base():
+        # frame given, so that a new laser center leaves it in place; the
+        # second component lets the first one's weight move
+        return {"grid": {"frame": "406.77 thz"}, "component.first": {},
+                "component.second": {"weight": "0.0"}}
+
+    before = parse_config(_render(base()))
+    for (section, key), (text, field, expected) in KEY_CASES.items():
+        in_component = section == "component.NAME"
+        sections = base()
+        sections.setdefault("component.first" if in_component else section, {})[key] = text
+        if key == "weight":
+            sections["component.second"][key] = "0.75"
+        cfg = parse_config(_render(sections))
+        old, new = ((before.ensemble.components[0], cfg.ensemble.components[0])
+                    if in_component else (before, cfg))
+        assert attrgetter(field)(new) == pytest.approx(expected), key
+        old_leaves = _leaves(old)
+        changed = {name for name, value in _leaves(new).items()
+                   if value != old_leaves[name]}
+        assert changed, key
+        assert all(name == field or name.startswith(field + ".") for name in changed), \
+            (key, changed)
+        assert parse_config(serialize_config(cfg)) == cfg, key
+
+
+_KEYS = sorted({row.key for row in _SCHEMA}) + ["bogus"]
+_SECTION_NAMES = ["scheme", "strain", "laser", "grid", "simulation", "tags",
+                  "output", "component.a", "component.b", "component.", "nope"]
+_VALUES = st.one_of(
+    st.sampled_from(["1", "0.5", "0", "-1", "7.5", "nan", "inf", "1e308", "true",
+                     "maybe", "strain", "pl", "heterodyne", "gaussian", "delta",
+                     "lorentzian", "lognormal 300 ps 0.5", "lognormal 300 0.5",
+                     "120 ps : 0.5, 990 ps : 0.5", "120 ps, 990 ps", ""]),
+    st.builds("{} {}".format,
+              st.one_of(st.floats(), st.integers(-10**6, 10**6)),
+              st.sampled_from(["thz", "ghz", "mhz", "ps", "ns", "us", "s", "THz"])),
+    st.text(max_size=12),
+)
+_LINES = st.one_of(
+    st.builds("[{}]".format, st.one_of(st.sampled_from(_SECTION_NAMES),
+                                       st.text(max_size=10))),
+    st.builds("{} = {}".format, st.one_of(st.sampled_from(_KEYS), st.text(max_size=8)),
+              _VALUES),
+    st.text(max_size=20),
+)
+
+
+# edits to a valid config: a key's value replaced, or a line inserted
+_EDITS = st.lists(st.one_of(st.tuples(st.just("value"), st.integers(0, 99), _VALUES),
+                            st.tuples(st.just("line"), st.integers(0, 99), _LINES)),
+                  max_size=4)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from([MINIMAL, FULL]), _EDITS)
+def test_config_text_raises_only_package_errors(base, edits):
+    lines = base.splitlines()
+    for kind, pos, text in edits:
+        pos %= len(lines)
+        if kind == "value" and "=" in lines[pos]:
+            lines[pos] = lines[pos].split("=")[0] + "= " + text
+        else:
+            lines.insert(pos, text)
+    try:
+        cfg = parse_config("\n".join(lines))
+    except SivMdcsError:
+        return
+    assert parse_config(serialize_config(cfg)) == cfg

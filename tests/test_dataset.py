@@ -170,6 +170,37 @@ def test_tscan_csv_layout(tmp_path):
     assert float(cells[3]) == pytest.approx(abs(0.5 - 0.25j))
 
 
+def test_trace_csv_without_valid_column_reads_as_valid(tmp_path):
+    path = tmp_path / "trace.csv"
+    path.write_text("nu_t (THz),amplitude (arb)\n406.0,1.0\n406.1,2.0,0\n")
+    again = read_trace_csv(path)
+    assert np.array_equal(again.amplitude, [1.0, 2.0])
+    assert np.array_equal(again.valid_mask(), [True, False])
+
+
+TRACE_HEADER = "nu_t (THz),amplitude (arb),valid\n"
+
+
+@pytest.mark.parametrize("text,where", [
+    ("", "line 1"),                                      # no header row
+    ("406.7,1.0,1\n406.8,0.5,1\n", "line 1"),            # data where the header goes
+    (TRACE_HEADER + "406.7,abc,1\n", "line 2"),          # non-numeric cell
+    (TRACE_HEADER + "406.7,1.0,1\n406.8\n", "line 3"),   # short row
+    (TRACE_HEADER + "406.7,1.0,1\n\n", "line 3"),        # blank row
+    (TRACE_HEADER + "406.7,1.0,yes\n", "line 2"),        # non-numeric valid flag
+])
+def test_malformed_csv_names_path_and_line(tmp_path, text, where):
+    path = tmp_path / "bad.csv"
+    path.write_text(text)
+    for read in (read_trace_csv, read_decay_csv):
+        if read is read_decay_csv and "yes" in text:
+            continue                  # the decay reader reads two columns only
+        with pytest.raises(IoFailure) as excinfo:
+            read(path)
+        assert str(path) in str(excinfo.value)
+        assert where in str(excinfo.value)
+
+
 def test_not_a_trace_csv(tmp_path):
     path = tmp_path / "bad.csv"
     path.write_text("only-one-column\n1.0\n")

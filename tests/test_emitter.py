@@ -3,10 +3,11 @@ import math
 import numpy as np
 import pytest
 
+from ensembles import default_scheme
 from sivmdcs.emitter import (GAUSSIAN_FWHM_PER_SIGMA, Ensemble, EnsembleSpec,
                              LaserSpectrum, LevelScheme, PopulationComponent,
                              StrainDistribution, StrainModel, T2Rule,
-                             default_scheme, quantum_yield, sample_ensemble)
+                             quantum_yield, sample_ensemble)
 from sivmdcs.errors import InvalidSpec, SplittingCollapse
 
 EXPECTED_LINES = [406.654, 406.713, 406.915, 406.974]

@@ -5,6 +5,7 @@ import pytest
 
 from oracles import jacobian_fd_error
 from sivmdcs.emitter import GAUSSIAN_FWHM_PER_SIGMA, LaserSpectrum
+from sivmdcs.errors import InvalidSpec
 from sivmdcs.fitting import (finite_bandwidth_jac, finite_bandwidth_model,
                              fit_exponential, fit_finite_bandwidth, fwhm,
                              gaussian_peak, gaussian_peak_jac,
@@ -118,12 +119,14 @@ def test_fit_exponential_noise_floor():
 def test_fit_exponential_validation():
     x = np.linspace(0.0, 10.0, 30)
     trace = DecayTrace(x, np.exp(-x))
-    with pytest.raises(ValueError):
+    with pytest.raises(InvalidSpec):
         fit_exponential(trace, 3)
-    with pytest.raises(ValueError):
+    with pytest.raises(InvalidSpec):
         fit_exponential(DecayTrace(x[:5], np.exp(-x[:5])), 1)
-    with pytest.raises(ValueError):
+    with pytest.raises(InvalidSpec):
         fit_exponential(trace, 1, floor=-1.0)
+    with pytest.raises(InvalidSpec, match="positive samples"):
+        fit_exponential(DecayTrace(x, -np.exp(-x)), 1)
 
 
 def _gaussian_trace(fwhm_thz=0.028, center=406.654, background=0.0, n=301):
@@ -169,10 +172,10 @@ def test_fwhm_respects_validity_mask():
 
 def test_fwhm_validation():
     trace = _gaussian_trace()
-    with pytest.raises(ValueError):
+    with pytest.raises(InvalidSpec):
         fwhm(trace, model="voigt")
     short = Trace1D(trace.freqs_thz[:3], trace.amplitude[:3])
-    with pytest.raises(ValueError):
+    with pytest.raises(InvalidSpec):
         fwhm(short)
 
 
@@ -214,8 +217,7 @@ def test_fit_result_text_and_csv():
     text = result.as_text()
     assert "model = finite-bandwidth" in text
     assert "fwhm_thz" in text
-    assert result.as_csv_row().startswith("finite-bandwidth,")
-    assert result.sigma("sigma_thz") >= 0.0
+    assert result.sigmas[result.names.index("sigma_thz")] >= 0.0
 
 
 def test_lorentzian_width_from_t2():

@@ -3,9 +3,9 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from ensembles import concat, four_line, two_level
+from ensembles import concat, default_scheme, four_line, two_level
 from oracles import enumerate_pathways_oracle
-from sivmdcs.emitter import LaserSpectrum, default_scheme
+from sivmdcs.emitter import LaserSpectrum
 from sivmdcs.pathways import (REPHASING_PATHWAYS, TWO_LEVEL_PATHWAYS, TagSet,
                               rephasing_frequency, signature_frequency)
 from sivmdcs.response import _pathway_terms

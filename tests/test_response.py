@@ -9,7 +9,7 @@ from oracles import (gaussian_ensemble_response, rephasing_response_model,
 from sivmdcs.emitter import (GAUSSIAN_FWHM_PER_SIGMA, EnsembleSpec,
                              LaserSpectrum, LevelScheme, PopulationComponent,
                              StrainDistribution, StrainModel, T2Rule,
-                             default_scheme, sample_ensemble)
+                             sample_ensemble)
 from sivmdcs.errors import EmptyEnsemble, GridTooCoarse, InvalidSpec
 from sivmdcs.pathways import REPHASING_PATHWAYS
 from sivmdcs.response import (Grid, TimeDomainSignal, _dense_sum, _echo_groups,
@@ -25,7 +25,7 @@ def _emitter(detuning_thz=0.05, t2_ps=122.0, t1_ps=1700.0, yield_=1.0,
     default scheme."""
     if two_level:
         return ensembles.two_level(FRAME + detuning_thz, t2_ps, t1_ps, yield_)
-    return ensembles.four_line(default_scheme(), 1, t2_ps, t1_ps, yield_)
+    return ensembles.four_line(ensembles.default_scheme(), 1, t2_ps, t1_ps, yield_)
 
 
 def _grid(n=16, step=0.5):
@@ -47,7 +47,7 @@ def _mixed_ensemble(hidden_t2, n=240, seed=3):
                             hidden_t2, two_level=True),
     ))
     model = StrainModel(yield_crossover=0.05, yield_steepness=4.0)
-    return sample_ensemble(spec, default_scheme(), model, n, seed)
+    return sample_ensemble(spec, ensembles.default_scheme(), model, n, seed)
 
 
 def test_grid_validation():
