@@ -243,6 +243,11 @@ class ExperimentConfig:
     out_dir: str
     basename: str
 
+    def __post_init__(self):
+        # numpy's generators take only non-negative seeds
+        if self.seed < 0:
+            raise InvalidSpec(f"seed must be a non-negative integer, got {self.seed}")
+
 
 def _fields(sections, given) -> dict:
     """{field: value} for every row of ``sections``: the value ``given``

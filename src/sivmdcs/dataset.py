@@ -11,11 +11,20 @@ Layout (little-endian throughout):
     crc32     u32 over every preceding byte
 
 Write-then-read round-trips bit-identically; a corrupted payload byte fails
-with ChecksumMismatch.
+with ChecksumMismatch.  Every malformed file, and every matrix or axis that
+holds a NaN or an infinity, fails with IoFailure (or its kin above), never
+with a bare Python error, and nothing non-finite is ever written.
+
+Copy rule: the payload is never copied after it leaves the file or the
+caller's matrix.  A read takes the whole file with one ``readinto`` into an
+owned buffer, checks the CRC over a view of it, parses the header by offset
+and returns the matrix as a view of that buffer.  A write builds only the
+header in memory, then writes the matrix's own bytes after it, with the CRC
+taken over views of both.
 """
 from __future__ import annotations
 
-import io
+import os
 import struct
 import zlib
 from dataclasses import dataclass, field
@@ -41,84 +50,115 @@ def _pack_str(s: str) -> bytes:
     return struct.pack("<I", len(raw)) + raw
 
 
-def _read_exact(fh, n: int) -> bytes:
-    data = fh.read(n)
-    if len(data) != n:
-        raise IoFailure(f"truncated dataset: wanted {n} bytes, got {len(data)}")
-    return data
-
-
-def _unpack_str(fh) -> str:
-    (n,) = struct.unpack("<I", _read_exact(fh, 4))
-    return _read_exact(fh, n).decode("utf-8")
+def _check_finite(path, matrix: np.ndarray, axes) -> None:
+    if not np.isfinite(matrix).all():
+        raise IoFailure(f"{path}: dataset matrix holds a NaN or an infinity")
+    for name, _, values in axes:
+        if not np.isfinite(values).all():
+            raise IoFailure(f"{path}: axis {name!r} holds a NaN or an infinity")
 
 
 def write_dataset(path, data: DatasetFile) -> None:
-    matrix = np.ascontiguousarray(data.matrix, dtype=np.complex64)
+    matrix = np.ascontiguousarray(data.matrix, dtype="<c8")
     if matrix.ndim != 2:
         raise IoFailure(f"dataset matrix must be 2-d, got shape {matrix.shape}")
-    buf = io.BytesIO()
-    buf.write(MAGIC)
-    buf.write(struct.pack("<H", data.version))
-    buf.write(struct.pack("<I", len(data.metadata)))
-    for key in data.metadata:
-        buf.write(_pack_str(str(key)))
-        buf.write(_pack_str(str(data.metadata[key])))
-    buf.write(struct.pack("<B", len(data.axes)))
+    _check_finite(path, matrix, data.axes)
+    header = bytearray(MAGIC)
+    header += struct.pack("<HI", data.version, len(data.metadata))
+    for key, value in data.metadata.items():
+        header += _pack_str(str(key)) + _pack_str(str(value))
+    header += struct.pack("<B", len(data.axes))
     for name, unit, values in data.axes:
-        buf.write(_pack_str(name))
-        buf.write(_pack_str(unit))
         vals = np.ascontiguousarray(values, dtype="<f8")
-        buf.write(struct.pack("<Q", vals.size))
-        buf.write(vals.tobytes())
-    buf.write(struct.pack("<QQ", matrix.shape[0], matrix.shape[1]))
-    buf.write(matrix.astype("<c8").tobytes())
-    payload = buf.getvalue()
-    checksum = zlib.crc32(payload) & 0xFFFFFFFF
+        header += _pack_str(name) + _pack_str(unit)
+        header += struct.pack("<Q", vals.size) + vals.tobytes()
+    header += struct.pack("<QQ", *matrix.shape)
+    # a flat byte view: memoryview.cast refuses a matrix with a zero-length axis
+    payload = matrix.reshape(-1).view(np.uint8)
+    checksum = zlib.crc32(payload, zlib.crc32(header))
     try:
         with open(path, "wb") as fh:
+            fh.write(header)
             fh.write(payload)
             fh.write(struct.pack("<I", checksum))
     except OSError as exc:
         raise IoFailure(f"cannot write dataset {path}: {exc}") from exc
 
 
+class _Cursor:
+    """Bounds-checked reads by offset from a byte view."""
+
+    def __init__(self, view: memoryview, path):
+        self.view, self.path, self.pos = view, path, 0
+
+    def take(self, n: int) -> memoryview:
+        end = self.pos + n
+        if end > len(self.view):
+            raise IoFailure(f"{self.path}: truncated dataset: wanted {n} bytes "
+                            f"at offset {self.pos}, {len(self.view) - self.pos} left")
+        out = self.view[self.pos:end]
+        self.pos = end
+        return out
+
+    def unpack(self, fmt: str) -> tuple:
+        return struct.unpack(fmt, self.take(struct.calcsize(fmt)))
+
+    def text(self) -> str:
+        (n,) = self.unpack("<I")
+        start = self.pos
+        try:
+            return str(self.take(n), "utf-8")
+        except UnicodeDecodeError:
+            raise IoFailure(f"{self.path}: text at offset {start} is not "
+                            f"UTF-8") from None
+
+
 def read_dataset(path) -> DatasetFile:
     try:
         with open(path, "rb") as fh:
-            blob = fh.read()
+            size = os.fstat(fh.fileno()).st_size
+            # The payload ends 4 bytes before EOF, so the file size alone
+            # fixes the offset that puts it on an 8-byte boundary.
+            skip = -(size - 4) % 8
+            buf = np.empty(skip + size, np.uint8)
+            got = fh.readinto(buf[skip:])
     except OSError as exc:
         raise IoFailure(f"cannot read dataset {path}: {exc}") from exc
-    if len(blob) < len(MAGIC) + 6:
+    if got != size:
+        raise IoFailure(f"{path}: read {got} of {size} bytes")
+    if size < len(MAGIC) + 6:
         raise IoFailure(f"{path} is too short to be a dataset file")
-    payload, tail = blob[:-4], blob[-4:]
-    (stored,) = struct.unpack("<I", tail)
-    if zlib.crc32(payload) & 0xFFFFFFFF != stored:
+    blob = buf[skip:]
+    view = memoryview(blob)
+    (stored,) = struct.unpack_from("<I", view, size - 4)
+    if zlib.crc32(view[:-4]) != stored:
         raise ChecksumMismatch(f"{path}: checksum does not match payload")
 
-    fh = io.BytesIO(payload)
-    if _read_exact(fh, len(MAGIC)) != MAGIC:
+    cur = _Cursor(view[:-4], path)
+    if cur.take(len(MAGIC)) != MAGIC:
         raise IoFailure(f"{path}: bad magic string")
-    (version,) = struct.unpack("<H", _read_exact(fh, 2))
+    (version,) = cur.unpack("<H")
     if version > FORMAT_VERSION:
         raise VersionUnsupported(
             f"{path}: format version {version} is newer than supported {FORMAT_VERSION}")
-    (n_meta,) = struct.unpack("<I", _read_exact(fh, 4))
+    (n_meta,) = cur.unpack("<I")
     metadata = {}
     for _ in range(n_meta):
-        key = _unpack_str(fh)
-        metadata[key] = _unpack_str(fh)
-    (n_axes,) = struct.unpack("<B", _read_exact(fh, 1))
+        key = cur.text()
+        metadata[key] = cur.text()
+    (n_axes,) = cur.unpack("<B")
     axes = []
     for _ in range(n_axes):
-        name = _unpack_str(fh)
-        unit = _unpack_str(fh)
-        (length,) = struct.unpack("<Q", _read_exact(fh, 8))
-        values = np.frombuffer(_read_exact(fh, 8 * length), dtype="<f8").copy()
+        name = cur.text()
+        unit = cur.text()
+        (length,) = cur.unpack("<Q")
+        values = np.frombuffer(cur.take(8 * length), dtype="<f8").copy()
         axes.append((name, unit, values))
-    rows, cols = struct.unpack("<QQ", _read_exact(fh, 16))
-    matrix = np.frombuffer(_read_exact(fh, 8 * rows * cols), dtype="<c8").copy()
-    matrix = matrix.reshape(rows, cols)
-    if fh.read(1):
-        raise IoFailure(f"{path}: trailing bytes after matrix payload")
+    rows, cols = cur.unpack("<QQ")
+    left = size - 4 - cur.pos
+    if 8 * rows * cols != left:
+        raise IoFailure(f"{path}: a {rows}x{cols} matrix needs {8 * rows * cols} "
+                        f"payload bytes, the file holds {left}")
+    matrix = blob[cur.pos:size - 4].view("<c8").reshape(rows, cols)
+    _check_finite(path, matrix, axes)
     return DatasetFile(matrix, tuple(axes), metadata, version)

@@ -331,6 +331,8 @@ def fit_finite_bandwidth(trace: Trace1D, laser: LaserSpectrum,
     mask = trace.valid_mask()
     x = np.asarray(trace.freqs_thz, float)[mask]
     y = np.asarray(trace.amplitude, float)[mask]
+    if len(x) < 5:
+        raise InvalidSpec("trace too short for a width measurement")
     laser_sq = laser.amplitude(x) ** 2
 
     # crude deconvolution for the starting point

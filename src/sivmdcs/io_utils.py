@@ -6,6 +6,7 @@ annotations, e.g. ``nu_t (THz),amplitude (arb),valid``.
 from __future__ import annotations
 
 import csv
+import math
 
 import numpy as np
 
@@ -27,7 +28,35 @@ def signal_to_dataset(signal: TimeDomainSignal) -> DatasetFile:
         "t_step_ps": repr(grid.t_step_ps),
     })
     axes = (("tau", "ps", grid.tau_ps), ("t", "ps", grid.t_ps))
-    return DatasetFile(signal.data.astype(np.complex64), axes, meta)
+    return DatasetFile(np.asarray(signal.data, np.complex64), axes, meta)
+
+
+def _axes(data: DatasetFile, kind: str, keys) -> tuple[np.ndarray, np.ndarray]:
+    """The two axes of ``data``, once it is checked to hold a ``kind``
+    dataset with metadata ``keys`` and one axis per side of its matrix."""
+    if data.metadata.get("kind") != kind:
+        raise IoFailure(f"dataset does not hold a {kind} dataset")
+    missing = [key for key in keys if key not in data.metadata]
+    if missing:
+        raise IoFailure(f"{kind} dataset lacks metadata {', '.join(missing)}")
+    lengths = tuple(len(values) for _, _, values in data.axes)
+    if lengths != np.shape(data.matrix):
+        raise IoFailure(f"{kind} dataset has axes of lengths {lengths} for a "
+                        f"matrix of shape {np.shape(data.matrix)}")
+    (_, _, first), (_, _, second) = data.axes
+    return first, second
+
+
+def _number(metadata, key, parse=float):
+    """Metadata value ``key`` as a finite number."""
+    try:
+        value = parse(metadata[key])
+    except ValueError:
+        value = math.nan
+    if not math.isfinite(value):
+        raise IoFailure(f"dataset metadata {key} = {metadata[key]!r} is not a "
+                        f"finite number")
+    return value
 
 
 def _axis_step(axis, metadata, key) -> float:
@@ -35,20 +64,18 @@ def _axis_step(axis, metadata, key) -> float:
     recorded in the metadata (1.0 ps in files written without it)."""
     if len(axis) > 1:
         return float(axis[1] - axis[0])
-    return float(metadata.get(key, 1.0))
+    return _number(metadata, key) if key in metadata else 1.0
 
 
 def dataset_to_signal(data: DatasetFile) -> TimeDomainSignal:
-    if data.metadata.get("kind") != "time-domain":
-        raise IoFailure("dataset does not hold a time-domain signal")
-    (_, _, tau), (_, _, t) = data.axes
-    grid = Grid(len(tau), len(t), _axis_step(tau, data.metadata, "tau_step_ps"),
-                _axis_step(t, data.metadata, "t_step_ps"),
-                float(data.metadata["frame_thz"]))
+    tau, t = _axes(data, "time-domain",
+                   ("frame_thz", "waiting_time_ps", "detection_mode"))
+    meta = data.metadata
+    grid = Grid(len(tau), len(t), _axis_step(tau, meta, "tau_step_ps"),
+                _axis_step(t, meta, "t_step_ps"), _number(meta, "frame_thz"))
     return TimeDomainSignal(np.asarray(data.matrix), grid,
-                            float(data.metadata["waiting_time_ps"]),
-                            data.metadata["detection_mode"],
-                            dict(data.metadata))
+                            _number(meta, "waiting_time_ps"),
+                            meta["detection_mode"], dict(meta))
 
 
 def spectrum_to_dataset(spectrum: Spectrum2D) -> DatasetFile:
@@ -60,17 +87,15 @@ def spectrum_to_dataset(spectrum: Spectrum2D) -> DatasetFile:
     })
     axes = (("nu_tau", "THz", spectrum.nu_tau_thz),
             ("nu_t", "THz", spectrum.nu_t_thz))
-    return DatasetFile(spectrum.data.astype(np.complex64), axes, meta)
+    return DatasetFile(np.asarray(spectrum.data, np.complex64), axes, meta)
 
 
 def dataset_to_spectrum(data: DatasetFile) -> Spectrum2D:
-    if data.metadata.get("kind") != "spectrum":
-        raise IoFailure("dataset does not hold a 2D spectrum")
-    (_, _, nu_tau), (_, _, nu_t) = data.axes
+    nu_tau, nu_t = _axes(data, "spectrum", ("pad_factor", "parseval_norm"))
+    meta = data.metadata
     return Spectrum2D(np.asarray(data.matrix), nu_tau, nu_t,
-                      int(data.metadata["pad_factor"]),
-                      float(data.metadata["parseval_norm"]),
-                      dict(data.metadata))
+                      _number(meta, "pad_factor", int),
+                      _number(meta, "parseval_norm"), dict(meta))
 
 
 def _write_csv(path, header, *columns) -> None:
@@ -107,12 +132,16 @@ def _read_csv(path, required: int, optional=()) -> list[np.ndarray]:
         row.extend(optional[len(row) - required:])
     width = required + len(optional)
     try:
-        return [np.array(list(map(float, column)))
-                for column in list(zip(*rows))[:width] or [()] * width]
+        columns = [np.array(list(map(float, column)))
+                   for column in list(zip(*rows))[:width] or [()] * width]
+        if all(np.isfinite(column).all() for column in columns):
+            return columns
     except ValueError:
-        lineno, cell = next((lineno, cell) for lineno, row in enumerate(rows, start=2)
-                            for cell in row[:width] if not _is_number(cell))
-        raise IoFailure(f"{path}: line {lineno}: {cell!r} is not a number") from None
+        pass
+    lineno, cell = next((lineno, cell) for lineno, row in enumerate(rows, start=2)
+                        for cell in row[:width]
+                        if not (_is_number(cell) and math.isfinite(float(cell))))
+    raise IoFailure(f"{path}: line {lineno}: {cell!r} is not a finite number")
 
 
 def write_trace_csv(path, trace: Trace1D) -> None:

@@ -56,26 +56,38 @@ def to_spectrum(signal: TimeDomainSignal, pad_factor: int = 1) -> Spectrum2D:
     grid = signal.grid
     n_tau = grid.n_tau * pad_factor
     n_t = grid.n_t * pad_factor
+    dtype = np.result_type(signal.data.dtype, 1j)     # numpy fft's output type
 
+    # One complex128 working buffer, zero-padded along tau; the caller's
+    # data is never written.  numpy's backward-norm fft runs in double
+    # precision for any complex input, so widening here gives the bits of
+    # its own, slower, buffered cast.
+    f = np.zeros((n_tau, grid.n_t), np.complex128)
+    f[:grid.n_tau] = signal.data
     # tau axis: forward kernel peaks exp(+2 pi i d tau) at +d.
-    f = np.fft.fft(signal.data, n=n_tau, axis=0)
-    # t axis: conjugate kernel peaks exp(-2 pi i d t) at +d.
-    f = np.fft.ifft(f, n=n_t, axis=1) * n_t
+    np.fft.fft(f, axis=0, out=f)
+    # t axis: conjugate kernel peaks exp(-2 pi i d t) at +d.  For complex64
+    # input this transform runs in single precision, as the cast back selects.
+    f = f.astype(dtype, copy=False)
+    f = np.fft.ifft(f, n=n_t, axis=1, out=f if n_t == grid.n_t else None)
+    f *= n_t
 
-    f = np.fft.fftshift(f, axes=(0, 1))
     f_tau = np.fft.fftshift(np.fft.fftfreq(n_tau, grid.tau_step_ps))
     f_t = np.fft.fftshift(np.fft.fftfreq(n_t, grid.t_step_ps))
-
     nu_t = f_t + grid.frame_thz
-    nu_tau = -(f_tau + grid.frame_thz)
-    # Negation reverses the axis; flip rows to keep it ascending.
-    order = np.argsort(nu_tau)
-    nu_tau = nu_tau[order]
-    f = f[order, :]
+    # Negation reverses the axis; reverse it and the rows to keep it ascending.
+    nu_tau = -(f_tau + grid.frame_thz)[::-1]
+    # fftshift of both axes, then the row reversal, as four block copies:
+    # rows k-1..0 then n_tau-1..k, each with its columns rotated by n_t // 2.
+    k, k_t = n_tau - n_tau // 2, n_t - n_t // 2
+    out = np.empty_like(f)
+    for dst, src in ((out[:k], f[k - 1::-1]), (out[k:], f[:k - 1:-1])):
+        dst[:, :n_t - k_t] = src[:, k_t:]
+        dst[:, n_t - k_t:] = src[:, :k_t]
 
     meta = dict(signal.metadata)
     meta["waiting_time_ps"] = signal.waiting_time_ps
-    return Spectrum2D(f, nu_tau, nu_t, pad_factor,
+    return Spectrum2D(out, nu_tau, nu_t, pad_factor,
                       parseval_norm=float(n_tau) * float(n_t), metadata=meta)
 
 

@@ -131,6 +131,18 @@ def direct_spectrum_oracle(data, tau_step_ps, t_step_ps, nu_tau_thz, nu_t_thz,
     return k_tau @ data @ k_t
 
 
+def five_step_transform(data, pad_factor=1):
+    """The 2D transform matrix of ``spectra.to_spectrum`` in its plain
+    five-step form: tau-axis fft, t-axis ifft scaled by n_t, fftshift of
+    both axes, then the row reversal that sorts the negated tau axis.  It
+    makes the same numpy calls on the same dtypes, so the bits must agree."""
+    n_tau, n_t = data.shape[0] * pad_factor, data.shape[1] * pad_factor
+    f = np.fft.fft(data, n=n_tau, axis=0)
+    f = np.fft.ifft(f, n=n_t, axis=1) * n_t
+    f = np.fft.fftshift(f, axes=(0, 1))
+    return f[::-1, :]
+
+
 # --- finite-difference Jacobians --------------------------------------------
 
 def jacobian_fd_error(model_fn, jac_fn, x, params, rel_step=1e-6):

@@ -87,6 +87,33 @@ def test_malformed_analysis_input_is_runtime_error(tmp_path, capsys, command, te
     assert "error:" in capsys.readouterr().err
 
 
+def test_negative_seed_is_runtime_error(tmp_path, capsys):
+    bad = tmp_path / "bad.cfg"
+    bad.write_text(TINY_CONFIG.replace("seed = 3", "seed = -1"))
+    for config, extra in ((str(bad), []), (_write_config(tmp_path), ["--seed", "-1"])):
+        assert main(["simulate", "--config", config, "--out-dir", str(tmp_path),
+                     "--output", "sig.mdcs", *extra]) == EXIT_RUNTIME
+        assert "seed must be a non-negative integer" in capsys.readouterr().err
+    assert not (tmp_path / "sig.mdcs").exists()
+
+
+TRACE_ROWS = "".join(f"{406.5 + 0.05 * k!r},{amp},1\n"
+                     for k, amp in enumerate((0.1, 0.4, 1.0, 0.5, 0.2, 0.05)))
+
+
+@pytest.mark.parametrize("model", ["gaussian", "lineshape"])
+@pytest.mark.parametrize("rows", [
+    TRACE_ROWS.replace("0.1,", "nan,", 1),    # a non-finite amplitude
+    TRACE_ROWS.splitlines(keepends=True)[2],  # a single row
+])
+def test_fit_width_refuses_nan_and_one_row_traces(tmp_path, capsys, model, rows):
+    path = tmp_path / "trace.csv"
+    path.write_text("nu_t (THz),amplitude (arb),valid\n" + rows)
+    assert main(["fit-width", str(path), "--model", model]) == EXIT_RUNTIME
+    captured = capsys.readouterr()
+    assert "error:" in captured.err and "fwhm_thz" not in captured.out
+
+
 def test_pipeline_chain(tmp_path, capsys):
     cfg = _write_config(tmp_path)
     out = str(tmp_path)

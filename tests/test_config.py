@@ -159,6 +159,7 @@ weight = 1.0  # inline comment
     ("[component.]\n", SchemaError, "needs a name"),
     ("[simulation]\nmode = lockin\n" + MINIMAL, SchemaError, "not in"),
     ("[simulation]\nseed = 7.5\n" + MINIMAL, SchemaError, "expected an integer"),
+    ("[simulation]\nseed = -1\n" + MINIMAL, SchemaError, "non-negative"),
     ("[component.x]\nweight = 1.0\ntwo_level = maybe\n", SchemaError, "expected a boolean"),
     ("[component.x]\nweight = 0.5\n", SchemaError, "sum to 1"),
     ("", SchemaError, "at least one"),

@@ -1,9 +1,16 @@
+import hashlib
+import struct
+import tracemalloc
+import zlib
+
 import numpy as np
 import pytest
 
+from sivmdcs.cli import EXIT_OK, EXIT_RUNTIME, main
 from sivmdcs.dataset import (FORMAT_VERSION, DatasetFile, read_dataset,
                              write_dataset)
-from sivmdcs.errors import ChecksumMismatch, IoFailure, VersionUnsupported
+from sivmdcs.errors import (ChecksumMismatch, IoFailure, SivMdcsError,
+                            VersionUnsupported)
 from sivmdcs.io_utils import (dataset_to_signal, dataset_to_spectrum,
                               read_decay_csv, read_trace_csv,
                               signal_to_dataset, spectrum_to_dataset,
@@ -55,6 +62,11 @@ def test_truncated_and_missing_files(tmp_path):
         read_dataset(path)
     with pytest.raises(IoFailure):
         read_dataset(tmp_path / "missing.mdcs")
+
+
+def _with_crc(body: bytes) -> bytes:
+    """``body`` followed by its own valid checksum."""
+    return body + struct.pack("<I", zlib.crc32(body))
 
 
 def test_bad_magic(tmp_path):
@@ -188,6 +200,9 @@ TRACE_HEADER = "nu_t (THz),amplitude (arb),valid\n"
     (TRACE_HEADER + "406.7,1.0,1\n406.8\n", "line 3"),   # short row
     (TRACE_HEADER + "406.7,1.0,1\n\n", "line 3"),        # blank row
     (TRACE_HEADER + "406.7,1.0,yes\n", "line 2"),        # non-numeric valid flag
+    (TRACE_HEADER + "406.7,nan,1\n", "line 2"),          # non-finite cells
+    (TRACE_HEADER + "406.7,1.0,1\n406.8,inf,1\n", "line 3"),
+    (TRACE_HEADER + "-inf,1.0,1\n", "line 2"),
 ])
 def test_malformed_csv_names_path_and_line(tmp_path, text, where):
     path = tmp_path / "bad.csv"
@@ -206,3 +221,213 @@ def test_not_a_trace_csv(tmp_path):
     path.write_text("only-one-column\n1.0\n")
     with pytest.raises(IoFailure):
         read_trace_csv(path)
+
+
+# --- dataset boundary: what the file chain must refuse with exit 3 ----------
+
+def _cli_refuses(tmp_path, command, path):
+    out = tmp_path / "out"
+    assert main([command, str(path), "--out-dir", str(out),
+                 "--output", "x"]) == EXIT_RUNTIME
+    assert not (out / "x").exists()
+
+
+def test_nan_payload_under_valid_crc_is_refused(tmp_path, capsys):
+    path = tmp_path / "sig.mdcs"
+    write_dataset(path, signal_to_dataset(_signal()))
+    blob = bytearray(path.read_bytes()[:-4])
+    rows, cols = _signal().data.shape
+    struct.pack_into("<f", blob, len(blob) - 8 * rows * cols, float("nan"))
+    path.write_bytes(_with_crc(bytes(blob)))
+    with pytest.raises(IoFailure, match="NaN"):
+        read_dataset(path)
+    for command in ("spectrum", "lineout"):
+        _cli_refuses(tmp_path, command, path)
+    assert "NaN" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+def test_non_finite_matrix_or_axis_is_never_written(tmp_path, value):
+    data = _dataset()
+    data.matrix[2, 3] = complex(0.0, value)
+    with pytest.raises(IoFailure):
+        write_dataset(tmp_path / "m.mdcs", data)
+    data = _dataset()
+    data.axes[1][2][4] = value
+    with pytest.raises(IoFailure):
+        write_dataset(tmp_path / "a.mdcs", data)
+    assert not list(tmp_path.iterdir())
+
+
+def test_metadata_that_is_not_utf8_is_io_failure(tmp_path):
+    path = tmp_path / "u.mdcs"
+    write_dataset(path, _dataset())
+    blob = bytearray(path.read_bytes()[:-4])
+    blob[blob.index(b"note") + 8] = 0xFF        # the value "x" after its length
+    path.write_bytes(_with_crc(bytes(blob)))
+    with pytest.raises(IoFailure, match="UTF-8"):
+        read_dataset(path)
+
+
+def test_payload_length_must_match_the_header(tmp_path):
+    path = tmp_path / "n.mdcs"
+    write_dataset(path, _dataset())
+    body = path.read_bytes()[:-4]
+    for blob in (body[:-8], body + bytes(8)):   # one element short, one extra
+        path.write_bytes(_with_crc(blob))
+        with pytest.raises(IoFailure, match="payload bytes"):
+            read_dataset(path)
+
+
+def _dataset_of_kind(kind):
+    data = _dataset()
+    data.metadata = dict(signal_to_dataset(_signal()).metadata, kind=kind,
+                         pad_factor="1", parseval_norm="54.0")
+    return data
+
+
+@pytest.mark.parametrize("axes", [
+    lambda axes: axes[:1],                                  # one axis
+    lambda axes: axes + axes[:1],                           # three axes
+    lambda axes: (axes[0], ("t", "ps", np.arange(8.0))),    # 8 values, 9 columns
+])
+def test_axes_must_match_the_matrix(tmp_path, capsys, axes):
+    for kind, convert, commands in (
+            ("time-domain", dataset_to_signal, ("spectrum", "lineout")),
+            ("spectrum", dataset_to_spectrum, ("project",))):
+        data = _dataset_of_kind(kind)
+        data.axes = axes(_dataset().axes)
+        with pytest.raises(IoFailure, match="axes"):
+            convert(data)
+        path = tmp_path / f"{kind}.mdcs"
+        write_dataset(path, data)
+        for command in commands:
+            _cli_refuses(tmp_path, command, path)
+
+
+@pytest.mark.parametrize("key,value", [
+    ("frame_thz", None), ("waiting_time_ps", "soon"), ("waiting_time_ps", "nan"),
+    ("detection_mode", None), ("tau_step_ps", "inf"),
+])
+def test_signal_metadata_must_be_present_and_finite(key, value):
+    data = signal_to_dataset(TimeDomainSignal(
+        np.ones((1, 4), np.complex64), Grid(1, 4, 0.25, 0.25, 406.770), 0.5, "pl"))
+    if value is None:
+        del data.metadata[key]
+    else:
+        data.metadata[key] = value
+    with pytest.raises(IoFailure, match=key):
+        dataset_to_signal(data)
+
+
+def test_spectrum_metadata_must_be_a_number():
+    data = spectrum_to_dataset(to_spectrum(_signal()))
+    data.metadata["pad_factor"] = "2.5"
+    with pytest.raises(IoFailure, match="pad_factor"):
+        dataset_to_spectrum(data)
+
+
+def _check_read(path):
+    """``read_dataset(path)`` raises a package error or returns a valid file."""
+    try:
+        data = read_dataset(path)
+    except SivMdcsError:
+        return
+    assert data.matrix.ndim == 2 and data.matrix.dtype == np.complex64
+    assert np.isfinite(data.matrix).all()
+
+
+def test_every_cut_and_every_bit_flip_is_refused_or_read(tmp_path, capsys):
+    """A 3x5 signal file cut at every byte, and with every bit of its body
+    flipped under a recomputed CRC: reading raises only package errors, and
+    ``spectrum`` exits 0 or 3 without raising."""
+    grid = Grid(3, 5, 0.5, 0.5, 406.770)
+    data = np.arange(15, dtype=np.complex64).reshape(3, 5) * (1 - 0.5j)
+    source = tmp_path / "source.mdcs"
+    write_dataset(source, signal_to_dataset(TimeDomainSignal(data, grid, 0.5, "pl")))
+    blob = source.read_bytes()
+    path = str(tmp_path / "case.mdcs")
+    out = ["--out-dir", str(tmp_path), "--output", "spectrum.mdcs"]
+    codes = set()
+
+    def attempt(content):
+        with open(path, "wb") as fh:
+            fh.write(content)
+        _check_read(path)
+        codes.add(main(["spectrum", path, *out]))
+
+    for cut in range(len(blob)):
+        attempt(blob[:cut])
+    body = bytearray(blob[:-4])
+    for bit in range(8 * len(body)):
+        body[bit // 8] ^= 1 << bit % 8
+        attempt(_with_crc(bytes(body)))
+        body[bit // 8] ^= 1 << bit % 8
+    capsys.readouterr()
+    assert codes == {EXIT_OK, EXIT_RUNTIME}
+
+
+# --- bytes and memory of the file chain -------------------------------------
+
+def _pin_signal(dtype):
+    rng = np.random.default_rng(2024)
+    data = (rng.normal(size=(12, 10)) + 1j * rng.normal(size=(12, 10))).astype(dtype)
+    return TimeDomainSignal(data, Grid(12, 10, 0.5, 0.25, 406.77), 0.5,
+                            "heterodyne", {"n_emitters": 7})
+
+
+# sha256 of these files as the plain five-step transform and an in-memory
+# writer made them: the bytes on disk must never move
+PINNED_SHA256 = {
+    "signal": "616f592f512b88d72e15accbc5e6c23a35111e2ae6b0d8a55b1531daf68bb022",
+    ("spectrum", "complex64"):
+        "f6d16817e55350ec57b45ff4c16c9b6b04cf3a4150d806f5113b3d40f5cac6ec",
+    ("spectrum", "complex128"):
+        "dd9a7f2ec59dccd740cae339a00bddf9b0ee38f805c9e546de513600dfab20df",
+}
+
+
+@pytest.mark.parametrize("dtype", ["complex64", "complex128"])
+def test_written_bytes_are_pinned(tmp_path, dtype):
+    signal = _pin_signal(dtype)
+    write_dataset(tmp_path / "s.mdcs", signal_to_dataset(signal))
+    write_dataset(tmp_path / "f.mdcs",
+                  spectrum_to_dataset(to_spectrum(signal, pad_factor=2)))
+    digest = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+              for name in ("s.mdcs", "f.mdcs")}
+    assert digest["s.mdcs"] == PINNED_SHA256["signal"]
+    assert digest["f.mdcs"] == PINNED_SHA256[("spectrum", dtype)]
+
+
+def _peak_bytes(fn) -> int:
+    """Peak traced allocation while ``fn`` runs, its result included."""
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        fn()
+        return tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+
+
+def test_peak_memory_of_the_file_chain(tmp_path):
+    """At most one payload-sized buffer to read, none to write, and one
+    complex128 working buffer plus the output to transform (512 x 512)."""
+    n, slack = 512, 64 * 1024
+    payload = 8 * n * n                      # complex64 bytes
+    rng = np.random.default_rng(0)
+    data = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+    grid = Grid(n, n, 0.5, 0.5, 406.77)
+    narrow = TimeDomainSignal(data.astype(np.complex64), grid, 0.5, "pl")
+    wide = TimeDomainSignal(data, grid, 0.5, "pl")
+    dataset = signal_to_dataset(narrow)
+    path = tmp_path / "big.mdcs"
+
+    # write: the finiteness mask is the only payload-scale allocation
+    assert _peak_bytes(lambda: write_dataset(path, dataset)) <= payload // 8 + slack
+    # read: the file's own buffer and the finiteness mask
+    assert _peak_bytes(lambda: read_dataset(path)) <= payload + payload // 8 + slack
+    # complex64: the complex128 buffer and the complex64 result
+    assert _peak_bytes(lambda: to_spectrum(narrow)) <= 3 * payload + slack
+    # complex128: the buffer and the result
+    assert _peak_bytes(lambda: to_spectrum(wide)) <= 4 * payload + slack

@@ -191,6 +191,16 @@ def test_fit_finite_bandwidth_recovers_broad_width():
     assert result.warnings == ()
 
 
+def test_fit_finite_bandwidth_needs_five_valid_points():
+    laser = LaserSpectrum(406.77, 4.14)
+    x = np.linspace(403.0, 410.5, 9)
+    y = laser.amplitude(x) ** 2
+    for valid in (np.arange(9) < 4, np.arange(9) < 1):
+        with pytest.raises(InvalidSpec, match="too short"):
+            fit_finite_bandwidth(Trace1D(x, y, valid=valid), laser)
+    fit_finite_bandwidth(Trace1D(x, y, valid=np.arange(9) < 5), laser)   # enough
+
+
 def test_fit_finite_bandwidth_background_parameter():
     laser = LaserSpectrum(406.77, 4.14)
     sigma = 1.84 / GAUSSIAN_FWHM_PER_SIGMA

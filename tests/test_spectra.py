@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from ensembles import two_level
-from oracles import direct_spectrum_oracle
+from oracles import direct_spectrum_oracle, five_step_transform
 from sivmdcs.emitter import LaserSpectrum
 from sivmdcs.errors import InvalidSpec, NoHalfCrossing, NonSquareGrid
 from sivmdcs.response import Grid, TimeDomainSignal, synthesize_signal
@@ -37,6 +37,23 @@ def test_transform_matches_direct_sums_rectangular():
     expected = direct_spectrum_oracle(signal.data, 0.5, 0.5,
                                       spec.nu_tau_thz, spec.nu_t_thz, FRAME)
     assert np.max(np.abs(spec.data - expected)) <= 1e-9 * np.max(np.abs(expected))
+
+
+@pytest.mark.parametrize("pad", [1, 2])
+@pytest.mark.parametrize("shape", [(7, 7), (8, 8), (6, 9), (9, 4), (1, 5)])
+@pytest.mark.parametrize("dtype", [np.complex64, np.complex128])
+def test_transform_bits_match_the_five_step_reference(dtype, shape, pad):
+    signal = _random_signal(*shape, seed=4)
+    signal.data = signal.data.astype(dtype)
+    before = signal.data.copy()
+    spec = to_spectrum(signal, pad_factor=pad)
+    expected = five_step_transform(before, pad)
+    assert spec.data.dtype == expected.dtype
+    assert spec.data.tobytes() == expected.tobytes()
+    n_tau = shape[0] * pad
+    nu_tau = -(np.fft.fftshift(np.fft.fftfreq(n_tau, 0.5)) + FRAME)
+    assert spec.nu_tau_thz.tobytes() == nu_tau[np.argsort(nu_tau)].tobytes()
+    assert signal.data.tobytes() == before.tobytes()      # input left unchanged
 
 
 def test_parseval_identity():
