@@ -63,7 +63,10 @@ def _axis_step(axis, metadata, key) -> float:
     """Step of a delay axis: its spacing, or for a one-point axis the step
     recorded in the metadata (1.0 ps in files written without it)."""
     if len(axis) > 1:
-        return float(axis[1] - axis[0])
+        step = float(axis[1]) - float(axis[0])
+        if not math.isfinite(step):
+            raise IoFailure(f"dataset axis step {axis[1]} - {axis[0]} overflows")
+        return step
     return _number(metadata, key) if key in metadata else 1.0
 
 

@@ -17,15 +17,25 @@ listed emitter by emitter in table order.
 
 Two routes evaluate the double sum:
 
-* the dense route, the general path and the reference, builds both
-  exponential factors for every term and contracts them as a chunked
-  matrix product, O(N * n_tau * n_t);
+* the dense route, the general path, builds both exponential factors for
+  every term and contracts them as a chunked matrix product,
+  O(N * n_tau * n_t);
 * the difference-axis ("echo") route uses the photon-echo structure of
   the rephasing signal (Siemens et al., Opt. Express 18, 17699 (2010)).
   Terms sharing delta = d_emit - d_exc and T2 sum to
   exp[-(tau + t)/T2 - 2 pi i delta t] * h(tau - t) with
   h(L) = sum_k w_k exp(2 pi i d_exc,k L), so only the n_tau + n_t - 1
   lags of h are summed, O(N * (n_tau + n_t)).
+
+Both build their exponential factors as phasor tables
+exp(z (start + k step)), k = 0..n-1: a fresh complex exp every 64th row
+and, between, products with exp(z step), which add at most ~64 ulp to an
+entry.  A table of n rows costs ceil(n/64) + 1 exps per term instead of n,
+and an exp costs 30-40 ns per element against 1-3 ns for a multiply (numpy
+2.4, x86-64).  So the dense route takes ceil(n_tau/64) + ceil(n_t/64) + 2
+exps per term instead of n_tau + n_t, and the echo route 2 (ceil(b/64) + 1)
+per merged term instead of 2b, b ~ sqrt(n_tau + n_t).  Tests check both
+routes against a direct exp at every grid point.
 
 The echo route is taken when the two grid steps are equal and the distinct
 (delta, T2) groups are few compared with the terms (constant or class T2,
@@ -63,8 +73,9 @@ class Grid:
     def __post_init__(self):
         if self.n_tau < 1 or self.n_t < 1:
             raise InvalidSpec("grid must have at least one point per axis")
-        if self.tau_step_ps <= 0 or self.t_step_ps <= 0:
-            raise InvalidSpec("grid steps must be positive")
+        if not all(0 < step and math.isfinite(step)
+                   for step in (self.tau_step_ps, self.t_step_ps)):
+            raise InvalidSpec("grid steps must be positive and finite")
 
     @property
     def tau_ps(self) -> np.ndarray:
@@ -104,11 +115,6 @@ def _term_mask(ensemble: Ensemble) -> np.ndarray:
     return keep
 
 
-def _per_term(values: np.ndarray, keep: np.ndarray) -> np.ndarray:
-    """A per-emitter array repeated onto each of that emitter's terms."""
-    return np.broadcast_to(values[:, None], keep.shape)[keep]
-
-
 def _pathway_terms(ensemble: Ensemble, mode: str,
                    laser: LaserSpectrum | None, frame_thz: float,
                    waiting_time_ps: float):
@@ -126,22 +132,36 @@ def _pathway_terms(ensemble: Ensemble, mode: str,
     keep = _term_mask(ensemble)
     return ((lines[:, _EXCITATION] - frame_thz)[keep],
             (lines[:, _EMISSION] - frame_thz)[keep],
-            weight[keep].astype(complex), _per_term(ensemble.t2_ps, keep))
+            weight[keep].astype(complex),
+            np.broadcast_to(ensemble.t2_ps[:, None], keep.shape)[keep])
 
 
-# The echo route assembles every (delta, T2) group over the whole grid, which
-# costs about as much as 30-60 dense terms (measured on a 1024^2 grid); with
-# fewer terms per group than this the dense route is as fast or faster.
+# The echo route assembles every (delta, T2) group over the whole grid.  For
+# 8 groups of m terms on 64^2 to 1024^2 grids it takes 0.8-1.3x the dense
+# time at m = 48, 0.7-1.0x at m = 64 and 0.4-0.8x at m = 96: 64 is the
+# smallest of these where the echo route is never the slower.
 _ECHO_TERMS_PER_GROUP = 64
 # Merged terms per block of phasor tables in the echo route.
 _ECHO_CHUNK = 4096
+_ANCHOR_ROWS = 64
+
+
+def _phasors(z, n: int, step: float, start: float = 0.0) -> np.ndarray:
+    """(n, len(z)) table exp(z (start + k step)), k = 0..n-1: a fresh exp
+    every 64th row, repeated multiplication by exp(z step) between."""
+    table = np.empty((n, len(z)), dtype=complex)
+    table[::_ANCHOR_ROWS] = np.exp(
+        np.outer(start + np.arange(0, n, _ANCHOR_ROWS) * step, z))
+    ratio = np.exp(z * step)
+    for j in range(1, min(n, _ANCHOR_ROWS)):
+        rows = table[j::_ANCHOR_ROWS]
+        np.multiply(table[j - 1::_ANCHOR_ROWS][:len(rows)], ratio, out=rows)
+    return table
 
 
 def _dense_sum(nu_exc, nu_emit, weight, t2, grid: Grid, threads: int) -> np.ndarray:
-    """Dense route: both exponential factors of every term, contracted as a
-    chunked matrix product.  The general path and the reference."""
-    tau = grid.tau_ps
-    t = grid.t_ps
+    """Dense route: the phasor tables of both factors of every term,
+    contracted as a chunked matrix product.  The general path."""
     z_exc = 2j * np.pi * nu_exc - 1.0 / t2
     z_emit = -2j * np.pi * nu_emit - 1.0 / t2
 
@@ -153,10 +173,9 @@ def _dense_sum(nu_exc, nu_emit, weight, t2, grid: Grid, threads: int) -> np.ndar
 
     def partial(rng):
         lo, hi = rng
-        u = np.exp(np.outer(z_exc[lo:hi], tau))
-        v = np.exp(np.outer(z_emit[lo:hi], t))
-        u *= weight[lo:hi, None]
-        return u.T @ v
+        u = _phasors(z_exc[lo:hi], grid.n_tau, grid.tau_step_ps)
+        u *= weight[lo:hi]
+        return u @ _phasors(z_emit[lo:hi], grid.n_t, grid.t_step_ps).T
 
     # Partials are merged as they stream in, in chunk order, through a
     # binary-counter tree: deterministic for a given chunking and O(log n)
@@ -225,11 +244,10 @@ def _echo_sum(groups, grid: Grid) -> np.ndarray:
     n_tau, n_t, step = grid.n_tau, grid.n_t, grid.tau_step_ps
     n_lag = n_tau + n_t - 1
     # lag index p = b * block + j holds L = (p - n_t + 1) * step, so that
-    # exp(2 pi i d L) = coarse[b] * fine[j]: 2 sqrt(n_lag) exps per term
+    # exp(2 pi i d L) = coarse[b] * fine[j], two phasor tables of about
+    # sqrt(n_lag) rows each
     block = math.isqrt(n_lag - 1) + 1
     n_block = -(-n_lag // block)
-    fine = 2j * np.pi * step * np.arange(block)
-    coarse = 2j * np.pi * step * (np.arange(n_block) * block - (n_t - 1))
     tau = grid.tau_ps
     t = grid.t_ps
 
@@ -237,10 +255,10 @@ def _echo_sum(groups, grid: Grid) -> np.ndarray:
     for delta, t2, nu, weight in groups:
         h = np.zeros(n_block * block, dtype=complex)
         for lo in range(0, len(nu), _ECHO_CHUNK):
-            c = np.exp(np.outer(nu[lo:lo + _ECHO_CHUNK], coarse))
-            c *= weight[lo:lo + _ECHO_CHUNK, None]
-            a = np.exp(np.outer(nu[lo:lo + _ECHO_CHUNK], fine))
-            h += (c.T @ a).ravel()
+            z = 2j * np.pi * nu[lo:lo + _ECHO_CHUNK]
+            c = _phasors(z, n_block, block * step, -(n_t - 1) * step)
+            c *= weight[lo:lo + _ECHO_CHUNK]
+            h += (c @ _phasors(z, block, step).T).ravel()
         # lags[i, j] = h[i - j + n_t - 1]
         lags = sliding_window_view(h[n_lag - 1::-1], n_t)[::-1]
         part = lags * np.exp((-2j * np.pi * delta - 1.0 / t2) * t)
@@ -311,11 +329,10 @@ def waiting_time_scan(ensemble: Ensemble, tau0_ps: float, t0_ps: float,
         raise EmptyEnsemble("waiting_time_scan needs at least one emitter")
 
     nu_exc, nu_emit, weight, t2 = _pathway_terms(ensemble, mode, laser, frame_thz, 0.0)
-    t1 = _per_term(ensemble.t1_ps, _term_mask(ensemble))
-    point = np.exp((2j * np.pi * nu_exc - 1.0 / t2) * tau0_ps) \
-        * np.exp((-2j * np.pi * nu_emit - 1.0 / t2) * t0_ps)
-    out = []
-    for T in waiting_times_ps:
-        amp = complex(np.sum(weight * point * np.exp(-T / t1)))
-        out.append((float(T), amp))
-    return out
+    keep = _term_mask(ensemble)
+    per_term = np.zeros(keep.shape, dtype=complex)
+    per_term[keep] = weight * np.exp((2j * np.pi * nu_exc - 1.0 / t2) * tau0_ps
+                                     + (-2j * np.pi * nu_emit - 1.0 / t2) * t0_ps)
+    waits = np.asarray(waiting_times_ps, dtype=float)
+    amps = np.exp(-np.outer(waits, 1.0 / ensemble.t1_ps)) @ per_term.sum(axis=1)
+    return [(float(T), complex(a)) for T, a in zip(waits, amps)]

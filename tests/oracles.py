@@ -2,8 +2,9 @@
 
 Everything here is deliberately brute-force and shares no code with the
 library: a phase-cycled two-level density-matrix propagator, a pathway
-enumerator driven purely by level connectivity, direct discrete-Fourier
-sums, and finite-difference Jacobians.
+enumerator driven purely by level connectivity, the dense synthesis sum
+with a direct exp at every grid point, direct discrete-Fourier sums, and
+finite-difference Jacobians.
 """
 from __future__ import annotations
 
@@ -92,6 +93,20 @@ def gaussian_ensemble_response(nu0_thz, sigma_thz, t2_ps, t1_ps, tau_ps,
     return 2.0 * math.exp(-wait_ps / t1_ps) * math.exp(-(tau_ps + t_ps) / t2_ps) \
         * np.exp(TWO_PI * 1j * nu0_thz * lag
                  - 2.0 * math.pi ** 2 * sigma_thz ** 2 * lag ** 2)
+
+
+def exact_dense_sum(nu_exc, nu_emit, weight, t2, tau_ps, t_ps):
+    """The rephasing double sum over (tau, t) with a direct complex exp for
+    every term at every grid point, summed in chunks of 256 terms."""
+    chunk = 256
+    z_exc = 2j * np.pi * nu_exc - 1.0 / t2
+    z_emit = -2j * np.pi * nu_emit - 1.0 / t2
+    data = np.zeros((len(tau_ps), len(t_ps)), dtype=complex)
+    for lo in range(0, len(weight), chunk):
+        u = np.exp(np.outer(z_exc[lo:lo + chunk], tau_ps))
+        u *= weight[lo:lo + chunk, None]
+        data += u.T @ np.exp(np.outer(z_emit[lo:lo + chunk], t_ps))
+    return data
 
 # --- pathway enumeration from level connectivity ----------------------------
 

@@ -320,6 +320,18 @@ def test_signal_metadata_must_be_present_and_finite(key, value):
         dataset_to_signal(data)
 
 
+def test_overflowing_axis_step_is_refused(tmp_path, capsys):
+    data = signal_to_dataset(TimeDomainSignal(
+        np.ones((4, 4), np.complex64), Grid(4, 4, 0.25, 0.25, 406.770), 0.5, "pl"))
+    data.axes[0][2][:2] = (-1e308, 1e308)
+    with pytest.raises(IoFailure, match="overflows"):
+        dataset_to_signal(data)
+    path = tmp_path / "huge.mdcs"
+    write_dataset(path, data)
+    _cli_refuses(tmp_path, "spectrum", path)
+    assert "overflows" in capsys.readouterr().err
+
+
 def test_spectrum_metadata_must_be_a_number():
     data = spectrum_to_dataset(to_spectrum(_signal()))
     data.metadata["pad_factor"] = "2.5"

@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 import ensembles
-from oracles import (gaussian_ensemble_response, rephasing_response_model,
-                     rephasing_response_oracle)
+from oracles import (exact_dense_sum, gaussian_ensemble_response,
+                     rephasing_response_model, rephasing_response_oracle)
 from sivmdcs.emitter import (GAUSSIAN_FWHM_PER_SIGMA, EnsembleSpec,
                              LaserSpectrum, LevelScheme, PopulationComponent,
                              StrainDistribution, StrainModel, T2Rule,
@@ -13,8 +13,8 @@ from sivmdcs.emitter import (GAUSSIAN_FWHM_PER_SIGMA, EnsembleSpec,
 from sivmdcs.errors import EmptyEnsemble, GridTooCoarse, InvalidSpec
 from sivmdcs.pathways import REPHASING_PATHWAYS
 from sivmdcs.response import (Grid, TimeDomainSignal, _dense_sum, _echo_groups,
-                              _echo_sum, _pathway_terms, synthesize_signal,
-                              waiting_time_scan)
+                              _echo_sum, _pathway_terms, _phasors,
+                              synthesize_signal, waiting_time_scan)
 
 FRAME = 406.770
 
@@ -55,6 +55,10 @@ def test_grid_validation():
         Grid(0, 8, 1.0, 1.0, FRAME)
     with pytest.raises(InvalidSpec):
         Grid(8, 8, 0.0, 1.0, FRAME)
+    with pytest.raises(InvalidSpec):
+        Grid(4, 4, math.nan, 1.0, FRAME)
+    with pytest.raises(InvalidSpec):
+        Grid(4, 4, 1.0, math.inf, FRAME)
     g = Grid(4, 8, 1.0, 0.5, FRAME)
     assert not g.is_square
     assert np.allclose(g.tau_ps, [0, 1, 2, 3])
@@ -170,6 +174,37 @@ def test_waiting_time_scan_recovers_t1():
     assert np.allclose(np.log(ratios), 500.0 / 1700.0, rtol=1e-10)
 
 
+def test_waiting_time_scan_matches_per_term_sum_with_two_t1():
+    # both emitter kinds at each of two T1 values, so a scan that gave any
+    # emitter another's T1 would move the decay
+    rng = np.random.default_rng(8)
+    scheme = ensembles.default_scheme()
+    ens = ensembles.concat(
+        ensembles.two_level(FRAME + rng.normal(0.0, 0.1, 5), 40.0, 1000.0, 0.6),
+        ensembles.four_line(scheme, 2, 90.0, 1700.0, 0.9),
+        ensembles.two_level(FRAME + rng.normal(0.0, 0.1, 4), 70.0, 1700.0, 0.3),
+        ensembles.four_line(scheme, 3, 55.0, 1000.0, 0.5))
+    laser = LaserSpectrum(FRAME, 0.5)
+    tau0, t0 = 1.3, 2.1
+    waits = [0.0, 150.0, 700.0, 2500.0]
+    for mode in ("pl", "heterodyne"):
+        scan = waiting_time_scan(ens, tau0, t0, waits, mode, laser, FRAME)
+        for T, amp in scan:
+            want = 0.0
+            for i in range(len(ens)):
+                rows = REPHASING_PATHWAYS[:2] if ens.two_level[i] else REPHASING_PATHWAYS
+                det = ens.quantum_yield[i] if mode == "pl" else 1.0
+                for _, exc, emit in rows:
+                    d_exc = ens.lines_thz[i, exc] - FRAME
+                    d_emit = ens.lines_thz[i, emit] - FRAME
+                    want += det * laser.amplitude(ens.lines_thz[i, exc]) \
+                        * laser.amplitude(ens.lines_thz[i, emit]) \
+                        * math.exp(-T / ens.t1_ps[i]) \
+                        * np.exp((2j * np.pi * d_exc - 1.0 / ens.t2_ps[i]) * tau0) \
+                        * np.exp((-2j * np.pi * d_emit - 1.0 / ens.t2_ps[i]) * t0)
+            assert abs(amp - want) <= 1e-12 * abs(want)
+
+
 def test_waiting_time_scan_validation():
     with pytest.raises(InvalidSpec):
         waiting_time_scan(_emitter(), 1.0, 1.0, [], "pl")
@@ -181,7 +216,7 @@ def test_waiting_time_scan_validation():
 
 # --- difference-axis (echo) route against the dense reference --------------
 
-@pytest.mark.parametrize("shape", [(24, 40), (40, 24)])
+@pytest.mark.parametrize("shape", [(24, 40), (40, 24), (16, 4200)])
 @pytest.mark.parametrize("mode", ["pl", "heterodyne"])
 @pytest.mark.parametrize("laser", [None, LaserSpectrum(FRAME, 0.5)])
 @pytest.mark.parametrize("hidden_t2", [CONSTANT_T2, CLASS_T2])
@@ -193,8 +228,8 @@ def test_echo_route_matches_dense_reference(shape, mode, laser, hidden_t2):
     assert groups is not None
     signal = synthesize_signal(ensemble, grid, 0.5, mode, laser, threads=2)
     assert np.array_equal(signal.data, _echo_sum(groups, grid))
-    dense = _dense_sum(*terms, grid, 1)
-    assert np.abs(signal.data - dense).max() <= 1e-10 * np.abs(dense).max()
+    exact = exact_dense_sum(*terms, grid.tau_ps, grid.t_ps)
+    assert np.abs(signal.data - exact).max() <= 1e-10 * np.abs(exact).max()
 
 
 def test_echo_route_merges_direct_peak_pathways():
@@ -215,6 +250,46 @@ def test_dense_only_inputs_give_dense_bits(hidden_t2, grid):
     terms = _pathway_terms(ensemble, "heterodyne", None, FRAME, 0.5)
     signal = synthesize_signal(ensemble, grid, 0.5, "heterodyne")
     assert np.array_equal(signal.data, _dense_sum(*terms, grid, 1))
+    exact = exact_dense_sum(*terms, grid.tau_ps, grid.t_ps)
+    assert np.abs(signal.data - exact).max() <= 1e-12 * np.abs(exact).max()
+
+
+@pytest.mark.parametrize("mode", ["pl", "heterodyne"])
+@pytest.mark.parametrize("grid", [
+    Grid(1100, 24, 0.25, 0.25, FRAME),      # equal steps, long tau axis
+    Grid(24, 1100, 0.25, 0.2, FRAME),       # unequal steps, long t axis
+    Grid(130, 1030, 0.2, 0.25, FRAME),      # both axes past one anchor block
+])
+def test_dense_sum_matches_exact_reference(mode, grid):
+    # log-normal T2: every term has its own decay
+    ensemble = _mixed_ensemble(LOGNORMAL_T2)
+    terms = _pathway_terms(ensemble, mode, LaserSpectrum(FRAME, 0.5), FRAME, 0.5)
+    dense = _dense_sum(*terms, grid, 2)
+    exact = exact_dense_sum(*terms, grid.tau_ps, grid.t_ps)
+    assert np.abs(dense - exact).max() <= 1e-12 * np.abs(exact).max()
+
+
+@pytest.mark.skipif(np.finfo(np.longdouble).nmant <= np.finfo(float).nmant,
+                    reason="long double is no wider than float64 here")
+@pytest.mark.parametrize("n", [1, 2, 63, 64, 65, 1024, 8447])
+@pytest.mark.parametrize("echo_start", [False, True])
+def test_phasor_table_error_is_bounded_by_direct_exp(n, echo_start):
+    # detunings up to the Nyquist limit of a 0.25 ps step, with and without
+    # decay; the start is the first lag of an n-point echo axis
+    rng = np.random.default_rng(n)
+    step = 0.25
+    start = -(n - 1) * step if echo_start else 0.0
+    rate = np.where(np.arange(64) % 2, 1.0 / rng.lognormal(np.log(60.0), 0.4, 64), 0.0)
+    z = 2j * np.pi * rng.uniform(-1.9, 1.9, 64) - rate
+    k = np.arange(n, dtype=np.longdouble)[:, None]
+    exact = np.exp(z.astype(np.clongdouble)
+                   * (np.longdouble(start) + k * np.longdouble(step)))
+
+    def error(table):
+        return float(np.max(np.abs(table - exact) / np.abs(exact)))
+
+    direct = np.exp(np.outer(start + np.arange(n) * step, z))
+    assert error(_phasors(z, n, step, start)) <= error(direct) + 1.5e-14
 
 
 def test_gaussian_ensemble_matches_closed_form():
