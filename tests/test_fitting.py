@@ -64,18 +64,6 @@ def test_levenberg_marquardt_recovers_gaussian():
     assert cost < 1e-16
 
 
-def test_levenberg_marquardt_weights_shift_solution():
-    x = np.linspace(0.0, 10.0, 40)
-    y = np.where(x < 5.0, 1.0, 3.0)
-    flat = lambda xx, pp: np.full_like(xx, pp[0])
-    flat_jac = lambda xx, pp: np.ones((len(xx), 1))
-    p_even, *_ = levenberg_marquardt(flat, flat_jac, x, y, [0.0])
-    w = np.where(x < 5.0, 1.0, 0.0)
-    p_left, *_ = levenberg_marquardt(flat, flat_jac, x, y, [0.0], weights=w)
-    assert p_even[0] == pytest.approx(2.0, abs=0.1)
-    assert p_left[0] == pytest.approx(1.0, abs=1e-8)
-
-
 def test_fit_exponential_mono():
     x = np.linspace(0.0, 600.0, 120)
     trace = DecayTrace(x, 4.0 * np.exp(-x / 122.0))

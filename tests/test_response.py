@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from sivmdcs.emitter import (GAUSSIAN_FWHM_PER_SIGMA, EnsembleSpec,
                              StrainDistribution, StrainModel, T2Rule,
                              sample_ensemble)
 from sivmdcs.errors import EmptyEnsemble, GridTooCoarse, InvalidSpec
+from sivmdcs import response
 from sivmdcs.pathways import REPHASING_PATHWAYS
 from sivmdcs.response import (Grid, TimeDomainSignal, _dense_sum, _echo_groups,
                               _echo_sum, _pathway_terms, _phasors,
@@ -227,7 +229,7 @@ def test_echo_route_matches_dense_reference(shape, mode, laser, hidden_t2):
     groups = _echo_groups(*terms)
     assert groups is not None
     signal = synthesize_signal(ensemble, grid, 0.5, mode, laser, threads=2)
-    assert np.array_equal(signal.data, _echo_sum(groups, grid))
+    assert np.array_equal(signal.data, _echo_sum(groups, grid, 1))
     exact = exact_dense_sum(*terms, grid.tau_ps, grid.t_ps)
     assert np.abs(signal.data - exact).max() <= 1e-10 * np.abs(exact).max()
 
@@ -252,6 +254,49 @@ def test_dense_only_inputs_give_dense_bits(hidden_t2, grid):
     assert np.array_equal(signal.data, _dense_sum(*terms, grid, 1))
     exact = exact_dense_sum(*terms, grid.tau_ps, grid.t_ps)
     assert np.abs(signal.data - exact).max() <= 1e-12 * np.abs(exact).max()
+
+
+# --- the phasor-product kernel over many chunks -----------------------------
+
+@pytest.mark.parametrize("grid,bound", [
+    (Grid(24, 40, 0.25, 0.25, FRAME), 1e-10),     # echo route
+    (Grid(24, 40, 0.25, 0.2, FRAME), 1e-12),      # dense route
+])
+def test_many_chunks_give_thread_independent_bits(monkeypatch, grid, bound):
+    # 64-term chunks: each echo group (182 to 513 merged terms) and the
+    # dense sum (1390 terms) span at least three of them
+    monkeypatch.setattr(response, "_TABLE_ENTRIES", 64)
+    ensemble = _mixed_ensemble(CONSTANT_T2)
+    laser = LaserSpectrum(FRAME, 0.5)
+    terms = _pathway_terms(ensemble, "pl", laser, FRAME, 0.5)
+    groups = _echo_groups(*terms)
+    if grid.is_square:
+        assert min(len(nu) for _, _, nu, _ in groups) >= 3 * 64
+    assert len(terms[0]) >= 3 * 64
+    a, b, c = (synthesize_signal(ensemble, grid, 0.5, "pl", laser,
+                                 threads=threads).data for threads in (1, 3, 4))
+    assert np.array_equal(a, b) and np.array_equal(a, c)
+    exact = exact_dense_sum(*terms, grid.tau_ps, grid.t_ps)
+    assert np.abs(a - exact).max() <= bound * np.abs(exact).max()
+
+
+def test_phasor_product_memory_is_flat_in_the_term_count(monkeypatch):
+    # 64-term chunks with 1 MiB partials: a sum that held every partial
+    # would double its peak from 32 to 64 chunks
+    monkeypatch.setattr(response, "_TABLE_ENTRIES", 64 * 256)
+    rng = np.random.default_rng(4)
+    grid = Grid(256, 256, 0.25, 0.2, FRAME)
+    peaks = []
+    for n in (32 * 64, 64 * 64):
+        terms = (rng.uniform(-1.0, 1.0, n), rng.uniform(-1.0, 1.0, n),
+                 np.ones(n, dtype=complex), np.full(n, 60.0))
+        tracemalloc.start()
+        try:
+            _dense_sum(*terms, grid, 4)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] <= 1.5 * peaks[0]
 
 
 @pytest.mark.parametrize("mode", ["pl", "heterodyne"])

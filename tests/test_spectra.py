@@ -107,6 +107,9 @@ def test_diagonal_lineout_values_and_axis():
     assert np.allclose(decay.amplitude,
                        np.abs(signal.data[np.arange(16), np.arange(16)]))
     assert np.allclose(decay.time_ps, np.arange(16) * 1.0)
+    short = decay.truncated(5.0)
+    assert np.array_equal(short.time_ps, decay.time_ps[:6])
+    assert np.array_equal(short.amplitude, decay.amplitude[:6])
 
 
 def test_diagonal_lineout_requires_square_grid():
