@@ -6,7 +6,7 @@ Run:  python3 demos/hidden_population.py
 """
 from sivmdcs import parse_config
 from sivmdcs.fitting import fit_finite_bandwidth, fwhm
-from sivmdcs.reproduce import _rebin_trace, _window_trace, run_simulation
+from sivmdcs.reproduce import run_simulation
 from sivmdcs.spectra import deconvolve_laser, project_nu_t, to_spectrum
 
 CONFIG = """
@@ -38,7 +38,7 @@ signal = run_simulation(cfg, threads=4)
 projection = project_nu_t(to_spectrum(signal))
 
 center = cfg.scheme.center_thz
-window = lambda trace: _window_trace(_rebin_trace(trace, 8), center, 1.1)
+window = lambda trace: trace.rebinned(8).window(center, 1.1)
 
 # route A: divide out the squared laser spectrum, then fit a Gaussian
 deconvolved = deconvolve_laser(projection, cfg.laser, floor=0.05)

@@ -7,6 +7,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import math
 import os
 import sys
 from dataclasses import replace
@@ -111,6 +112,10 @@ def _cmd_fit_width(args):
 
 def _cmd_tscan(args):
     cfg = _load_config(args.config, args.seed)
+    if not (math.isfinite(args.step) and args.step > 0):
+        raise InvalidSpec(f"waiting-time step must be positive, got {args.step} ps")
+    if not (math.isfinite(args.start) and math.isfinite(args.stop)):
+        raise InvalidSpec(f"waiting-time range {args.start}..{args.stop} ps must be finite")
     ensemble = build_ensemble(cfg)
     waits = np.arange(args.start, args.stop + 0.5 * args.step, args.step)
     scan = waiting_time_scan(ensemble, args.tau, args.t, waits, cfg.mode,
@@ -119,8 +124,6 @@ def _cmd_tscan(args):
 
 
 def _cmd_demod(args):
-    if not args.bandwidth > 0:
-        raise InvalidSpec(f"bandwidth must be positive, got {args.bandwidth} kHz")
     cfg = _load_config(args.config)
     amplitudes = {REPHASING_SIGNATURE: complex(args.amplitude)}
     record = simulate_pulse_train(amplitudes, cfg.tags, args.duration,

@@ -197,8 +197,10 @@ def fit_exponential(trace: DecayTrace, n_components: int = 1,
     """Fit the diagonal decay to one or two decaying exponentials.
 
     Two-component results are reported with T2a < T2b.  When the two time
-    constants land within 10% of each other the fit collapses to the
-    single-exponential result and carries a 'degenerate-fit' warning.
+    constants land within 10% of each other, or one component has vanished
+    (its sum of squares over the trace is below the residual's), the fit
+    collapses to the single-exponential result and carries a
+    'degenerate-fit' warning.
     """
     if n_components not in (1, 2):
         raise InvalidSpec("n_components must be 1 or 2")
@@ -216,6 +218,16 @@ def fit_exponential(trace: DecayTrace, n_components: int = 1,
         lambda xx, pp: multi_exponential(xx, pp, floor),
         lambda xx, pp: multi_exponential_jac(xx, pp, floor),
         x, y, p0, lower=lower)
+    # Checked before convergence: with a vanished component the iteration
+    # wanders along that component's free time constant and need not stop.
+    if n_components == 2:
+        close = min(p[1], p[3]) / max(p[1], p[3]) > 0.90
+        parts = [np.sum((p[i] * np.exp(-x / p[i + 1])) ** 2) for i in (0, 2)]
+        if close or min(parts) <= cost:
+            mono = fit_exponential(trace, 1, floor)
+            return FitResult(mono.model, mono.names, mono.values, mono.sigmas,
+                             mono.residual_norm, mono.converged, mono.n_iter,
+                             warnings=mono.warnings + ("degenerate-fit",))
     if not converged:
         raise NoConvergence(f"exponential fit did not converge in {n_iter} iterations")
 
@@ -225,11 +237,6 @@ def fit_exponential(trace: DecayTrace, n_components: int = 1,
         if p[1] > p[3]:
             p = p[[2, 3, 0, 1]]
             cov = cov[np.ix_([2, 3, 0, 1], [2, 3, 0, 1])]
-        if abs(p[1] / p[3] - 1.0) < 0.10:
-            mono = fit_exponential(trace, 1, floor)
-            return FitResult(mono.model, mono.names, mono.values, mono.sigmas,
-                             mono.residual_norm, mono.converged, mono.n_iter,
-                             warnings=mono.warnings + ("degenerate-fit",))
         names = ("A", "T2a_ps", "B", "T2b_ps")
         model = "bi-exponential"
     else:
@@ -278,7 +285,7 @@ def fwhm(trace: Trace1D, model: str = "interpolated",
     interpolation of the half-maximum crossings).  ``background`` adds a
     constant additive offset parameter to the fitted models.
     """
-    mask = trace.valid_mask()
+    mask = trace.valid
     x = np.asarray(trace.freqs_thz, float)[mask]
     y = np.asarray(trace.amplitude, float)[mask]
     if len(x) < 5:
@@ -325,7 +332,7 @@ def fit_finite_bandwidth(trace: Trace1D, laser: LaserSpectrum,
     additive offset parameter.  Flags 'ill-conditioned' when the fitted
     width reaches 3x the laser bandwidth.
     """
-    mask = trace.valid_mask()
+    mask = trace.valid
     x = np.asarray(trace.freqs_thz, float)[mask]
     y = np.asarray(trace.amplitude, float)[mask]
     if len(x) < 5:

@@ -149,12 +149,12 @@ def _read_csv(path, required: int, optional=()) -> list[np.ndarray]:
 
 def write_trace_csv(path, trace: Trace1D) -> None:
     _write_csv(path, ["nu_t (THz)", "amplitude (arb)", "valid"], trace.freqs_thz,
-               trace.amplitude, trace.valid_mask().astype(int))
+               trace.amplitude, trace.valid.astype(int))
 
 
-def read_trace_csv(path, provenance: str = "projection") -> Trace1D:
+def read_trace_csv(path) -> Trace1D:
     freqs, amps, valid = _read_csv(path, 2, optional=("1",))
-    return Trace1D(freqs, amps, provenance, valid != 0)
+    return Trace1D(freqs, amps, valid != 0)
 
 
 def write_decay_csv(path, trace: DecayTrace) -> None:

@@ -12,12 +12,13 @@ dimensionally consistent.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Mapping
 
 import numpy as np
 
-from .errors import AliasError, InsufficientRecord
+from .errors import AliasError, InsufficientRecord, InvalidSpec
 from .pathways import TagSet, signature_frequency
 
 
@@ -48,6 +49,12 @@ def simulate_pulse_train(amplitudes: Mapping[tuple[int, int, int, int], complex]
     itself is far above the record's Nyquist frequency and is not
     modelled).
     """
+    if not (math.isfinite(duration_us) and duration_us > 0):
+        raise InvalidSpec(f"record duration must be positive, got {duration_us} us")
+    if not (math.isfinite(sample_rate_msps) and sample_rate_msps > 0):
+        raise InvalidSpec(f"sample rate must be positive, got {sample_rate_msps} MS/s")
+    if not np.all(np.isfinite([dc_offset, *amplitudes.values()])):
+        raise InvalidSpec("beat amplitudes and the DC offset must be finite")
     beats = {sig: signature_frequency(sig, tags) for sig in amplitudes}
     max_beat = max((abs(f) for f in beats.values()), default=0.0)
     if sample_rate_msps <= 4.0 * max_beat:
@@ -74,8 +81,10 @@ def demodulate(record: RawTrainRecord, reference_mhz: float,
     when the record is shorter than 10 / bandwidth.
     """
     bw_mhz = bandwidth_khz * 1e-3
-    if bw_mhz <= 0:
-        raise ValueError("bandwidth must be positive")
+    if not bw_mhz > 0:
+        raise InvalidSpec(f"bandwidth must be positive, got {bandwidth_khz} kHz")
+    if not math.isfinite(reference_mhz):
+        raise InvalidSpec(f"reference frequency must be finite, got {reference_mhz} MHz")
     if record.duration_us < 10.0 / bw_mhz:
         raise InsufficientRecord(
             f"record of {record.duration_us:.3g} us is shorter than "

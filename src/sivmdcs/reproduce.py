@@ -42,8 +42,14 @@ class Check:
 class Report:
     target: str
     cfg: ExperimentConfig
+    out_dir: str = "."
     checks: list[Check] = field(default_factory=list)
     artifacts: list[str] = field(default_factory=list)
+
+    def path(self, name: str) -> str:
+        """Record ``name`` as an artifact and return its path in ``out_dir``."""
+        self.artifacts.append(name)
+        return os.path.join(self.out_dir, name)
 
     def add(self, name, value, reference, passed):
         self.checks.append(Check(name, float(value), reference, bool(passed)))
@@ -319,59 +325,34 @@ def run_simulation(cfg: ExperimentConfig, mode: str | None = None, threads: int 
                              threads=threads)
 
 
-def _window_stats(spectrum, nu_tau_center, nu_t_center, half_width):
-    """(centroid_nu_tau, centroid_nu_t, integrated amplitude) in a box."""
+def _box(spectrum, nu_tau_center, nu_t_center, half_width):
+    """(centroid_nu_tau, centroid_nu_t, max |F|) in a square box; a box of
+    zeros has its centroid at its center."""
     rows = np.abs(spectrum.nu_tau_thz - nu_tau_center) <= half_width
     cols = np.abs(spectrum.nu_t_thz - nu_t_center) <= half_width
     box = np.abs(spectrum.data[np.ix_(rows, cols)])
     total = box.sum()
     if total == 0:
         return nu_tau_center, nu_t_center, 0.0
-    w_tau = box.sum(axis=1)
-    w_t = box.sum(axis=0)
-    return (float(np.sum(spectrum.nu_tau_thz[rows] * w_tau) / total),
-            float(np.sum(spectrum.nu_t_thz[cols] * w_t) / total),
-            float(total))
-
-
-def _window_max(spectrum, nu_tau_center, nu_t_center, half_width):
-    rows = np.abs(spectrum.nu_tau_thz - nu_tau_center) <= half_width
-    cols = np.abs(spectrum.nu_t_thz - nu_t_center) <= half_width
-    return float(np.abs(spectrum.data[np.ix_(rows, cols)]).max())
-
-
-def _rebin_trace(trace, factor):
-    """Block-average a trace to suppress per-bin sampling noise."""
-    n = (len(trace.freqs_thz) // factor) * factor
-    freqs = trace.freqs_thz[:n].reshape(-1, factor).mean(axis=1)
-    amps = trace.amplitude[:n].reshape(-1, factor).mean(axis=1)
-    valid = None if trace.valid is None \
-        else trace.valid[:n].reshape(-1, factor).all(axis=1)
-    return replace(trace, freqs_thz=freqs, amplitude=amps, valid=valid)
-
-
-def _window_trace(trace, center, half_width):
-    mask = np.abs(trace.freqs_thz - center) <= half_width
-    return replace(trace, freqs_thz=trace.freqs_thz[mask],
-                   amplitude=trace.amplitude[mask],
-                   valid=None if trace.valid is None else trace.valid[mask])
+    return (float(np.sum(spectrum.nu_tau_thz[rows] * box.sum(axis=1)) / total),
+            float(np.sum(spectrum.nu_t_thz[cols] * box.sum(axis=0)) / total),
+            float(box.max()))
 
 
 # --- targets ---------------------------------------------------------------
 
-def _target_fig1c(cfg, out_dir, report, threads, seed_shift):
+def _target_fig1c(cfg, report, threads, seed_shift):
     signal = run_simulation(cfg, threads=threads)
     spectrum = to_spectrum(signal)
-    _write_signal(out_dir, "fig1c_pl", signal, report)
-    write_trace_csv(_art(out_dir, "fig1c_projection.csv", report),
-                    project_nu_t(spectrum))
+    write_dataset(report.path("fig1c_pl.mdcs"), signal_to_dataset(signal))
+    write_trace_csv(report.path("fig1c_projection.csv"), project_nu_t(spectrum))
 
     lines = cfg.scheme.transition_frequencies()
     levels = cfg.scheme.transition_levels()
     bin_tau, bin_t = spectrum.bin_widths()
     half = 0.020
     for i, nu in enumerate(lines):
-        c_tau, c_t, _ = _window_stats(spectrum, -nu, nu, half)
+        c_tau, c_t, _ = _box(spectrum, -nu, nu, half)
         report.add_interval(f"direct_peak_{i}_nu_t_thz", c_t, nu - bin_t, nu + bin_t)
         report.add_interval(f"direct_peak_{i}_nu_tau_thz", c_tau,
                             -nu - bin_tau, -nu + bin_tau)
@@ -381,18 +362,18 @@ def _target_fig1c(cfg, out_dir, report, threads, seed_shift):
         for j in range(4):
             if i == j:
                 continue
-            amp = _window_max(spectrum, -lines[i], lines[j], 0.010)
+            amp = _box(spectrum, -lines[i], lines[j], 0.010)[2]
             (shared if levels[i][0] == levels[j][0] else unshared).append(amp)
     ratio = min(shared) / max(max(unshared), 1e-300)
     report.add("cross_peak_contrast", ratio, "shared/unshared >= 5", ratio >= 5.0)
 
 
-def _target_fig1d(cfg, out_dir, report, threads, seed_shift):
+def _target_fig1d(cfg, report, threads, seed_shift):
     signal = run_simulation(cfg, threads=threads)
     spectrum = to_spectrum(signal)
-    _write_signal(out_dir, "fig1d_het", signal, report)
+    write_dataset(report.path("fig1d_het.mdcs"), signal_to_dataset(signal))
     projection = project_nu_t(spectrum)
-    write_trace_csv(_art(out_dir, "fig1d_projection.csv", report), projection)
+    write_trace_csv(report.path("fig1d_projection.csv"), projection)
 
     width = interpolated_fwhm(projection.freqs_thz, projection.amplitude)
     report.add("projection_fwhm_thz", width, "expected > 1 THz", width > 1.0)
@@ -405,23 +386,22 @@ def _target_fig1d(cfg, out_dir, report, threads, seed_shift):
                f"expected <= {2 * max(bin_tau, bin_t):.4g}",
                mismatch <= 2 * max(bin_tau, bin_t))
 
-    absdata = np.abs(spectrum.data)
-    n = len(spectrum.nu_t_thz)
-    diag = np.array([absdata[n - 1 - k, k] for k in range(n)])
-    off = np.roll(absdata, n // 8, axis=0)
-    off_diag = np.array([off[n - 1 - k, k] for k in range(n)])
+    # the ridge is the array's anti-diagonal; compare it with cells n // 8 rows off
+    flipped = np.flipud(np.abs(spectrum.data))
+    diag = flipped.diagonal()
+    off_diag = np.roll(flipped, -(len(flipped) // 8), axis=0).diagonal()
     ratio = diag.mean() / max(off_diag.mean(), 1e-300)
     report.add("diagonal_ridge_contrast", ratio, "diag/off >= 10", ratio >= 10.0)
 
 
-def _target_fig2(cfg, out_dir, report, threads, seed_shift):
+def _target_fig2(cfg, report, threads, seed_shift):
     # bright branch (PL detection, coarse frequency grid)
     bright_signal = run_simulation(cfg, threads=threads)
     bright_proj = project_nu_t(to_spectrum(bright_signal))
-    write_trace_csv(_art(out_dir, "fig2_bright_projection.csv", report), bright_proj)
+    write_trace_csv(report.path("fig2_bright_projection.csv"), bright_proj)
 
     lowest = float(cfg.scheme.transition_frequencies()[0])
-    width_ghz = 1e3 * fwhm(_window_trace(bright_proj, lowest, 0.042),
+    width_ghz = 1e3 * fwhm(bright_proj.window(lowest, 0.042),
                            model="gaussian", background=True)[0]
     report.add_interval("bright_fwhm_ghz", width_ghz, 28.0 * 0.9, 28.0 * 1.1)
 
@@ -429,18 +409,18 @@ def _target_fig2(cfg, out_dir, report, threads, seed_shift):
     hidden_cfg = _shift_seed(parse_config(FIG2_HIDDEN_CONFIG), seed_shift)
     hidden_signal = run_simulation(hidden_cfg, threads=threads)
     hidden_proj = project_nu_t(to_spectrum(hidden_signal))
-    write_trace_csv(_art(out_dir, "fig2_hidden_projection.csv", report), hidden_proj)
+    write_trace_csv(report.path("fig2_hidden_projection.csv"), hidden_proj)
 
     # both width routes work on the central window; a constant-background
     # parameter absorbs the spectral-tail pedestal of the amplitude projection
     center = hidden_cfg.scheme.center_thz
     deconvolved = deconvolve_laser(hidden_proj, hidden_cfg.laser, floor=0.05)
-    write_trace_csv(_art(out_dir, "fig2_hidden_deconvolved.csv", report), deconvolved)
-    w_dec, u_dec = fwhm(_window_trace(_rebin_trace(deconvolved, 8), center, 1.1),
+    write_trace_csv(report.path("fig2_hidden_deconvolved.csv"), deconvolved)
+    w_dec, u_dec = fwhm(deconvolved.rebinned(8).window(center, 1.1),
                         model="gaussian", background=True)
     report.add_interval("hidden_fwhm_deconvolved_thz", w_dec, 1.84 * 0.95, 1.84 * 1.05)
 
-    fit = fit_finite_bandwidth(_window_trace(_rebin_trace(hidden_proj, 8), center, 1.1),
+    fit = fit_finite_bandwidth(hidden_proj.rebinned(8).window(center, 1.1),
                                hidden_cfg.laser, background=True)
     w_fb = fit.extras["fwhm_thz"]
     u_fb = fit.extras["fwhm_sigma_thz"]
@@ -452,7 +432,7 @@ def _target_fig2(cfg, out_dir, report, threads, seed_shift):
                f"expected <= {budget:.4g}", gap <= budget)
 
 
-def _target_fig3(cfg, out_dir, report, threads, seed_shift):
+def _target_fig3(cfg, report, threads, seed_shift):
     ensemble = build_ensemble(cfg)
     het = synthesize_signal(ensemble, cfg.grid, cfg.waiting_time_ps,
                             "heterodyne", cfg.laser, threads=threads)
@@ -460,8 +440,8 @@ def _target_fig3(cfg, out_dir, report, threads, seed_shift):
                            "pl", cfg.laser, threads=threads)
     het_proj = project_nu_t(to_spectrum(het))
     pl_proj = project_nu_t(to_spectrum(pl))
-    write_trace_csv(_art(out_dir, "fig3_het_projection.csv", report), het_proj)
-    write_trace_csv(_art(out_dir, "fig3_pl_projection.csv", report), pl_proj)
+    write_trace_csv(report.path("fig3_het_projection.csv"), het_proj)
+    write_trace_csv(report.path("fig3_pl_projection.csv"), pl_proj)
 
     # (a) broad-component fraction, measured in the wings.  Power weights
     # (|amplitude|^2) keep the metric sensitive to the genuine broad feature
@@ -479,26 +459,22 @@ def _target_fig3(cfg, out_dir, report, threads, seed_shift):
     report.add("fwhm_ratio_het_over_pl", w_het / w_pl,
                "expected >= 20", w_het / w_pl >= 20.0)
 
-    # (c) with yield suppression disabled, PL == Y0 * heterodyne
-    flat = replace(cfg.ensemble, components=tuple(
-        replace(c, yield_rule=0.8) for c in cfg.ensemble.components))
-    flat_ensemble = sample_ensemble(flat, cfg.scheme, cfg.strain,
-                                    cfg.ensemble_size, cfg.seed)
-    het_flat = synthesize_signal(flat_ensemble, cfg.grid, cfg.waiting_time_ps,
-                                 "heterodyne", cfg.laser, threads=threads)
-    pl_flat = synthesize_signal(flat_ensemble, cfg.grid, cfg.waiting_time_ps,
+    # (c) with yield suppression disabled, PL == Y0 * heterodyne.  The
+    # heterodyne signal does not depend on the yield, so ``het`` serves.
+    flat = replace(ensemble, quantum_yield=np.full(len(ensemble), 0.8))
+    pl_flat = synthesize_signal(flat, cfg.grid, cfg.waiting_time_ps,
                                 "pl", cfg.laser, threads=threads)
-    dev = np.max(np.abs(pl_flat.data - 0.8 * het_flat.data)) \
-        / np.max(np.abs(het_flat.data)) / 0.8
+    dev = np.max(np.abs(pl_flat.data - 0.8 * het.data)) \
+        / np.max(np.abs(het.data)) / 0.8
     report.add("yield_off_proportionality_dev", dev,
                "expected <= 1e-6", dev <= 1e-6)
 
 
-def _target_fig4(cfg, out_dir, report, threads, seed_shift):
+def _target_fig4(cfg, report, threads, seed_shift):
     # PL-detected bright diagonal: mono-exponential
     pl_signal = run_simulation(cfg, threads=threads)
     pl_decay = diagonal_lineout(pl_signal)
-    write_decay_csv(_art(out_dir, "fig4_pl_diagonal.csv", report), pl_decay)
+    write_decay_csv(report.path("fig4_pl_diagonal.csv"), pl_decay)
     mono = fit_exponential(pl_decay.truncated(600.0), 1)
     report.add_interval("pl_t2a_ps", mono["T2a_ps"], 122 - 7, 122 + 7)
 
@@ -506,7 +482,7 @@ def _target_fig4(cfg, out_dir, report, threads, seed_shift):
     het_cfg = _shift_seed(parse_config(FIG4_HET_CONFIG), seed_shift)
     het_signal = run_simulation(het_cfg, threads=threads)
     het_decay = diagonal_lineout(het_signal)
-    write_decay_csv(_art(out_dir, "fig4_het_diagonal.csv", report), het_decay)
+    write_decay_csv(report.path("fig4_het_diagonal.csv"), het_decay)
     bi = fit_exponential(het_decay, 2)
     report.add_interval("het_t2a_ps", bi["T2a_ps"], 120 - 5, 120 + 5)
     report.add_interval("het_t2b_ps", bi["T2b_ps"], 990 - 180, 990 + 180)
@@ -518,17 +494,16 @@ def _target_fig4(cfg, out_dir, report, threads, seed_shift):
                         1e3 * lorentzian_width_from_t2(bi["T2b_ps"]),
                         160 - 30, 160 + 30)
 
-    with open(os.path.join(out_dir, "fig4_fits.txt"), "w") as fh:
+    with open(report.path("fig4_fits.txt"), "w") as fh:
         fh.write(mono.as_text() + "\n\n" + bi.as_text() + "\n")
-    report.artifacts.append("fig4_fits.txt")
 
 
-def _target_t1scan(cfg, out_dir, report, threads, seed_shift):
+def _target_t1scan(cfg, report, threads, seed_shift):
     ensemble = build_ensemble(cfg)
     waits = np.arange(0.0, 4000.1, 250.0)
     scan = waiting_time_scan(ensemble, 2.0, 2.0, waits, cfg.mode,
                              cfg.laser, cfg.grid.frame_thz)
-    write_tscan_csv(_art(out_dir, "t1scan.csv", report), scan)
+    write_tscan_csv(report.path("t1scan.csv"), scan)
     amps = np.array([abs(a) for _, a in scan])
     slope, _ = np.polyfit(waits, np.log(amps), 1)
     t1_ps = -1.0 / slope
@@ -545,15 +520,6 @@ _TARGET_FNS = {
 }
 
 
-def _art(out_dir, name, report):
-    report.artifacts.append(name)
-    return os.path.join(out_dir, name)
-
-
-def _write_signal(out_dir, stem, signal, report):
-    write_dataset(_art(out_dir, stem + ".mdcs", report), signal_to_dataset(signal))
-
-
 def run_reproduction(target: str, config_text: str | None = None,
                      out_dir: str = ".", seed: int | None = None,
                      threads: int = 1) -> Report:
@@ -566,9 +532,9 @@ def run_reproduction(target: str, config_text: str | None = None,
     seed_shift = 0 if seed is None else seed - cfg.seed
     cfg = _shift_seed(cfg, seed_shift)
     os.makedirs(out_dir, exist_ok=True)
-    report = Report(target, cfg)
-    _TARGET_FNS[target](cfg, out_dir, report, threads, seed_shift)
-    with open(os.path.join(out_dir, f"{target}_report.txt"), "w") as fh:
-        fh.write(report.to_text())
-    report.artifacts.append(f"{target}_report.txt")
+    report = Report(target, cfg, out_dir)
+    _TARGET_FNS[target](cfg, report, threads, seed_shift)
+    text = report.to_text()      # the report file does not list itself
+    with open(report.path(f"{target}_report.txt"), "w") as fh:
+        fh.write(text)
     return report

@@ -318,10 +318,13 @@ def waiting_time_scan(ensemble: Ensemble, tau0_ps: float, t0_ps: float,
                       frame_thz: float = 406.770) -> list[tuple[float, complex]]:
     """Complex pathway-sum amplitude at a fixed (tau, t) point versus the
     waiting time.  For a uniform-T1 ensemble |amplitude| decays as exp(-T/T1)."""
-    if len(waiting_times_ps) == 0:
+    waits = np.asarray(waiting_times_ps, dtype=float)
+    if len(waits) == 0:
         raise InvalidSpec("waiting-time list must be non-empty")
-    if any(T < 0 for T in waiting_times_ps):
-        raise InvalidSpec("waiting times must be non-negative")
+    if not np.all(np.isfinite(waits) & (waits >= 0)):
+        raise InvalidSpec("waiting times must be finite and non-negative")
+    if not (math.isfinite(tau0_ps) and math.isfinite(t0_ps)):
+        raise InvalidSpec(f"delays tau = {tau0_ps} ps, t = {t0_ps} ps must be finite")
     if len(ensemble) == 0:
         raise EmptyEnsemble("waiting_time_scan needs at least one emitter")
 
@@ -330,6 +333,5 @@ def waiting_time_scan(ensemble: Ensemble, tau0_ps: float, t0_ps: float,
     per_term = np.zeros(keep.shape, dtype=complex)
     per_term[keep] = weight * np.exp((2j * np.pi * nu_exc - 1.0 / t2) * tau0_ps
                                      + (-2j * np.pi * nu_emit - 1.0 / t2) * t0_ps)
-    waits = np.asarray(waiting_times_ps, dtype=float)
     amps = np.exp(-np.outer(waits, 1.0 / ensemble.t1_ps)) @ per_term.sum(axis=1)
     return [(float(T), complex(a)) for T, a in zip(waits, amps)]

@@ -34,13 +34,26 @@ class Spectrum2D:
 class Trace1D:
     freqs_thz: np.ndarray
     amplitude: np.ndarray        # real, non-negative
-    provenance: str = "projection"   # "projection" | "deconvolved"
     valid: np.ndarray | None = None  # bool flags; None means all valid
 
-    def valid_mask(self) -> np.ndarray:
+    def __post_init__(self):
         if self.valid is None:
-            return np.ones(len(self.amplitude), dtype=bool)
-        return self.valid
+            self.valid = np.ones(len(self.amplitude), dtype=bool)
+
+    def window(self, center: float, half_width: float) -> Trace1D:
+        """The bins within ``half_width`` of ``center``."""
+        keep = np.abs(self.freqs_thz - center) <= half_width
+        return Trace1D(self.freqs_thz[keep], self.amplitude[keep], self.valid[keep])
+
+    def rebinned(self, factor: int) -> Trace1D:
+        """Block averages of ``factor`` bins, which suppress per-bin sampling
+        noise; a block is valid when all its bins are.  A partial last block
+        is dropped."""
+        n = (len(self.freqs_thz) // factor) * factor
+        blocks = lambda a: a[:n].reshape(-1, factor)
+        return Trace1D(blocks(self.freqs_thz).mean(axis=1),
+                       blocks(self.amplitude).mean(axis=1),
+                       blocks(self.valid).all(axis=1))
 
 
 @dataclass
@@ -98,9 +111,7 @@ def to_spectrum(signal: TimeDomainSignal, pad_factor: int = 1) -> Spectrum2D:
 
 def project_nu_t(spectrum: Spectrum2D) -> Trace1D:
     """Amplitude projection onto the nu_t axis (per-column sum of |F|)."""
-    return Trace1D(spectrum.nu_t_thz.copy(),
-                   np.abs(spectrum.data).sum(axis=0),
-                   provenance="projection")
+    return Trace1D(spectrum.nu_t_thz.copy(), np.abs(spectrum.data).sum(axis=0))
 
 
 def diagonal_lineout(signal: TimeDomainSignal) -> DecayTrace:
@@ -127,11 +138,8 @@ def deconvolve_laser(trace: Trace1D, laser: LaserSpectrum,
         raise InvalidSpec(f"deconvolution floor must be in (0, 1), got {floor}")
     l2 = laser.amplitude(trace.freqs_thz) ** 2
     threshold = floor * l2.max()
-    valid = l2 >= threshold
     out = trace.amplitude / np.maximum(l2, threshold)
-    if trace.valid is not None:
-        valid = valid & trace.valid
-    return Trace1D(trace.freqs_thz.copy(), out, provenance="deconvolved", valid=valid)
+    return Trace1D(trace.freqs_thz.copy(), out, (l2 >= threshold) & trace.valid)
 
 
 def interpolated_fwhm(freqs: np.ndarray, amplitude: np.ndarray) -> float:

@@ -241,12 +241,43 @@ def test_demod_rejects_non_positive_bandwidth(capsys):
         assert "bandwidth must be positive" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv", [
+    *(["demod", "--duration", value] for value in ("nan", "inf", "-5")),
+    *(["demod", "--sample-rate", value] for value in ("nan", "inf")),
+    ["demod", "--reference", "nan"],
+    *(["demod", "--amplitude", value] for value in ("nan", "inf")),
+    *(["tscan", "--step", value] for value in ("0", "nan")),
+    ["tscan", "--start", "nan"],
+    ["tscan", "--stop", "inf"],
+    ["tscan", "--tau", "nan"],
+], ids=" ".join)
+def test_non_finite_demod_and_tscan_arguments_are_runtime_errors(tmp_path, capsys, argv):
+    if argv[0] == "tscan":
+        argv = argv + ["--out-dir", str(tmp_path / "out")]
+    assert main(argv) == EXIT_RUNTIME
+    captured = capsys.readouterr()
+    assert "error:" in captured.err and captured.out == ""
+    assert not (tmp_path / "out").exists()
+
+
 def test_reproduce_t1scan(tmp_path, capsys):
     assert main(["reproduce", "t1scan", "--out-dir", str(tmp_path)]) == EXIT_OK
     out = capsys.readouterr().out
     assert "status = pass" in out
     assert (tmp_path / "t1scan_report.txt").exists()
     assert (tmp_path / "t1scan.csv").exists()
+
+
+def test_fit_decay_two_components_on_a_single_decay_collapses(tmp_path, capsys):
+    assert main(["reproduce", "fig4", "--out-dir", str(tmp_path)]) == EXIT_OK
+    capsys.readouterr()
+    assert main(["fit-decay", str(tmp_path / "fig4_pl_diagonal.csv"),
+                 "--components", "2", "--t-max", "600"]) == EXIT_OK
+    out = capsys.readouterr().out
+    assert "model = mono-exponential" in out
+    assert "warning = degenerate-fit" in out
+    t2a = float(out.split("T2a_ps = ")[1].split()[0])
+    assert 122 - 7 <= t2a <= 122 + 7
 
 
 def test_exit_codes_are_distinct():

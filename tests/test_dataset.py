@@ -158,7 +158,7 @@ def test_trace_csv_round_trip(tmp_path):
     again = read_trace_csv(path)
     assert np.array_equal(again.freqs_thz, trace.freqs_thz)
     assert np.array_equal(again.amplitude, trace.amplitude)
-    assert np.array_equal(again.valid_mask(), trace.valid)
+    assert np.array_equal(again.valid, trace.valid)
 
 
 def test_decay_csv_round_trip(tmp_path):
@@ -187,7 +187,7 @@ def test_trace_csv_without_valid_column_reads_as_valid(tmp_path):
     path.write_text("nu_t (THz),amplitude (arb)\n406.0,1.0\n406.1,2.0,0\n")
     again = read_trace_csv(path)
     assert np.array_equal(again.amplitude, [1.0, 2.0])
-    assert np.array_equal(again.valid_mask(), [True, False])
+    assert np.array_equal(again.valid, [True, False])
 
 
 TRACE_HEADER = "nu_t (THz),amplitude (arb),valid\n"

@@ -1,4 +1,6 @@
-"""Smoke test: every narrative script in demos/ runs to completion."""
+"""Every narrative script in demos/ runs to completion and uses only the
+public API."""
+import ast
 import os
 import subprocess
 import sys
@@ -17,3 +19,16 @@ def test_demo_runs(demo, tmp_path):
     done = subprocess.run([sys.executable, str(demo)], cwd=tmp_path, env=env,
                           capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
+
+
+@pytest.mark.parametrize("demo", DEMOS, ids=[d.name for d in DEMOS])
+def test_demo_imports_no_private_name(demo):
+    # a private name a demo needs should be made public instead
+    private = [f"{node.module}.{alias.name}"
+               for node in ast.walk(ast.parse(demo.read_text()))
+               if isinstance(node, ast.ImportFrom)
+               and (node.module or "").split(".")[0] == "sivmdcs"
+               for alias in node.names
+               if alias.name.startswith("_")
+               or any(part.startswith("_") for part in node.module.split("."))]
+    assert private == []

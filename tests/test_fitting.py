@@ -95,6 +95,21 @@ def test_fit_exponential_degenerate_collapses_to_mono():
     assert result["T2a_ps"] == pytest.approx(150.0, rel=1e-4)
 
 
+# A second component on one noisy decay drifts off in several ways: its
+# amplitude sits at 0 while the iteration never converges (seed 0), it fits
+# the first sample alone (seed 1), or it becomes a flat offset (seed 4).
+@pytest.mark.parametrize("seed", [0, 1, 4])
+def test_fit_exponential_vanished_component_collapses_to_mono(seed):
+    x = np.arange(0.0, 600.0, 2.0)
+    noise = 0.01 * np.random.default_rng(seed).normal(size=x.size)
+    trace = DecayTrace(x, np.exp(-x / 122.0) + noise)
+    result = fit_exponential(trace, 2)
+    assert result.model == "mono-exponential"
+    assert result.warnings == ("degenerate-fit",)
+    assert result["T2a_ps"] == pytest.approx(122.0, abs=3.0)
+    assert np.array_equal(result.values, fit_exponential(trace, 1).values)
+
+
 def test_fit_exponential_noise_floor():
     rng = np.random.default_rng(0)
     x = np.linspace(0.0, 1500.0, 300)

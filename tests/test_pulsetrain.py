@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from sivmdcs.errors import AliasError, InsufficientRecord
+from sivmdcs.errors import AliasError, InsufficientRecord, InvalidSpec
 from sivmdcs.pathways import TagSet, rephasing_frequency, signature_frequency
 from sivmdcs.pulsetrain import demodulate, simulate_pulse_train
 
@@ -61,7 +61,7 @@ def test_short_record_rejected():
                                   sample_rate_msps=5.0)
     with pytest.raises(InsufficientRecord):
         demodulate(record, rephasing_frequency(TAGS), bandwidth_khz=1.0)
-    with pytest.raises(ValueError):
+    with pytest.raises(InvalidSpec):
         demodulate(record, rephasing_frequency(TAGS), bandwidth_khz=0.0)
 
 

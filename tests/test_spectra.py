@@ -97,8 +97,7 @@ def test_projection_sums_columns():
     proj = project_nu_t(spec)
     assert np.allclose(proj.amplitude, np.abs(spec.data).sum(axis=0))
     assert np.array_equal(proj.freqs_thz, spec.nu_t_thz)
-    assert proj.provenance == "projection"
-    assert np.all(proj.valid_mask())
+    assert np.all(proj.valid)
 
 
 def test_diagonal_lineout_values_and_axis():
@@ -122,12 +121,11 @@ def test_deconvolve_divides_and_flags_wings():
     freqs = FRAME + np.linspace(-3.0, 3.0, 201)
     trace = Trace1D(freqs, np.ones_like(freqs))
     out = deconvolve_laser(trace, laser, floor=0.05)
-    assert out.provenance == "deconvolved"
     l2 = laser.amplitude(freqs) ** 2
     center = np.abs(freqs - FRAME) < 0.4
     assert np.allclose(out.amplitude[center], 1.0 / l2[center])
-    assert np.all(out.valid_mask() == (l2 >= 0.05 * l2.max()))
-    assert not np.all(out.valid_mask())
+    assert np.all(out.valid == (l2 >= 0.05 * l2.max()))
+    assert not np.all(out.valid)
 
 
 def test_deconvolve_respects_existing_validity_and_floor_bounds():
@@ -136,11 +134,25 @@ def test_deconvolve_respects_existing_validity_and_floor_bounds():
     trace = Trace1D(freqs, np.ones_like(freqs),
                     valid=np.arange(11) % 2 == 0)
     out = deconvolve_laser(trace, laser)
-    assert np.array_equal(out.valid_mask(), trace.valid)
+    assert np.array_equal(out.valid, trace.valid)
     with pytest.raises(InvalidSpec):
         deconvolve_laser(trace, laser, floor=0.0)
     with pytest.raises(InvalidSpec):
         deconvolve_laser(trace, laser, floor=1.0)
+
+
+def test_trace_rebinned_and_window():
+    trace = Trace1D(np.arange(10.0), 2.0 * np.arange(10.0),
+                    valid=np.arange(10) != 4)
+    binned = trace.rebinned(3)                  # the partial block 9 is dropped
+    assert np.array_equal(binned.freqs_thz, [1.0, 4.0, 7.0])
+    assert np.array_equal(binned.amplitude, [2.0, 8.0, 14.0])
+    assert np.array_equal(binned.valid, [True, False, True])
+    box = trace.window(5.0, 1.0)
+    assert np.array_equal(box.freqs_thz, [4.0, 5.0, 6.0])
+    assert np.array_equal(box.amplitude, [8.0, 10.0, 12.0])
+    assert np.array_equal(box.valid, [False, True, True])
+    assert np.all(Trace1D(np.arange(3.0), np.ones(3)).valid)
 
 
 def test_interpolated_fwhm_gaussian():
