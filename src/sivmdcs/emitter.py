@@ -216,8 +216,8 @@ class Ensemble:
 
     ``lines_thz`` has shape (n, 4): a four-line emitter's strained line
     quadruple in ascending order.  A two-level emitter has one line, its
-    strained center, in column 0; it fills the other columns too, whose
-    pathway terms are masked off.
+    strained center, in column 0; it fills the other columns too, which
+    no pathway term reads.
     """
 
     strain: np.ndarray

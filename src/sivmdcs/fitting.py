@@ -212,12 +212,13 @@ def fit_exponential(trace: DecayTrace, n_components: int = 1,
     if floor < 0:
         raise InvalidSpec("floor must be >= 0")
 
-    p0 = _exponential_init(x, y, n_components)
-    lower = np.tile([0.0, 1e-9], n_components)
-    p, cov, cost, n_iter, converged = levenberg_marquardt(
-        lambda xx, pp: multi_exponential(xx, pp, floor),
-        lambda xx, pp: multi_exponential_jac(xx, pp, floor),
-        x, y, p0, lower=lower)
+    try:    # finite but extreme samples can overflow the start or the steps
+        p, cov, cost, n_iter, converged = levenberg_marquardt(
+            lambda xx, pp: multi_exponential(xx, pp, floor),
+            lambda xx, pp: multi_exponential_jac(xx, pp, floor), x, y,
+            _exponential_init(x, y, n_components), np.tile([0.0, 1e-9], n_components))
+    except (np.linalg.LinAlgError, OverflowError) as exc:
+        raise NoConvergence(f"exponential fit failed on this trace: {exc}") from None
     # Checked before convergence: with a vanished component the iteration
     # wanders along that component's free time constant and need not stop.
     if n_components == 2:

@@ -12,8 +12,9 @@ field amplitude to the fourth power for a direct peak), d_* are detunings
 from the frame origin, and w_det is 1 for heterodyne detection or the
 emitter quantum yield for PL detection.  The pairs come from the static
 table ``pathways.REPHASING_PATHWAYS`` applied to the arrays of an
-``Ensemble``: twelve terms per four-line emitter, two per two-level one,
-listed emitter by emitter in table order.
+``Ensemble``, with the GSB and SE rows of a direct peak, which share lines,
+T2 and weight, summed as one term of twice the weight: eight terms per
+four-line emitter, one per two-level one, emitter by emitter in table order.
 
 Two routes evaluate the double sum:
 
@@ -32,12 +33,12 @@ t factors, the echo route once per group, with a coarse and a fine lag
 factor.  Each factor is a phasor table exp(z (start + k step)), k = 0..n-1:
 a fresh complex exp every 64th row and, between, products with exp(z step),
 which add at most ~64 ulp to an entry.  A table of n rows costs
-ceil(n/64) + 1 exps per term instead of n, and an exp costs 30-40 ns per
-element against 1-3 ns for a multiply (numpy 2.4, x86-64).  So the dense
-route takes ceil(n_tau/64) + ceil(n_t/64) + 2 exps per term instead of
-n_tau + n_t, and the echo route 2 (ceil(b/64) + 1) per merged term instead
-of 2b, b ~ sqrt(n_tau + n_t).  Tests check both routes against a direct exp
-at every grid point.  The kernel takes the terms in chunks of
+ceil(n/64) + 1 exps per term instead of n, one fewer from start 0 (its first
+row is 1), and an exp costs 30-40 ns per element against 1-3 ns for a
+multiply (numpy 2.4, x86-64): the dense route takes ceil(n_tau/64) +
+ceil(n_t/64) exps per term, the echo route 2 ceil(b/64) + 1 per merged term,
+b ~ sqrt(n_tau + n_t).  Tests check both routes against a direct exp at
+every grid point.  The kernel takes the terms in chunks of
 max(64, 4e6 // max(n_row, n_col)), a size set by the table shape alone,
 contracts each chunk as one matrix product and adds the partials in chunk
 order: both routes give the same bits for every thread count, and a pool
@@ -51,7 +52,7 @@ or unequal steps, the dense route runs.
 from __future__ import annotations
 
 import math
-from collections import deque
+from collections import Counter, deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Sequence
@@ -109,37 +110,40 @@ class TimeDomainSignal:
             raise InvalidSpec("signal matrix does not match its grid")
 
 
-_EXCITATION = np.array([exc for _, exc, _ in REPHASING_PATHWAYS])
-_EMISSION = np.array([emit for _, _, emit in REPHASING_PATHWAYS])
+# The merged pathway table: each (excitation, emission) pair of the table
+# once, in order, with its multiplicity (2 for a direct peak's GSB and SE).
+_MERGED = Counter((exc, emit) for _, exc, emit in REPHASING_PATHWAYS)
+_EXCITATION, _EMISSION = np.array(list(_MERGED)).T
+_MULTIPLICITY = np.array(list(_MERGED.values()), dtype=float)
+_TWO_LEVEL_TERMS = len({row[1:] for row in REPHASING_PATHWAYS[:TWO_LEVEL_PATHWAYS]})
 
 
-def _term_mask(ensemble: Ensemble) -> np.ndarray:
-    """(n, 12) mask of the pathway-table rows each emitter has: all of them
-    for a four-line emitter, the first two for a two-level one."""
-    keep = np.ones((len(ensemble), len(REPHASING_PATHWAYS)), dtype=bool)
-    keep[ensemble.two_level, TWO_LEVEL_PATHWAYS:] = False
-    return keep
-
-
-def _pathway_terms(ensemble: Ensemble, mode: str,
-                   laser: LaserSpectrum | None, frame_thz: float,
-                   waiting_time_ps: float):
-    """Flatten the ensemble into per-term arrays (detunings, rates, weights).
-
-    Each is an (n, 12) emitter-by-pathway array with the missing rows of
-    two-level emitters masked off, read row-major, so the terms come
-    emitter by emitter in pathway-table order."""
+def _pathway_terms(ensemble: Ensemble, mode: str, laser: LaserSpectrum | None,
+                   frame_thz: float, waiting_time_ps: float):
+    """Per-term arrays (d_exc, d_emit, weight, T2), gathered by (emitter,
+    merged row) index; a weight carries its row's multiplicity."""
+    counts = np.where(ensemble.two_level, _TWO_LEVEL_TERMS, len(_MULTIPLICITY))
+    emitter = np.repeat(np.arange(len(counts)), counts)
+    row = np.arange(len(emitter)) - (np.cumsum(counts) - counts).take(emitter)
+    exc = 4 * emitter + _EXCITATION.take(row)
+    emit = 4 * emitter + _EMISSION.take(row)
     lines = ensemble.lines_thz
-    filt = np.ones_like(lines) if laser is None else laser.amplitude(lines)
-    det_weight = ensemble.quantum_yield if mode == "pl" else 1.0
-    base = det_weight * ensemble.dipole ** 4 \
+    base = (ensemble.quantum_yield if mode == "pl" else 1.0) * ensemble.dipole ** 4 \
         * np.exp(-waiting_time_ps / ensemble.t1_ps)
-    weight = base[:, None] * filt[:, _EXCITATION] * filt[:, _EMISSION]
-    keep = _term_mask(ensemble)
-    return ((lines[:, _EXCITATION] - frame_thz)[keep],
-            (lines[:, _EMISSION] - frame_thz)[keep],
-            weight[keep].astype(complex),
-            np.broadcast_to(ensemble.t2_ps[:, None], keep.shape)[keep])
+    weight = base.take(emitter)
+    if laser is not None:
+        filt = laser.amplitude(lines)
+        weight = weight * filt.take(exc) * filt.take(emit)
+    weight = (weight * _MULTIPLICITY.take(row)).astype(complex)
+    return (lines.take(exc) - frame_thz, lines.take(emit) - frame_thz,
+            weight, ensemble.t2_ps.take(emitter))
+
+
+def _rates(nu, t2, sign: float) -> np.ndarray:
+    """sign 2 pi i nu - 1/T2, built by parts with that expression's bits."""
+    z = np.empty(len(nu), dtype=complex)
+    z.real, z.imag = -1.0 / t2, (sign * 2.0 * np.pi) * nu
+    return z
 
 
 # The echo route assembles every (delta, T2) group over the whole grid.  For
@@ -154,10 +158,13 @@ _ANCHOR_ROWS = 64
 
 def _phasors(z, n: int, step: float, start: float = 0.0) -> np.ndarray:
     """(n, len(z)) table exp(z (start + k step)), k = 0..n-1: a fresh exp
-    every 64th row, repeated multiplication by exp(z step) between."""
+    every 64th row, repeated multiplication by exp(z step) between.  With
+    start 0 the first row is 1 and takes no exp."""
     table = np.empty((n, len(z)), dtype=complex)
-    table[::_ANCHOR_ROWS] = np.exp(
-        np.outer(start + np.arange(0, n, _ANCHOR_ROWS) * step, z))
+    first = _ANCHOR_ROWS if start == 0 else 0
+    table[0] = 1.0              # overwritten below unless start is 0
+    table[first::_ANCHOR_ROWS] = np.exp(
+        np.outer(start + np.arange(first, n, _ANCHOR_ROWS) * step, z))
     ratio = np.exp(z * step)
     for j in range(1, min(n, _ANCHOR_ROWS)):
         rows = table[j::_ANCHOR_ROWS]
@@ -202,15 +209,14 @@ def _phasor_product(z_row, n_row: int, row_step: float, row_start: float,
 def _dense_sum(nu_exc, nu_emit, weight, t2, grid: Grid, threads: int) -> np.ndarray:
     """Dense route: both factors of every term, contracted by the phasor
     product.  The general path."""
-    return _phasor_product(2j * np.pi * nu_exc - 1.0 / t2, grid.n_tau,
-                           grid.tau_step_ps, 0.0,
-                           -2j * np.pi * nu_emit - 1.0 / t2, grid.n_t,
-                           grid.t_step_ps, weight, threads)
+    return _phasor_product(_rates(nu_exc, t2, 1.0), grid.n_tau, grid.tau_step_ps, 0.0,
+                           _rates(nu_emit, t2, -1.0), grid.n_t, grid.t_step_ps,
+                           weight, threads)
 
 
 def _echo_groups(nu_exc, nu_emit, weight, t2):
     """Split the terms into groups of exactly equal (delta, T2), merging
-    terms that also share d_exc (the GSB and SE terms of a direct peak).
+    terms that also share d_exc (those of emitters with identical lines).
 
     Returns a list of (delta, T2, d_exc array, weight array), or None when
     the groups are too many for the echo route to pay.  delta is the rounded
@@ -248,19 +254,24 @@ def _echo_sum(groups, grid: Grid, threads: int) -> np.ndarray:
     # sqrt(n_lag) rows each
     block = math.isqrt(n_lag - 1) + 1
     n_block = -(-n_lag // block)
-    tau = grid.tau_ps
-    t = grid.t_ps
-
-    data = np.zeros((n_tau, n_t), dtype=complex)
-    for delta, t2, nu, weight in groups:
+    # group 0 is written into the output, later ones added via a 64k scratch
+    data = np.empty((n_tau, n_t), dtype=complex)
+    rows = max(1, 65_536 // n_t)
+    scratch = np.empty((min(rows, n_tau), n_t), dtype=complex)
+    for g, (delta, t2, nu, weight) in enumerate(groups):
         z = 2j * np.pi * nu
         h = _phasor_product(z, n_block, block * step, -(n_t - 1) * step,
                             z, block, step, weight, threads).ravel()
         # lags[i, j] = h[i - j + n_t - 1]
         lags = sliding_window_view(h[n_lag - 1::-1], n_t)[::-1]
-        part = lags * np.exp((-2j * np.pi * delta - 1.0 / t2) * t)
-        part *= np.exp(-tau / t2)[:, None]
-        data += part
+        along_t = np.exp((-2j * np.pi * delta - 1.0 / t2) * grid.t_ps)
+        along_tau = np.exp(-grid.tau_ps / t2)[:, None]
+        for lo in range(0, n_tau, rows):
+            part = scratch[:min(rows, n_tau - lo)] if g else data[lo:lo + rows]
+            np.multiply(lags[lo:lo + rows], along_t, out=part)
+            part *= along_tau[lo:lo + rows]
+            if g:
+                data[lo:lo + rows] += part
     return data
 
 
@@ -278,37 +289,27 @@ def synthesize_signal(ensemble: Ensemble, grid: Grid,
     nu_exc, nu_emit, weight, t2 = _pathway_terms(
         ensemble, mode, laser, grid.frame_thz, waiting_time_ps)
 
-    nyq_tau = 0.5 / grid.tau_step_ps
-    nyq_t = 0.5 / grid.t_step_ps
+    nyquist = 0.5 / max(grid.tau_step_ps, grid.t_step_ps)
     max_det = max(np.abs(nu_exc).max(), np.abs(nu_emit).max())
-    if max_det >= min(nyq_tau, nyq_t):
-        raise GridTooCoarse(
-            f"largest detuning {max_det:.4g} THz exceeds Nyquist "
-            f"{min(nyq_tau, nyq_t):.4g} THz; shrink the grid step")
+    if max_det >= nyquist:
+        raise GridTooCoarse(f"largest detuning {max_det:.4g} THz exceeds Nyquist "
+                            f"{nyquist:.4g} THz; shrink the grid step")
 
     terms = (nu_exc, nu_emit, weight, t2)
-    groups = _echo_groups(*terms) \
-        if grid.tau_step_ps == grid.t_step_ps else None
-    if groups is None:
-        data = _dense_sum(*terms, grid, threads)
-    else:
-        data = _echo_sum(groups, grid, threads)
+    groups = _echo_groups(*terms) if grid.tau_step_ps == grid.t_step_ps else None
+    data = _dense_sum(*terms, grid, threads) if groups is None \
+        else _echo_sum(groups, grid, threads)
 
     if noise_rms > 0:
         rng = np.random.default_rng(noise_seed)
         scale = noise_rms / math.sqrt(2.0)
-        data = data + (rng.normal(0.0, scale, data.shape)
-                       + 1j * rng.normal(0.0, scale, data.shape))
+        data.real += rng.normal(0.0, scale, data.shape)
+        data.imag += rng.normal(0.0, scale, data.shape)
 
-    meta = {
-        "detection_mode": mode,
-        "noise_rms": noise_rms,
-        "noise_seed": noise_seed,
-        "n_emitters": len(ensemble),
-    }
+    meta = {"detection_mode": mode, "noise_rms": noise_rms,
+            "noise_seed": noise_seed, "n_emitters": len(ensemble)}
     if laser is not None:
-        meta["laser_center_thz"] = laser.center_thz
-        meta["laser_fwhm_thz"] = laser.fwhm_thz
+        meta.update(laser_center_thz=laser.center_thz, laser_fwhm_thz=laser.fwhm_thz)
     return TimeDomainSignal(data, grid, waiting_time_ps, mode, meta)
 
 
@@ -319,19 +320,17 @@ def waiting_time_scan(ensemble: Ensemble, tau0_ps: float, t0_ps: float,
     """Complex pathway-sum amplitude at a fixed (tau, t) point versus the
     waiting time.  For a uniform-T1 ensemble |amplitude| decays as exp(-T/T1)."""
     waits = np.asarray(waiting_times_ps, dtype=float)
-    if len(waits) == 0:
-        raise InvalidSpec("waiting-time list must be non-empty")
-    if not np.all(np.isfinite(waits) & (waits >= 0)):
-        raise InvalidSpec("waiting times must be finite and non-negative")
+    if len(waits) == 0 or not np.all(np.isfinite(waits) & (waits >= 0)):
+        raise InvalidSpec("waiting times must be a non-empty list of finite values >= 0")
     if not (math.isfinite(tau0_ps) and math.isfinite(t0_ps)):
         raise InvalidSpec(f"delays tau = {tau0_ps} ps, t = {t0_ps} ps must be finite")
     if len(ensemble) == 0:
         raise EmptyEnsemble("waiting_time_scan needs at least one emitter")
 
     nu_exc, nu_emit, weight, t2 = _pathway_terms(ensemble, mode, laser, frame_thz, 0.0)
-    keep = _term_mask(ensemble)
-    per_term = np.zeros(keep.shape, dtype=complex)
-    per_term[keep] = weight * np.exp((2j * np.pi * nu_exc - 1.0 / t2) * tau0_ps
-                                     + (-2j * np.pi * nu_emit - 1.0 / t2) * t0_ps)
-    amps = np.exp(-np.outer(waits, 1.0 / ensemble.t1_ps)) @ per_term.sum(axis=1)
+    per_term = weight * np.exp(_rates(nu_exc, t2, 1.0) * tau0_ps
+                               + _rates(nu_emit, t2, -1.0) * t0_ps)
+    counts = np.where(ensemble.two_level, _TWO_LEVEL_TERMS, len(_MULTIPLICITY))
+    per_emitter = np.add.reduceat(per_term, np.cumsum(counts) - counts)
+    amps = np.exp(-np.outer(waits, 1.0 / ensemble.t1_ps)) @ per_emitter
     return [(float(T), complex(a)) for T, a in zip(waits, amps)]

@@ -39,9 +39,13 @@ def test_pathway_counts():
     assert REPHASING_PATHWAYS[:8] == tuple((kind, i, i) for i in range(4)
                                            for kind in ("gsb", "se"))
     assert [exc for _, exc, _ in REPHASING_PATHWAYS[8:]] == [0, 1, 2, 3]
+    # GSB and SE of a direct peak share one term: 8 terms per four-line
+    # emitter (4 direct, then 4 cross), 1 per two-level one
     ens = concat(two_level(FRAME), four_line(default_scheme()), two_level(FRAME))
-    nu_exc, _, _, _ = _pathway_terms(ens, "heterodyne", None, FRAME, 0.5)
-    assert len(nu_exc) == 2 + 12 + 2
+    nu_exc, nu_emit, _, _ = _pathway_terms(ens, "heterodyne", None, FRAME, 0.5)
+    assert len(nu_exc) == 1 + 8 + 1
+    direct = nu_emit == nu_exc
+    assert direct.tolist() == [True] * 5 + [False] * 4 + [True]
 
 
 def test_all_pathways_positive_rephasing():

@@ -383,9 +383,28 @@ def test_monte_carlo_error_converges_as_inverse_sqrt_n():
     assert slope == pytest.approx(-0.5, abs=0.15)
 
 
+def _twelve_row_terms(ens, mode, laser, wait):
+    """Per-term arrays with one term per pathway-table row, GSB and SE
+    apart, built one row at a time."""
+    terms = []
+    for i in range(len(ens)):
+        lines = ens.lines_thz[i]
+        rows = REPHASING_PATHWAYS[:2] if ens.two_level[i] else REPHASING_PATHWAYS
+        base = (ens.quantum_yield[i] if mode == "pl" else 1.0) \
+            * ens.dipole[i] ** 4 * math.exp(-wait / ens.t1_ps[i])
+        for _, exc, emit in rows:
+            filt = 1.0 if laser is None else \
+                laser.amplitude(lines[exc]) * laser.amplitude(lines[emit])
+            terms.append((lines[exc] - FRAME, lines[emit] - FRAME,
+                          base * filt, ens.t2_ps[i]))
+    nu_exc, nu_emit, weight, t2 = np.array(terms).T
+    return nu_exc, nu_emit, weight.astype(complex), t2
+
+
 def test_pathway_terms_layout_on_mixed_ensemble():
-    # terms come emitter by emitter: 12 table rows for a four-line emitter,
-    # the first 2 for a two-level one, rebuilt here one term at a time
+    # terms come emitter by emitter in merged-table order: 8 for a four-line
+    # emitter, 1 for a two-level one, each with its row multiplicity (2 for
+    # a direct peak's GSB + SE), rebuilt here one term at a time
     ens = _mixed_ensemble(CLASS_T2, n=9, seed=2)
     assert 0 < np.count_nonzero(ens.two_level) < len(ens)
     laser = LaserSpectrum(FRAME, 0.5)
@@ -395,17 +414,64 @@ def test_pathway_terms_layout_on_mixed_ensemble():
     for i in range(len(ens)):
         lines = ens.lines_thz[i]
         rows = REPHASING_PATHWAYS[:2] if ens.two_level[i] else REPHASING_PATHWAYS
+        merged = {}
+        for _, exc, emit in rows:
+            merged[exc, emit] = merged.get((exc, emit), 0) + 1
         base = ens.quantum_yield[i] * ens.dipole[i] ** 4 \
             * math.exp(-wait / ens.t1_ps[i])
-        for _, exc, emit in rows:
+        for (exc, emit), multiplicity in merged.items():
             want.append((lines[exc] - FRAME, lines[emit] - FRAME,
                          base * laser.amplitude(lines[exc])
-                         * laser.amplitude(lines[emit]), ens.t2_ps[i]))
+                         * laser.amplitude(lines[emit]) * multiplicity,
+                         ens.t2_ps[i]))
     want = np.array(want).T
-    assert len(nu_exc) == 12 * np.count_nonzero(~ens.two_level) \
-        + 2 * np.count_nonzero(ens.two_level)
+    assert len(nu_exc) == 8 * np.count_nonzero(~ens.two_level) \
+        + np.count_nonzero(ens.two_level)
     assert np.array_equal(nu_exc, want[0])
     assert np.array_equal(nu_emit, want[1])
     assert np.array_equal(t2, want[3])
     assert weight.dtype == complex and np.all(weight.imag == 0)
     assert np.allclose(weight.real, want[2], rtol=1e-15, atol=0.0)
+
+
+@pytest.mark.parametrize("mode", ["pl", "heterodyne"])
+@pytest.mark.parametrize("laser", [None, LaserSpectrum(FRAME, 0.5)])
+def test_merged_terms_match_the_twelve_row_expansion(mode, laser):
+    ens = _mixed_ensemble(CLASS_T2, n=60, seed=6)
+    grid = Grid(24, 40, 0.25, 0.2, FRAME)
+    merged = _pathway_terms(ens, mode, laser, FRAME, 40.0)
+    twelve = _twelve_row_terms(ens, mode, laser, 40.0)
+    assert len(twelve[0]) == 12 * np.count_nonzero(~ens.two_level) \
+        + 2 * np.count_nonzero(ens.two_level)
+    want = exact_dense_sum(*twelve, grid.tau_ps, grid.t_ps)
+    got = exact_dense_sum(*merged, grid.tau_ps, grid.t_ps)
+    assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+
+
+@pytest.mark.parametrize("mode", ["pl", "heterodyne"])
+def test_waiting_time_scan_on_mixed_ensemble_with_two_t1_classes(mode):
+    spec = EnsembleSpec((
+        PopulationComponent(0.4, StrainDistribution("gaussian", 0.0, 0.03),
+                            CONSTANT_T2, t1_ns=1.0),
+        PopulationComponent(0.6, StrainDistribution("gaussian", 0.05, 0.4),
+                            CLASS_T2, t1_ns=2.5, two_level=True),
+    ))
+    model = StrainModel(yield_crossover=0.05, yield_steepness=4.0)
+    ens = sample_ensemble(spec, ensembles.default_scheme(), model, 80, seed=4)
+    assert len(set(ens.t1_ps)) == 2
+    laser = LaserSpectrum(FRAME, 0.5)
+    tau0, t0 = 1.3, 2.1
+    for T, amp in waiting_time_scan(ens, tau0, t0, [0.0, 400.0, 3000.0],
+                                    mode, laser, FRAME):
+        nu_exc, nu_emit, weight, t2 = _twelve_row_terms(ens, mode, laser, T)
+        want = np.sum(weight * np.exp((2j * np.pi * nu_exc - 1.0 / t2) * tau0)
+                      * np.exp((-2j * np.pi * nu_emit - 1.0 / t2) * t0))
+        assert abs(amp - want) <= 1e-12 * abs(want)
+
+
+def test_phasor_table_from_zero_starts_at_exactly_one():
+    rng = np.random.default_rng(2)
+    z = 2j * np.pi * rng.uniform(-1.9, 1.9, 32) - 1.0 / rng.uniform(20.0, 300.0, 32)
+    for n in (1, 64, 200):
+        table = _phasors(z, n, 0.25, 0.0)
+        assert np.array_equal(table[0], np.ones(32))
