@@ -51,6 +51,13 @@ class FitResult:
         return "\n".join(lines)
 
 
+def _lapack_input(*arrays) -> None:
+    """Raise ``NoConvergence`` unless every array is finite: LAPACK, given a
+    non-finite matrix, reports an illegal argument on the process's stdout."""
+    if not all(np.isfinite(a).all() for a in arrays):
+        raise NoConvergence("fit arithmetic overflowed on this trace")
+
+
 def levenberg_marquardt(model_fn, jac_fn, x, y, p0, lower=None):
     """Minimize sum((model(x, p) - y)^2).
 
@@ -78,6 +85,7 @@ def levenberg_marquardt(model_fn, jac_fn, x, y, p0, lower=None):
         step_ok = False
         for _ in range(40):
             damped = jtj + lam * np.diag(np.maximum(np.diag(jtj), 1e-30))
+            _lapack_input(damped, jtr)
             try:
                 delta = np.linalg.solve(damped, -jtr)
             except np.linalg.LinAlgError:
@@ -101,6 +109,7 @@ def levenberg_marquardt(model_fn, jac_fn, x, y, p0, lower=None):
 
     jac = jac_fn(x, p)
     jtj = jac.T @ jac
+    _lapack_input(jtj)
     dof = max(len(np.atleast_1d(y)) - n, 1)
     sigma2 = cost / dof
     try:
@@ -248,31 +257,43 @@ def fit_exponential(trace: DecayTrace, n_components: int = 1,
                      n_iter, warnings=warnings)
 
 
+def _line(x, y):
+    """``np.polyfit(x, y, 1)``.  polyfit divides x by the root of its sum of
+    squares, which is 0 when every x is 0 or underflows; the raised 0/0 or
+    x/0 stops it before LAPACK sees the non-finite column."""
+    try:
+        with np.errstate(divide="raise", invalid="raise"):
+            return np.polyfit(x, y, 1)
+    except FloatingPointError:
+        raise NoConvergence("trace times too close to 0 for a line fit") from None
+
+
 def _exponential_init(x, y, n_components):
     pos = y > 0
     xs, ys = x[pos], y[pos]
     if len(xs) < 4:
         raise InvalidSpec("trace has too few positive samples to initialize a fit")
     if n_components == 1:
-        slope, intercept = np.polyfit(xs, np.log(ys), 1)
+        slope, intercept = _line(xs, np.log(ys))
         tau = -1.0 / slope if slope < 0 else (xs[-1] - xs[0])
         return np.array([math.exp(intercept), max(tau, 1e-6)])
     third = max(len(xs) // 3, 2)
-    s_slow, i_slow = np.polyfit(xs[-third:], np.log(ys[-third:]), 1)
+    s_slow, i_slow = _line(xs[-third:], np.log(ys[-third:]))
     tau_slow = -1.0 / s_slow if s_slow < 0 else (xs[-1] - xs[0])
     # peel the slow component off before estimating the fast rate, keeping
     # only early points where the residual still dominates
     residual = ys - math.exp(i_slow) * np.exp(-xs / tau_slow)
     early = residual > 1e-3 * ys.max()
     if early.sum() >= 2:
-        s_fast, _ = np.polyfit(xs[early], np.log(residual[early]), 1)
+        s_fast, _ = _line(xs[early], np.log(residual[early]))
     else:
-        s_fast, _ = np.polyfit(xs[:third], np.log(ys[:third]), 1)
+        s_fast, _ = _line(xs[:third], np.log(ys[:third]))
     tau_fast = -1.0 / s_fast if s_fast < 0 else (xs[third - 1] - xs[0])
     if tau_slow <= tau_fast:
         tau_slow = 5.0 * tau_fast
     # amplitudes by linear least squares at the two candidate rates
     basis = np.column_stack([np.exp(-x / tau_fast), np.exp(-x / tau_slow)])
+    _lapack_input(basis, y)
     amps, *_ = np.linalg.lstsq(basis, y, rcond=None)
     amps = np.maximum(amps, 1e-12 * max(y.max(), 1.0))
     return np.array([amps[0], tau_fast, amps[1], tau_slow])

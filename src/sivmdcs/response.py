@@ -38,11 +38,21 @@ row is 1), and an exp costs 30-40 ns per element against 1-3 ns for a
 multiply (numpy 2.4, x86-64): the dense route takes ceil(n_tau/64) +
 ceil(n_t/64) exps per term, the echo route 2 ceil(b/64) + 1 per merged term,
 b ~ sqrt(n_tau + n_t).  Tests check both routes against a direct exp at
-every grid point.  The kernel takes the terms in chunks of
-max(64, 4e6 // max(n_row, n_col)), a size set by the table shape alone,
-contracts each chunk as one matrix product and adds the partials in chunk
-order: both routes give the same bits for every thread count, and a pool
-holds at most 2 * threads chunks at a time, so memory stays flat.
+every grid point.  The kernel takes the terms in chunks, contracts each
+chunk as one matrix product and adds the partials in chunk order.
+``_chunk_terms`` sizes a chunk from the table shape alone, so both routes
+give the same bits for every thread count:
+max(2^16 // max(n_row, n_col), 4 min(n_row, n_col)) terms.  The first
+bound holds the larger phasor table to 2^16 entries (1 MiB) whatever the
+term count: glibc reuses blocks of that size from its heap and they stay
+in L2, whereas tables of O(N) entries are mapped afresh on every call, and
+on a virtualized x86-64 host a fresh 4 KiB page costs about 3.6 us, more
+than the arithmetic done on it.  The second bound guards large outputs,
+whose full-grid partial must stay amortized over its chunk: the larger
+table then holds at least four times the partial's n_row n_col entries (on
+a 1024^2 grid, 64-term chunks each wrote a 16 MB partial and took 1.6x the
+time).  A pool holds at most 2 * threads chunks at a time, so memory stays
+flat in the term count.
 
 The echo route is taken when the two grid steps are equal and the distinct
 (delta, T2) groups are few compared with the terms (constant or class T2,
@@ -151,9 +161,17 @@ def _rates(nu, t2, sign: float) -> np.ndarray:
 # time at m = 48, 0.7-1.0x at m = 64 and 0.4-0.8x at m = 96: 64 is the
 # smallest of these where the echo route is never the slower.
 _ECHO_TERMS_PER_GROUP = 64
-# Entries of each phasor table of one chunk of terms (64 terms at least).
-_TABLE_ENTRIES = 4_000_000
+# Entries of the larger phasor table of a chunk, 1 MiB of complex values,
+# unless the large-output guard in ``_chunk_terms`` asks for more.
+_TABLE_ENTRIES = 65_536
 _ANCHOR_ROWS = 64
+
+
+def _chunk_terms(n_row: int, n_col: int) -> int:
+    """Terms per chunk of the phasor product on an (n_row, n_col) output:
+    tables of _TABLE_ENTRIES, but at least four times the output's entries
+    in the larger table."""
+    return max(_TABLE_ENTRIES // max(n_row, n_col), 4 * min(n_row, n_col))
 
 
 def _phasors(z, n: int, step: float, start: float = 0.0) -> np.ndarray:
@@ -178,7 +196,7 @@ def _phasor_product(z_row, n_row: int, row_step: float, row_start: float,
     """(n_row, n_col) sum over terms k of
     weight_k exp(z_row,k (row_start + i row_step)) exp(z_col,k j col_step),
     with chunk partials added in chunk order whatever ``threads`` is."""
-    chunk = max(64, _TABLE_ENTRIES // max(n_row, n_col))
+    chunk = _chunk_terms(n_row, n_col)
 
     def partial(lo):
         u = _phasors(z_row[lo:lo + chunk], n_row, row_step, row_start)
@@ -303,8 +321,11 @@ def synthesize_signal(ensemble: Ensemble, grid: Grid,
     if noise_rms > 0:
         rng = np.random.default_rng(noise_seed)
         scale = noise_rms / math.sqrt(2.0)
-        data.real += rng.normal(0.0, scale, data.shape)
-        data.imag += rng.normal(0.0, scale, data.shape)
+        draws = np.empty(data.shape)
+        for part in (data.real, data.imag):
+            rng.standard_normal(out=draws)
+            draws *= scale
+            part += draws
 
     meta = {"detection_mode": mode, "noise_rms": noise_rms,
             "noise_seed": noise_seed, "n_emitters": len(ensemble)}

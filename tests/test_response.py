@@ -134,7 +134,8 @@ def test_thread_count_does_not_change_bits():
 
 
 def test_thread_count_does_not_change_dense_bits():
-    # unequal steps: dense route, three chunks of 500 terms
+    # unequal steps: dense route, 1060 terms in 67 chunks of 16, the
+    # large-output guard's four times min(n_tau, n_t)
     _assert_thread_count_does_not_change_bits(Grid(4, 8000, 0.3, 0.25, FRAME))
 
 
@@ -265,7 +266,7 @@ def test_dense_only_inputs_give_dense_bits(hidden_t2, grid):
 def test_many_chunks_give_thread_independent_bits(monkeypatch, grid, bound):
     # 64-term chunks: each echo group (182 to 513 merged terms) and the
     # dense sum (1390 terms) span at least three of them
-    monkeypatch.setattr(response, "_TABLE_ENTRIES", 64)
+    monkeypatch.setattr(response, "_chunk_terms", lambda n_row, n_col: 64)
     ensemble = _mixed_ensemble(CONSTANT_T2)
     laser = LaserSpectrum(FRAME, 0.5)
     terms = _pathway_terms(ensemble, "pl", laser, FRAME, 0.5)
@@ -283,7 +284,7 @@ def test_many_chunks_give_thread_independent_bits(monkeypatch, grid, bound):
 def test_phasor_product_memory_is_flat_in_the_term_count(monkeypatch):
     # 64-term chunks with 1 MiB partials: a sum that held every partial
     # would double its peak from 32 to 64 chunks
-    monkeypatch.setattr(response, "_TABLE_ENTRIES", 64 * 256)
+    monkeypatch.setattr(response, "_chunk_terms", lambda n_row, n_col: 64)
     rng = np.random.default_rng(4)
     grid = Grid(256, 256, 0.25, 0.2, FRAME)
     peaks = []
@@ -297,6 +298,25 @@ def test_phasor_product_memory_is_flat_in_the_term_count(monkeypatch):
         finally:
             tracemalloc.stop()
     assert peaks[1] <= 1.5 * peaks[0]
+
+
+def test_small_output_tables_do_not_grow_with_the_term_count():
+    # a 6 x 5 grid: the phasor tables of each chunk stay at the fixed
+    # budget whether the ensemble gives 20k or 80k terms; only _dense_sum's
+    # two complex rate vectors grow with N
+    rng = np.random.default_rng(6)
+    grid = Grid(6, 5, 0.05, 0.04, FRAME)
+    tables = []
+    for n in (20_000, 80_000):
+        terms = (rng.uniform(-1.0, 1.0, n), rng.uniform(-1.0, 1.0, n),
+                 np.ones(n, dtype=complex), rng.lognormal(3.0, 0.5, n))
+        tracemalloc.start()
+        try:
+            _dense_sum(*terms, grid, 1)
+            tables.append(tracemalloc.get_traced_memory()[1] - 2 * 16 * n)
+        finally:
+            tracemalloc.stop()
+    assert tables[1] <= 1.1 * tables[0]
 
 
 @pytest.mark.parametrize("mode", ["pl", "heterodyne"])
