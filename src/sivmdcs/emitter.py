@@ -9,11 +9,14 @@ quantum yield.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
+from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
 from .errors import InvalidSpec, SplittingCollapse
+from .pathways import MERGED_EMISSION, MERGED_EXCITATION, MERGED_MULTIPLICITY, TWO_LEVEL_TERMS
 
 GAUSSIAN_FWHM_PER_SIGMA = 2.0 * math.sqrt(2.0 * math.log(2.0))
 
@@ -210,6 +213,18 @@ class EnsembleSpec:
             raise InvalidSpec(f"component weights must sum to 1, got {total}")
 
 
+class TermLayout(NamedTuple):
+    """Where an ensemble's pathway terms come from, one entry per term,
+    emitter by emitter in the order of the merged pathway table."""
+
+    emitter: np.ndarray          # emitter index
+    multiplicity: np.ndarray     # 2 for a direct peak's GSB + SE, else 1
+    starts: np.ndarray           # first term of each emitter
+    nu_exc_thz: np.ndarray       # absolute excitation line frequency
+    nu_emit_thz: np.ndarray      # absolute emission line frequency
+    t2_ps: np.ndarray
+
+
 @dataclass(frozen=True, eq=False)
 class Ensemble:
     """Sampled color centers as parallel numpy arrays, one entry per emitter.
@@ -248,9 +263,35 @@ class Ensemble:
             raise InvalidSpec("quantum yield must be in (0, 1]")
         if not np.all(self.t2_ps <= 2.0 * self.t1_ps + 1e-9):
             raise InvalidSpec("T2 exceeds the coherent limit 2*T1")
+        for f in fields(self):      # so that the cached term layout cannot go stale
+            getattr(self, f.name).setflags(write=False)
 
     def __len__(self) -> int:
         return len(self.strain)
+
+    @cached_property
+    def terms(self) -> TermLayout:
+        """The pathway-term layout, built on first use."""
+        counts = np.where(self.two_level, TWO_LEVEL_TERMS, len(MERGED_MULTIPLICITY))
+        starts = np.cumsum(counts) - counts
+        # one 1.5 MB block at 62k terms lifts glibc's mmap threshold over the
+        # 1 MiB phasor tables, which then come back from the heap (1.8k minor
+        # faults per sweep item, against up to 6.9k with three separate rows)
+        mult, nu_exc, nu_emit = np.empty((3, counts.sum()))
+        # a four-line emitter has every merged row, a two-level one the first
+        for kind, rows in ((~self.two_level, slice(None)),
+                           (self.two_level, slice(TWO_LEVEL_TERMS))):
+            own = np.flatnonzero(kind)
+            at = starts.take(own)[:, None] + np.arange(len(MERGED_MULTIPLICITY))[rows]
+            lines = self.lines_thz.take(own, axis=0)
+            mult[at] = MERGED_MULTIPLICITY[rows]
+            nu_exc[at] = lines[:, MERGED_EXCITATION[rows]]
+            nu_emit[at] = lines[:, MERGED_EMISSION[rows]]
+        layout = TermLayout(np.repeat(np.arange(len(self)), counts), mult, starts,
+                            nu_exc, nu_emit, np.repeat(self.t2_ps, counts))
+        for values in layout:
+            values.setflags(write=False)
+        return layout
 
 
 def sample_ensemble(spec: EnsembleSpec, base: LevelScheme, model: StrainModel,

@@ -9,7 +9,7 @@ Jacobians.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -206,10 +206,11 @@ def fit_exponential(trace: DecayTrace, n_components: int = 1,
     """Fit the diagonal decay to one or two decaying exponentials.
 
     Two-component results are reported with T2a < T2b.  When the two time
-    constants land within 10% of each other, or one component has vanished
-    (its sum of squares over the trace is below the residual's), the fit
-    collapses to the single-exponential result and carries a
-    'degenerate-fit' warning.
+    constants land within 10% of each other, one component has vanished
+    (its sum of squares over the trace is below the residual's), or one
+    component is unresolved (the sigma of its amplitude or of its time
+    constant is at least the value itself), the fit collapses to the
+    single-exponential result and carries a 'degenerate-fit' warning.
     """
     if n_components not in (1, 2):
         raise InvalidSpec("n_components must be 1 or 2")
@@ -228,33 +229,28 @@ def fit_exponential(trace: DecayTrace, n_components: int = 1,
             _exponential_init(x, y, n_components), np.tile([0.0, 1e-9], n_components))
     except (np.linalg.LinAlgError, OverflowError) as exc:
         raise NoConvergence(f"exponential fit failed on this trace: {exc}") from None
+    sigmas = np.sqrt(np.maximum(np.diag(cov), 0.0))
     # Checked before convergence: with a vanished component the iteration
     # wanders along that component's free time constant and need not stop.
     if n_components == 2:
         close = min(p[1], p[3]) / max(p[1], p[3]) > 0.90
         parts = [np.sum((p[i] * np.exp(-x / p[i + 1])) ** 2) for i in (0, 2)]
-        if close or min(parts) <= cost:
+        if close or min(parts) <= cost or np.any(sigmas >= p):
             mono = fit_exponential(trace, 1, floor)
-            return FitResult(mono.model, mono.names, mono.values, mono.sigmas,
-                             mono.residual_norm, mono.converged, mono.n_iter,
-                             warnings=mono.warnings + ("degenerate-fit",))
+            return replace(mono, warnings=mono.warnings + ("degenerate-fit",))
     if not converged:
         raise NoConvergence(f"exponential fit did not converge in {n_iter} iterations")
 
-    warnings = ()
     if n_components == 2:
         # canonical ordering: T2a < T2b
         if p[1] > p[3]:
-            p = p[[2, 3, 0, 1]]
-            cov = cov[np.ix_([2, 3, 0, 1], [2, 3, 0, 1])]
+            p, sigmas = p[[2, 3, 0, 1]], sigmas[[2, 3, 0, 1]]
         names = ("A", "T2a_ps", "B", "T2b_ps")
         model = "bi-exponential"
     else:
         names = ("A", "T2a_ps")
         model = "mono-exponential"
-    sigmas = np.sqrt(np.maximum(np.diag(cov), 0.0))
-    return FitResult(model, names, p, sigmas, math.sqrt(cost), converged,
-                     n_iter, warnings=warnings)
+    return FitResult(model, names, p, sigmas, math.sqrt(cost), converged, n_iter)
 
 
 def _line(x, y):

@@ -19,7 +19,10 @@ emitter, of which a two-level emitter (one line) has the first two.
 """
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
+
+import numpy as np
 
 REPHASING_SIGNATURE = (-1, 1, 1, -1)
 
@@ -34,6 +37,13 @@ REPHASING_PATHWAYS = (
     ("gsb", 0, 2), ("gsb", 1, 3), ("gsb", 2, 0), ("gsb", 3, 1),
 )
 TWO_LEVEL_PATHWAYS = 2
+
+# The merged table that synthesis reads: each (excitation, emission) pair once,
+# in order, with its multiplicity (2 for a direct peak's GSB and SE).
+_MERGED = Counter((exc, emit) for _, exc, emit in REPHASING_PATHWAYS)
+MERGED_EXCITATION, MERGED_EMISSION = np.array(list(_MERGED)).T
+MERGED_MULTIPLICITY = np.array(list(_MERGED.values()), dtype=float)
+TWO_LEVEL_TERMS = len({row[1:] for row in REPHASING_PATHWAYS[:TWO_LEVEL_PATHWAYS]})
 
 
 @dataclass(frozen=True)

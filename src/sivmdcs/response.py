@@ -10,11 +10,12 @@ contributes a separable term
 where I is the unit-peak laser spectral weight (so the filter equals the
 field amplitude to the fourth power for a direct peak), d_* are detunings
 from the frame origin, and w_det is 1 for heterodyne detection or the
-emitter quantum yield for PL detection.  The pairs come from the static
-table ``pathways.REPHASING_PATHWAYS`` applied to the arrays of an
-``Ensemble``, with the GSB and SE rows of a direct peak, which share lines,
-T2 and weight, summed as one term of twice the weight: eight terms per
-four-line emitter, one per two-level one, emitter by emitter in table order.
+emitter quantum yield for PL detection.  The terms follow the merged
+pathway table of ``pathways`` (a direct peak's GSB and SE rows are one term
+of twice the weight): eight per four-line emitter, one per two-level one,
+emitter by emitter.  The ensemble owns that layout, ``Ensemble.terms``,
+built once; a call applies its mode, laser, frame and waiting time to it
+one chunk of terms at a time.
 
 Two routes evaluate the double sum:
 
@@ -28,31 +29,28 @@ Two routes evaluate the double sum:
   lags of h are summed, O(N * (n_tau + n_t)).
 
 Both call one kernel, ``_phasor_product``, a weighted sum over terms of two
-exponential factors on uniform axes: the dense route once, with the tau and
-t factors, the echo route once per group, with a coarse and a fine lag
-factor.  Each factor is a phasor table exp(z (start + k step)), k = 0..n-1:
-a fresh complex exp every 64th row and, between, products with exp(z step),
-which add at most ~64 ulp to an entry.  A table of n rows costs
-ceil(n/64) + 1 exps per term instead of n, one fewer from start 0 (its first
-row is 1), and an exp costs 30-40 ns per element against 1-3 ns for a
-multiply (numpy 2.4, x86-64): the dense route takes ceil(n_tau/64) +
-ceil(n_t/64) exps per term, the echo route 2 ceil(b/64) + 1 per merged term,
-b ~ sqrt(n_tau + n_t).  Tests check both routes against a direct exp at
-every grid point.  The kernel takes the terms in chunks, contracts each
-chunk as one matrix product and adds the partials in chunk order.
-``_chunk_terms`` sizes a chunk from the table shape alone, so both routes
-give the same bits for every thread count:
-max(2^16 // max(n_row, n_col), 4 min(n_row, n_col)) terms.  The first
-bound holds the larger phasor table to 2^16 entries (1 MiB) whatever the
-term count: glibc reuses blocks of that size from its heap and they stay
-in L2, whereas tables of O(N) entries are mapped afresh on every call, and
-on a virtualized x86-64 host a fresh 4 KiB page costs about 3.6 us, more
-than the arithmetic done on it.  The second bound guards large outputs,
-whose full-grid partial must stay amortized over its chunk: the larger
-table then holds at least four times the partial's n_row n_col entries (on
-a 1024^2 grid, 64-term chunks each wrote a 16 MB partial and took 1.6x the
-time).  A pool holds at most 2 * threads chunks at a time, so memory stays
-flat in the term count.
+exponential factors on uniform axes: the dense route once, the echo route
+once per group, with a coarse and a fine lag factor.  Each factor is a
+phasor table exp(z (start + k step)): a fresh complex exp every 64th row,
+products with exp(z step) between (at most ~64 ulp per entry), so a table
+of n rows costs ceil(n/64) + 1 exps per term, one fewer from start 0, at
+30-40 ns per exp against 1-3 ns per multiply (numpy 2.4, x86-64): the dense
+route takes ceil(n_tau/64) + ceil(n_t/64) exps per term, the echo route
+2 ceil(b/64) + 1 per merged term, b ~ sqrt(n_tau + n_t).  Tests check both
+routes against a direct exp at every grid point.  The kernel
+contracts each chunk of terms as one matrix product and adds the partials
+in chunk order; ``_chunk_terms`` sizes a chunk from the table shape alone,
+so the bits do not depend on the thread count.  It holds the larger table
+to 1 MiB whatever the term count, so that the table stays in L2 and comes
+back from the heap instead of fresh pages (about 3.6 us per 4 KiB page on a
+virtualized x86-64 host), but keeps at least four times the output's
+entries in it, so that a large output's partial stays amortized (64-term
+chunks took 1.6x the time on a 1024^2 grid).  A chunk
+builds its own rates and weights and a pool holds at most 2 * threads
+chunks, so memory stays flat in the term count.  ``waiting_time_scan``
+contracts its per-emitter sums, as (n, 2) floats, with real tables of
+exp(-T/T1) in chunks of ``_chunk_terms(n_waits, 1)`` emitters, so its
+memory is flat in n_waits * n too.
 
 The echo route is taken when the two grid steps are equal and the distinct
 (delta, T2) groups are few compared with the terms (constant or class T2,
@@ -62,7 +60,7 @@ or unequal steps, the dense route runs.
 from __future__ import annotations
 
 import math
-from collections import Counter, deque
+from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Sequence
@@ -72,7 +70,6 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from .emitter import Ensemble, LaserSpectrum
 from .errors import EmptyEnsemble, GridTooCoarse, InvalidSpec
-from .pathways import REPHASING_PATHWAYS, TWO_LEVEL_PATHWAYS
 
 DETECTION_MODES = ("pl", "heterodyne")
 
@@ -120,33 +117,25 @@ class TimeDomainSignal:
             raise InvalidSpec("signal matrix does not match its grid")
 
 
-# The merged pathway table: each (excitation, emission) pair of the table
-# once, in order, with its multiplicity (2 for a direct peak's GSB and SE).
-_MERGED = Counter((exc, emit) for _, exc, emit in REPHASING_PATHWAYS)
-_EXCITATION, _EMISSION = np.array(list(_MERGED)).T
-_MULTIPLICITY = np.array(list(_MERGED.values()), dtype=float)
-_TWO_LEVEL_TERMS = len({row[1:] for row in REPHASING_PATHWAYS[:TWO_LEVEL_PATHWAYS]})
-
-
 def _pathway_terms(ensemble: Ensemble, mode: str, laser: LaserSpectrum | None,
                    frame_thz: float, waiting_time_ps: float):
-    """Per-term arrays (d_exc, d_emit, weight, T2), gathered by (emitter,
-    merged row) index; a weight carries its row's multiplicity."""
-    counts = np.where(ensemble.two_level, _TWO_LEVEL_TERMS, len(_MULTIPLICITY))
-    emitter = np.repeat(np.arange(len(counts)), counts)
-    row = np.arange(len(emitter)) - (np.cumsum(counts) - counts).take(emitter)
-    exc = 4 * emitter + _EXCITATION.take(row)
-    emit = 4 * emitter + _EMISSION.take(row)
-    lines = ensemble.lines_thz
+    """The function (lo, hi) -> per-term arrays (d_exc, d_emit, weight, T2)
+    of terms lo:hi of the ensemble's cached layout, every term when called
+    with no arguments; a weight carries its row's multiplicity."""
+    layout = ensemble.terms
     base = (ensemble.quantum_yield if mode == "pl" else 1.0) * ensemble.dipole ** 4 \
         * np.exp(-waiting_time_ps / ensemble.t1_ps)
-    weight = base.take(emitter)
-    if laser is not None:
-        filt = laser.amplitude(lines)
-        weight = weight * filt.take(exc) * filt.take(emit)
-    weight = (weight * _MULTIPLICITY.take(row)).astype(complex)
-    return (lines.take(exc) - frame_thz, lines.take(emit) - frame_thz,
-            weight, ensemble.t2_ps.take(emitter))
+
+    def terms(lo=0, hi=None):
+        nu_exc, nu_emit = layout.nu_exc_thz[lo:hi], layout.nu_emit_thz[lo:hi]
+        weight = base.take(layout.emitter[lo:hi])
+        if laser is not None:
+            weight *= laser.amplitude(nu_exc)
+            weight *= laser.amplitude(nu_emit)
+        weight *= layout.multiplicity[lo:hi]
+        return (nu_exc - frame_thz, nu_emit - frame_thz, weight.astype(complex),
+                layout.t2_ps[lo:hi])
+    return terms
 
 
 def _rates(nu, t2, sign: float) -> np.ndarray:
@@ -161,9 +150,7 @@ def _rates(nu, t2, sign: float) -> np.ndarray:
 # time at m = 48, 0.7-1.0x at m = 64 and 0.4-0.8x at m = 96: 64 is the
 # smallest of these where the echo route is never the slower.
 _ECHO_TERMS_PER_GROUP = 64
-# Entries of the larger phasor table of a chunk, 1 MiB of complex values,
-# unless the large-output guard in ``_chunk_terms`` asks for more.
-_TABLE_ENTRIES = 65_536
+_TABLE_ENTRIES = 65_536        # of the larger table of a chunk: 1 MiB
 _ANCHOR_ROWS = 64
 
 
@@ -190,21 +177,22 @@ def _phasors(z, n: int, step: float, start: float = 0.0) -> np.ndarray:
     return table
 
 
-def _phasor_product(z_row, n_row: int, row_step: float, row_start: float,
-                    z_col, n_col: int, col_step: float, weight,
+def _phasor_product(factors, n_terms: int, n_row: int, row_step: float,
+                    row_start: float, n_col: int, col_step: float,
                     threads: int) -> np.ndarray:
-    """(n_row, n_col) sum over terms k of
-    weight_k exp(z_row,k (row_start + i row_step)) exp(z_col,k j col_step),
-    with chunk partials added in chunk order whatever ``threads`` is."""
+    """(n_row, n_col) sum over terms k of weight_k exp(z_row,k (row_start +
+    i row_step)) exp(z_col,k j col_step), ``factors(lo, hi)`` giving (z_row,
+    z_col, weight) of terms lo:hi; partials add in chunk order at any threads."""
     chunk = _chunk_terms(n_row, n_col)
 
     def partial(lo):
-        u = _phasors(z_row[lo:lo + chunk], n_row, row_step, row_start)
-        u *= weight[lo:lo + chunk]
-        return u @ _phasors(z_col[lo:lo + chunk], n_col, col_step).T
+        z_row, z_col, weight = factors(lo, lo + chunk)
+        u = _phasors(z_row, n_row, row_step, row_start)
+        u *= weight
+        return u @ _phasors(z_col, n_col, col_step).T
 
     def partials():
-        starts = range(0, len(weight), chunk)
+        starts = range(0, n_terms, chunk)
         if threads <= 1 or len(starts) == 1:
             yield from map(partial, starts)
             return
@@ -224,12 +212,14 @@ def _phasor_product(z_row, n_row: int, row_step: float, row_start: float,
     return total
 
 
-def _dense_sum(nu_exc, nu_emit, weight, t2, grid: Grid, threads: int) -> np.ndarray:
-    """Dense route: both factors of every term, contracted by the phasor
-    product.  The general path."""
-    return _phasor_product(_rates(nu_exc, t2, 1.0), grid.n_tau, grid.tau_step_ps, 0.0,
-                           _rates(nu_emit, t2, -1.0), grid.n_t, grid.t_step_ps,
-                           weight, threads)
+def _dense_sum(terms, n_terms: int, grid: Grid, threads: int) -> np.ndarray:
+    """Dense route, the general path, on ``terms(lo, hi)`` = (d_exc, d_emit, weight, T2)."""
+    def factors(lo, hi):
+        nu_exc, nu_emit, weight, t2 = terms(lo, hi)
+        return _rates(nu_exc, t2, 1.0), _rates(nu_emit, t2, -1.0), weight
+
+    return _phasor_product(factors, n_terms, grid.n_tau, grid.tau_step_ps, 0.0,
+                           grid.n_t, grid.t_step_ps, threads)
 
 
 def _echo_groups(nu_exc, nu_emit, weight, t2):
@@ -272,24 +262,29 @@ def _echo_sum(groups, grid: Grid, threads: int) -> np.ndarray:
     # sqrt(n_lag) rows each
     block = math.isqrt(n_lag - 1) + 1
     n_block = -(-n_lag // block)
-    # group 0 is written into the output, later ones added via a 64k scratch
+    factors = []
+    for delta, t2, nu, weight in groups:
+        z = 2j * np.pi * nu
+        h = _phasor_product(lambda lo, hi, z=z, w=weight: (z[lo:hi], z[lo:hi], w[lo:hi]),
+                            len(weight), n_block, block * step, -(n_t - 1) * step,
+                            block, step, threads).ravel()
+        # lags[i, j] = h[i - j + n_t - 1]
+        factors.append((sliding_window_view(h[n_lag - 1::-1], n_t)[::-1],
+                        np.exp((-2j * np.pi * delta - 1.0 / t2) * grid.t_ps),
+                        np.exp(-grid.tau_ps / t2)[:, None]))
+    # row block by row block of about 64k entries: group 0 writes the block,
+    # later groups add to it through a scratch block, in group order
     data = np.empty((n_tau, n_t), dtype=complex)
     rows = max(1, 65_536 // n_t)
     scratch = np.empty((min(rows, n_tau), n_t), dtype=complex)
-    for g, (delta, t2, nu, weight) in enumerate(groups):
-        z = 2j * np.pi * nu
-        h = _phasor_product(z, n_block, block * step, -(n_t - 1) * step,
-                            z, block, step, weight, threads).ravel()
-        # lags[i, j] = h[i - j + n_t - 1]
-        lags = sliding_window_view(h[n_lag - 1::-1], n_t)[::-1]
-        along_t = np.exp((-2j * np.pi * delta - 1.0 / t2) * grid.t_ps)
-        along_tau = np.exp(-grid.tau_ps / t2)[:, None]
-        for lo in range(0, n_tau, rows):
-            part = scratch[:min(rows, n_tau - lo)] if g else data[lo:lo + rows]
+    for lo in range(0, n_tau, rows):
+        out = data[lo:lo + rows]
+        for g, (lags, along_t, along_tau) in enumerate(factors):
+            part = scratch[:len(out)] if g else out
             np.multiply(lags[lo:lo + rows], along_t, out=part)
             part *= along_tau[lo:lo + rows]
             if g:
-                data[lo:lo + rows] += part
+                out += part
     return data
 
 
@@ -304,18 +299,18 @@ def synthesize_signal(ensemble: Ensemble, grid: Grid,
     if len(ensemble) == 0:
         raise EmptyEnsemble("synthesize_signal needs at least one emitter")
 
-    nu_exc, nu_emit, weight, t2 = _pathway_terms(
-        ensemble, mode, laser, grid.frame_thz, waiting_time_ps)
-
+    layout = ensemble.terms
     nyquist = 0.5 / max(grid.tau_step_ps, grid.t_step_ps)
-    max_det = max(np.abs(nu_exc).max(), np.abs(nu_emit).max())
+    # every emitting line also excites, and rounding nu - frame is monotonic
+    max_det = max(abs(nu - grid.frame_thz) for nu in (layout.nu_exc_thz.min(),
+                                                       layout.nu_exc_thz.max()))
     if max_det >= nyquist:
         raise GridTooCoarse(f"largest detuning {max_det:.4g} THz exceeds Nyquist "
                             f"{nyquist:.4g} THz; shrink the grid step")
 
-    terms = (nu_exc, nu_emit, weight, t2)
-    groups = _echo_groups(*terms) if grid.tau_step_ps == grid.t_step_ps else None
-    data = _dense_sum(*terms, grid, threads) if groups is None \
+    terms = _pathway_terms(ensemble, mode, laser, grid.frame_thz, waiting_time_ps)
+    groups = _echo_groups(*terms()) if grid.tau_step_ps == grid.t_step_ps else None
+    data = _dense_sum(terms, len(layout.t2_ps), grid, threads) if groups is None \
         else _echo_sum(groups, grid, threads)
 
     if noise_rms > 0:
@@ -348,10 +343,17 @@ def waiting_time_scan(ensemble: Ensemble, tau0_ps: float, t0_ps: float,
     if len(ensemble) == 0:
         raise EmptyEnsemble("waiting_time_scan needs at least one emitter")
 
-    nu_exc, nu_emit, weight, t2 = _pathway_terms(ensemble, mode, laser, frame_thz, 0.0)
-    per_term = weight * np.exp(_rates(nu_exc, t2, 1.0) * tau0_ps
-                               + _rates(nu_emit, t2, -1.0) * t0_ps)
-    counts = np.where(ensemble.two_level, _TWO_LEVEL_TERMS, len(_MULTIPLICITY))
-    per_emitter = np.add.reduceat(per_term, np.cumsum(counts) - counts)
-    amps = np.exp(-np.outer(waits, 1.0 / ensemble.t1_ps)) @ per_emitter
-    return [(float(T), complex(a)) for T, a in zip(waits, amps)]
+    layout = ensemble.terms
+    terms = _pathway_terms(ensemble, mode, laser, frame_thz, 0.0)
+    chunk = _chunk_terms(len(waits), 1)
+    amps = np.zeros((len(waits), 2))
+    for first in range(0, len(ensemble), chunk):
+        starts = layout.starts[first:first + chunk]
+        end = layout.starts[first + chunk] if first + chunk < len(ensemble) else None
+        nu_exc, nu_emit, weight, t2 = terms(starts[0], end)
+        per_term = weight * np.exp(_rates(nu_exc, t2, 1.0) * tau0_ps
+                                   + _rates(nu_emit, t2, -1.0) * t0_ps)
+        per_emitter = np.add.reduceat(per_term, starts - starts[0])
+        decay = np.multiply.outer(-waits, 1.0 / ensemble.t1_ps[first:first + chunk])
+        amps += np.exp(decay, out=decay) @ per_emitter.view(float).reshape(-1, 2)
+    return [(float(T), complex(re, im)) for T, (re, im) in zip(waits, amps)]

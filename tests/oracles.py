@@ -3,11 +3,13 @@
 Everything here is deliberately brute-force and shares no code with the
 library: a phase-cycled two-level density-matrix propagator, a pathway
 enumerator driven purely by level connectivity, the dense synthesis sum
-with a direct exp at every grid point, direct discrete-Fourier sums, and
-finite-difference Jacobians.
+with a direct exp at every grid point, a waiting-time scan summed one
+emitter, one wait and one pathway at a time, direct discrete-Fourier sums,
+and finite-difference Jacobians.
 """
 from __future__ import annotations
 
+import cmath
 import itertools
 import math
 
@@ -125,6 +127,45 @@ def enumerate_pathways_oracle(levels):
             if gj == gi:
                 triples.append(("gsb", i, j))
     return triples
+
+
+# (ground, excited) sublevels of the four lines in ascending frequency, the
+# column order of an ensemble's lines; a two-level emitter has one line
+FOUR_LINE_LEVELS = ((1, 0), (0, 0), (1, 1), (0, 1))
+TWO_LEVEL_LEVELS = ((0, 0),)
+
+
+def direct_waiting_time_scan(ensemble, tau0_ps, t0_ps, waits_ps, mode,
+                             laser=None, frame_thz=406.770):
+    """Pathway-sum amplitude at (tau0, t0) for each waiting time, one wait,
+    one emitter and one pathway at a time: every pathway of the emitter's
+    level connectivity (GSB and SE apart) with its own complex exp, its
+    weight the detection factor, mu^4, exp(-T/T1) and the unit-peak Gaussian
+    laser weight of both lines."""
+    sigma = None if laser is None else \
+        laser.fwhm_thz / (2.0 * math.sqrt(2.0 * math.log(2.0)))
+
+    def filt(nu):
+        return 1.0 if laser is None else \
+            math.exp(-0.5 * ((nu - laser.center_thz) / sigma) ** 2)
+
+    pathways = {False: enumerate_pathways_oracle(FOUR_LINE_LEVELS),
+                True: enumerate_pathways_oracle(TWO_LEVEL_LEVELS)}
+    amplitudes = []
+    for wait in waits_ps:
+        total = 0.0 + 0.0j
+        for i in range(len(ensemble)):
+            lines = [float(nu) for nu in ensemble.lines_thz[i]]
+            decay = 1.0 / float(ensemble.t2_ps[i])
+            weight = (float(ensemble.quantum_yield[i]) if mode == "pl" else 1.0) \
+                * float(ensemble.dipole[i]) ** 4 * math.exp(-wait / float(ensemble.t1_ps[i]))
+            for _, exc, emit in pathways[bool(ensemble.two_level[i])]:
+                phase = TWO_PI * ((lines[exc] - frame_thz) * tau0_ps
+                                  - (lines[emit] - frame_thz) * t0_ps)
+                total += weight * filt(lines[exc]) * filt(lines[emit]) \
+                    * cmath.exp(complex(-decay * (tau0_ps + t0_ps), phase))
+        amplitudes.append(total)
+    return amplitudes
 
 
 # --- direct discrete-Fourier sums -------------------------------------------

@@ -1,4 +1,5 @@
 import math
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -238,3 +239,33 @@ def test_sample_ensemble_component_mixture():
     assert 100 < np.sum(ens.strain == 0.0) < 300
     assert np.all((ens.strain == 0.0) | (ens.strain == 1.0))
     assert np.array_equal(ens.t2_ps, np.where(ens.strain == 0.0, 122.0, 990.0))
+
+
+# --- the cached pathway-term layout -----------------------------------------
+
+def test_term_layout_is_built_once_per_ensemble():
+    ens = _ensemble()
+    assert ens.terms is ens.terms
+    # eight terms for the four-line emitter, one for the two-level one
+    assert ens.terms.starts.tolist() == [0, 8]
+    assert ens.terms.emitter.tolist() == [0] * 8 + [1]
+    assert np.array_equal(ens.terms.t2_ps, [122.0] * 8 + [3400.0])
+
+
+def test_replaced_ensemble_gets_its_own_layout():
+    ens = _ensemble()
+    layout = ens.terms
+    other = replace(ens, t2_ps=np.array([61.0, 1700.0]))
+    assert other.terms is not layout
+    assert np.array_equal(other.terms.t2_ps, [61.0] * 8 + [1700.0])
+    assert np.array_equal(ens.terms.t2_ps, [122.0] * 8 + [3400.0])
+
+
+def test_ensemble_and_layout_arrays_are_read_only():
+    ens = _ensemble()
+    for f in fields(Ensemble):
+        with pytest.raises(ValueError):
+            getattr(ens, f.name)[0] = 0
+    for rows in ens.terms:
+        with pytest.raises(ValueError):
+            rows[0] = 0

@@ -42,7 +42,7 @@ def test_pathway_counts():
     # GSB and SE of a direct peak share one term: 8 terms per four-line
     # emitter (4 direct, then 4 cross), 1 per two-level one
     ens = concat(two_level(FRAME), four_line(default_scheme()), two_level(FRAME))
-    nu_exc, nu_emit, _, _ = _pathway_terms(ens, "heterodyne", None, FRAME, 0.5)
+    nu_exc, nu_emit, _, _ = _pathway_terms(ens, "heterodyne", None, FRAME, 0.5)()
     assert len(nu_exc) == 1 + 8 + 1
     direct = nu_emit == nu_exc
     assert direct.tolist() == [True] * 5 + [False] * 4 + [True]
@@ -54,7 +54,7 @@ def test_all_pathways_positive_rephasing():
                  two_level(FRAME + 0.3, quantum_yield=0.2))
     for mode in ("heterodyne", "pl"):
         _, _, weight, _ = _pathway_terms(ens, mode, LaserSpectrum(FRAME, 0.5),
-                                         FRAME, 40.0)
+                                         FRAME, 40.0)()
         assert np.all(weight.imag == 0.0)
         assert np.all(weight.real > 0.0)
 

@@ -5,8 +5,9 @@ import numpy as np
 import pytest
 
 import ensembles
-from oracles import (exact_dense_sum, gaussian_ensemble_response,
-                     rephasing_response_model, rephasing_response_oracle)
+from oracles import (direct_waiting_time_scan, exact_dense_sum,
+                     gaussian_ensemble_response, rephasing_response_model,
+                     rephasing_response_oracle)
 from sivmdcs.emitter import (GAUSSIAN_FWHM_PER_SIGMA, EnsembleSpec,
                              LaserSpectrum, LevelScheme, PopulationComponent,
                              StrainDistribution, StrainModel, T2Rule,
@@ -28,6 +29,12 @@ def _emitter(detuning_thz=0.05, t2_ps=122.0, t1_ps=1700.0, yield_=1.0,
     if two_level:
         return ensembles.two_level(FRAME + detuning_thz, t2_ps, t1_ps, yield_)
     return ensembles.four_line(ensembles.default_scheme(), 1, t2_ps, t1_ps, yield_)
+
+
+def _dense(terms, grid, threads):
+    """The dense route over whole per-term arrays."""
+    return _dense_sum(lambda lo=0, hi=None: tuple(a[lo:hi] for a in terms),
+                      len(terms[0]), grid, threads)
 
 
 def _grid(n=16, step=0.5):
@@ -192,20 +199,10 @@ def test_waiting_time_scan_matches_per_term_sum_with_two_t1():
     waits = [0.0, 150.0, 700.0, 2500.0]
     for mode in ("pl", "heterodyne"):
         scan = waiting_time_scan(ens, tau0, t0, waits, mode, laser, FRAME)
-        for T, amp in scan:
-            want = 0.0
-            for i in range(len(ens)):
-                rows = REPHASING_PATHWAYS[:2] if ens.two_level[i] else REPHASING_PATHWAYS
-                det = ens.quantum_yield[i] if mode == "pl" else 1.0
-                for _, exc, emit in rows:
-                    d_exc = ens.lines_thz[i, exc] - FRAME
-                    d_emit = ens.lines_thz[i, emit] - FRAME
-                    want += det * laser.amplitude(ens.lines_thz[i, exc]) \
-                        * laser.amplitude(ens.lines_thz[i, emit]) \
-                        * math.exp(-T / ens.t1_ps[i]) \
-                        * np.exp((2j * np.pi * d_exc - 1.0 / ens.t2_ps[i]) * tau0) \
-                        * np.exp((-2j * np.pi * d_emit - 1.0 / ens.t2_ps[i]) * t0)
-            assert abs(amp - want) <= 1e-12 * abs(want)
+        want = direct_waiting_time_scan(ens, tau0, t0, waits, mode, laser, FRAME)
+        for (T, amp), T_want, a_want in zip(scan, waits, want):
+            assert T == T_want
+            assert abs(amp - a_want) <= 1e-12 * abs(a_want)
 
 
 def test_waiting_time_scan_validation():
@@ -226,7 +223,7 @@ def test_waiting_time_scan_validation():
 def test_echo_route_matches_dense_reference(shape, mode, laser, hidden_t2):
     ensemble = _mixed_ensemble(hidden_t2)
     grid = Grid(*shape, 0.25, 0.25, FRAME)
-    terms = _pathway_terms(ensemble, mode, laser, FRAME, 0.5)
+    terms = _pathway_terms(ensemble, mode, laser, FRAME, 0.5)()
     groups = _echo_groups(*terms)
     assert groups is not None
     signal = synthesize_signal(ensemble, grid, 0.5, mode, laser, threads=2)
@@ -237,8 +234,8 @@ def test_echo_route_matches_dense_reference(shape, mode, laser, hidden_t2):
 
 def test_echo_route_merges_direct_peak_pathways():
     # two-level: GSB and SE coincide; four-line: 12 pathways -> 8 terms
-    two = _pathway_terms(_emitter(0.05), "heterodyne", None, FRAME, 0.5)
-    four = _pathway_terms(_emitter(two_level=False), "heterodyne", None, FRAME, 0.5)
+    two = _pathway_terms(_emitter(0.05), "heterodyne", None, FRAME, 0.5)()
+    four = _pathway_terms(_emitter(two_level=False), "heterodyne", None, FRAME, 0.5)()
     for terms, merged in ((two, 1), (four, 8)):
         groups = _echo_groups(*[np.tile(x, 64) for x in terms])
         assert sum(len(nu) for _, _, nu, _ in groups) == merged
@@ -250,9 +247,9 @@ def test_echo_route_merges_direct_peak_pathways():
 ])
 def test_dense_only_inputs_give_dense_bits(hidden_t2, grid):
     ensemble = _mixed_ensemble(hidden_t2)
-    terms = _pathway_terms(ensemble, "heterodyne", None, FRAME, 0.5)
+    terms = _pathway_terms(ensemble, "heterodyne", None, FRAME, 0.5)()
     signal = synthesize_signal(ensemble, grid, 0.5, "heterodyne")
-    assert np.array_equal(signal.data, _dense_sum(*terms, grid, 1))
+    assert np.array_equal(signal.data, _dense(terms, grid, 1))
     exact = exact_dense_sum(*terms, grid.tau_ps, grid.t_ps)
     assert np.abs(signal.data - exact).max() <= 1e-12 * np.abs(exact).max()
 
@@ -269,7 +266,7 @@ def test_many_chunks_give_thread_independent_bits(monkeypatch, grid, bound):
     monkeypatch.setattr(response, "_chunk_terms", lambda n_row, n_col: 64)
     ensemble = _mixed_ensemble(CONSTANT_T2)
     laser = LaserSpectrum(FRAME, 0.5)
-    terms = _pathway_terms(ensemble, "pl", laser, FRAME, 0.5)
+    terms = _pathway_terms(ensemble, "pl", laser, FRAME, 0.5)()
     groups = _echo_groups(*terms)
     if grid.is_square:
         assert min(len(nu) for _, _, nu, _ in groups) >= 3 * 64
@@ -293,7 +290,7 @@ def test_phasor_product_memory_is_flat_in_the_term_count(monkeypatch):
                  np.ones(n, dtype=complex), np.full(n, 60.0))
         tracemalloc.start()
         try:
-            _dense_sum(*terms, grid, 4)
+            _dense(terms, grid, 4)
             peaks.append(tracemalloc.get_traced_memory()[1])
         finally:
             tracemalloc.stop()
@@ -302,8 +299,8 @@ def test_phasor_product_memory_is_flat_in_the_term_count(monkeypatch):
 
 def test_small_output_tables_do_not_grow_with_the_term_count():
     # a 6 x 5 grid: the phasor tables of each chunk stay at the fixed
-    # budget whether the ensemble gives 20k or 80k terms; only _dense_sum's
-    # two complex rate vectors grow with N
+    # budget whether the ensemble gives 20k or 80k terms, and the rates and
+    # weights are built chunk by chunk, so nothing grows with N
     rng = np.random.default_rng(6)
     grid = Grid(6, 5, 0.05, 0.04, FRAME)
     tables = []
@@ -312,8 +309,8 @@ def test_small_output_tables_do_not_grow_with_the_term_count():
                  np.ones(n, dtype=complex), rng.lognormal(3.0, 0.5, n))
         tracemalloc.start()
         try:
-            _dense_sum(*terms, grid, 1)
-            tables.append(tracemalloc.get_traced_memory()[1] - 2 * 16 * n)
+            _dense(terms, grid, 1)
+            tables.append(tracemalloc.get_traced_memory()[1])
         finally:
             tracemalloc.stop()
     assert tables[1] <= 1.1 * tables[0]
@@ -328,8 +325,8 @@ def test_small_output_tables_do_not_grow_with_the_term_count():
 def test_dense_sum_matches_exact_reference(mode, grid):
     # log-normal T2: every term has its own decay
     ensemble = _mixed_ensemble(LOGNORMAL_T2)
-    terms = _pathway_terms(ensemble, mode, LaserSpectrum(FRAME, 0.5), FRAME, 0.5)
-    dense = _dense_sum(*terms, grid, 2)
+    terms = _pathway_terms(ensemble, mode, LaserSpectrum(FRAME, 0.5), FRAME, 0.5)()
+    dense = _dense(terms, grid, 2)
     exact = exact_dense_sum(*terms, grid.tau_ps, grid.t_ps)
     assert np.abs(dense - exact).max() <= 1e-12 * np.abs(exact).max()
 
@@ -429,7 +426,7 @@ def test_pathway_terms_layout_on_mixed_ensemble():
     assert 0 < np.count_nonzero(ens.two_level) < len(ens)
     laser = LaserSpectrum(FRAME, 0.5)
     wait = 300.0
-    nu_exc, nu_emit, weight, t2 = _pathway_terms(ens, "pl", laser, FRAME, wait)
+    nu_exc, nu_emit, weight, t2 = _pathway_terms(ens, "pl", laser, FRAME, wait)()
     want = []
     for i in range(len(ens)):
         lines = ens.lines_thz[i]
@@ -459,7 +456,7 @@ def test_pathway_terms_layout_on_mixed_ensemble():
 def test_merged_terms_match_the_twelve_row_expansion(mode, laser):
     ens = _mixed_ensemble(CLASS_T2, n=60, seed=6)
     grid = Grid(24, 40, 0.25, 0.2, FRAME)
-    merged = _pathway_terms(ens, mode, laser, FRAME, 40.0)
+    merged = _pathway_terms(ens, mode, laser, FRAME, 40.0)()
     twelve = _twelve_row_terms(ens, mode, laser, 40.0)
     assert len(twelve[0]) == 12 * np.count_nonzero(~ens.two_level) \
         + 2 * np.count_nonzero(ens.two_level)
@@ -481,12 +478,71 @@ def test_waiting_time_scan_on_mixed_ensemble_with_two_t1_classes(mode):
     assert len(set(ens.t1_ps)) == 2
     laser = LaserSpectrum(FRAME, 0.5)
     tau0, t0 = 1.3, 2.1
-    for T, amp in waiting_time_scan(ens, tau0, t0, [0.0, 400.0, 3000.0],
-                                    mode, laser, FRAME):
-        nu_exc, nu_emit, weight, t2 = _twelve_row_terms(ens, mode, laser, T)
-        want = np.sum(weight * np.exp((2j * np.pi * nu_exc - 1.0 / t2) * tau0)
-                      * np.exp((-2j * np.pi * nu_emit - 1.0 / t2) * t0))
-        assert abs(amp - want) <= 1e-12 * abs(want)
+    waits = [0.0, 400.0, 3000.0]
+    want = direct_waiting_time_scan(ens, tau0, t0, waits, mode, laser, FRAME)
+    for (T, amp), a_want in zip(waiting_time_scan(ens, tau0, t0, waits, mode,
+                                                  laser, FRAME), want):
+        assert abs(amp - a_want) <= 1e-12 * abs(a_want)
+
+
+def _three_t1_ensemble(n=60, seed=9):
+    """Bright four-line, hidden two-level and log-normal-T2 four-line
+    emitters, each component with its own T1."""
+    spec = EnsembleSpec((
+        PopulationComponent(0.3, StrainDistribution("gaussian", 0.0, 0.03),
+                            CONSTANT_T2, t1_ns=1.0),
+        PopulationComponent(0.3, StrainDistribution("gaussian", 0.05, 0.4),
+                            CLASS_T2, t1_ns=2.5, two_level=True),
+        PopulationComponent(0.4, StrainDistribution("gaussian", -0.02, 0.1),
+                            LOGNORMAL_T2, t1_ns=0.6),
+    ))
+    model = StrainModel(yield_crossover=0.05, yield_steepness=4.0)
+    return sample_ensemble(spec, ensembles.default_scheme(), model, n, seed)
+
+
+@pytest.mark.parametrize("mode", ["pl", "heterodyne"])
+@pytest.mark.parametrize("patch", [("_chunk_terms", lambda n_row, n_col: 3),
+                                   ("_TABLE_ENTRIES", 32)])
+def test_waiting_time_scan_in_small_chunks_matches_per_term_sum(monkeypatch,
+                                                                mode, patch):
+    # 3-emitter chunks, or a 32-entry table budget that the 40 waiting times
+    # exceed, so that the large-output guard gives 4-emitter chunks
+    monkeypatch.setattr(response, *patch)
+    ens = _three_t1_ensemble()
+    assert len(set(ens.t1_ps)) == 3 and 0 < np.count_nonzero(ens.two_level) < len(ens)
+    waits = np.linspace(0.0, 4000.0, 40)
+    assert response._chunk_terms(len(waits), 1) <= 4
+    laser = LaserSpectrum(FRAME, 0.5)
+    tau0, t0 = 1.3, 2.1
+    nu_exc, nu_emit, weight, t2 = _twelve_row_terms(ens, mode, laser, 0.0)
+    per_term = weight * np.exp((2j * np.pi * nu_exc - 1.0 / t2) * tau0
+                               + (-2j * np.pi * nu_emit - 1.0 / t2) * t0)
+    t1 = np.repeat(ens.t1_ps, np.where(ens.two_level, 2, 12))
+    want = np.exp(-np.outer(waits, 1.0 / t1)) @ per_term
+    scan = waiting_time_scan(ens, tau0, t0, waits, mode, laser, FRAME)
+    assert [T for T, _ in scan] == waits.tolist()
+    got = np.array([amp for _, amp in scan])
+    assert np.abs(got - want).max() <= 1e-15 * np.abs(want).max()
+
+
+def test_waiting_time_scan_memory_is_flat_in_waits_times_emitters():
+    # one (n_waits, n_emitters) table of decays would take 6.4 MB at the
+    # first size and 102 MB at the second; in chunks of the table budget,
+    # the peak grows only with n_waits + n_emitters
+    laser = LaserSpectrum(FRAME, 0.5)
+    peaks = []
+    for n_waits, n in ((400, 2000), (1600, 8000)):
+        ens = ensembles.two_level(FRAME + np.linspace(-0.2, 0.2, n))
+        ens.terms       # the layout belongs to the ensemble, not to the scan
+        waits = np.linspace(0.0, 4000.0, n_waits)
+        tracemalloc.start()
+        try:
+            waiting_time_scan(ens, 1.0, 1.0, waits, "heterodyne", laser, FRAME)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] <= 4 * peaks[0]
+    assert peaks[1] <= 1600 * 8000 * 8 / 16
 
 
 def test_phasor_table_from_zero_starts_at_exactly_one():
