@@ -23,7 +23,7 @@ from .io_utils import (dataset_to_signal, dataset_to_spectrum, read_decay_csv,
                        write_decay_csv, write_trace_csv, write_tscan_csv)
 from .dataset import read_dataset, write_dataset
 from .pathways import REPHASING_SIGNATURE, rephasing_frequency
-from .pulsetrain import demodulate, simulate_pulse_train
+from .pulsetrain import bandwidth_mhz, demodulate, simulate_pulse_train
 from .reproduce import (DEFAULT_CONFIGS, TARGETS, build_ensemble,
                         run_reproduction, run_simulation)
 from .response import DETECTION_MODES, waiting_time_scan
@@ -125,6 +125,7 @@ def _cmd_tscan(args):
 
 def _cmd_demod(args):
     cfg = _load_config(args.config)
+    bandwidth_mhz(args.bandwidth)           # refuse it before building the record
     amplitudes = {REPHASING_SIGNATURE: complex(args.amplitude)}
     record = simulate_pulse_train(amplitudes, cfg.tags, args.duration,
                                   args.sample_rate)

@@ -71,6 +71,13 @@ def simulate_pulse_train(amplitudes: Mapping[tuple[int, int, int, int], complex]
                           metadata={"dc_offset": dc_offset})
 
 
+def bandwidth_mhz(bandwidth_khz: float) -> float:
+    """``bandwidth_khz`` in MHz; raises InvalidSpec unless that is positive."""
+    if not bandwidth_khz * 1e-3 > 0:
+        raise InvalidSpec(f"bandwidth must be positive, got {bandwidth_khz} kHz")
+    return bandwidth_khz * 1e-3
+
+
 def demodulate(record: RawTrainRecord, reference_mhz: float,
                bandwidth_khz: float = 1.0) -> complex:
     """Complex amplitude of the record's component at the reference beat.
@@ -80,9 +87,7 @@ def demodulate(record: RawTrainRecord, reference_mhz: float,
     ``df`` away falls off as (df * duration)^-3).  Raises InsufficientRecord
     when the record is shorter than 10 / bandwidth.
     """
-    bw_mhz = bandwidth_khz * 1e-3
-    if not bw_mhz > 0:
-        raise InvalidSpec(f"bandwidth must be positive, got {bandwidth_khz} kHz")
+    bw_mhz = bandwidth_mhz(bandwidth_khz)
     if not math.isfinite(reference_mhz):
         raise InvalidSpec(f"reference frequency must be finite, got {reference_mhz} MHz")
     if record.duration_us < 10.0 / bw_mhz:

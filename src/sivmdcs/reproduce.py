@@ -379,7 +379,8 @@ def _target_fig1d(cfg, report, threads, seed_shift):
     report.add("projection_fwhm_thz", width, "expected > 1 THz", width > 1.0)
 
     # ridge on the nu_tau = -nu_t diagonal
-    idx = np.unravel_index(np.argmax(np.abs(spectrum.data)), spectrum.data.shape)
+    magnitude = np.abs(spectrum.data)
+    idx = np.unravel_index(np.argmax(magnitude), magnitude.shape)
     mismatch = abs(spectrum.nu_tau_thz[idx[0]] + spectrum.nu_t_thz[idx[1]])
     bin_tau, bin_t = spectrum.bin_widths()
     report.add("peak_diagonal_offset_thz", mismatch,
@@ -387,10 +388,9 @@ def _target_fig1d(cfg, report, threads, seed_shift):
                mismatch <= 2 * max(bin_tau, bin_t))
 
     # the ridge is the array's anti-diagonal; compare it with cells n // 8 rows off
-    flipped = np.flipud(np.abs(spectrum.data))
-    diag = flipped.diagonal()
-    off_diag = np.roll(flipped, -(len(flipped) // 8), axis=0).diagonal()
-    ratio = diag.mean() / max(off_diag.mean(), 1e-300)
+    flipped = np.flipud(magnitude)
+    k, n = np.arange(min(flipped.shape)), len(flipped)
+    ratio = flipped[k, k].mean() / max(flipped[(k + n // 8) % n, k].mean(), 1e-300)
     report.add("diagonal_ridge_contrast", ratio, "diag/off >= 10", ratio >= 10.0)
 
 

@@ -150,7 +150,7 @@ def _rates(nu, t2, sign: float) -> np.ndarray:
 # time at m = 48, 0.7-1.0x at m = 64 and 0.4-0.8x at m = 96: 64 is the
 # smallest of these where the echo route is never the slower.
 _ECHO_TERMS_PER_GROUP = 64
-_TABLE_ENTRIES = 65_536        # of the larger table of a chunk: 1 MiB
+_TABLE_ENTRIES = 65_536        # of a chunk's larger table and of scratch blocks: 1 MiB
 _ANCHOR_ROWS = 64
 
 
@@ -316,11 +316,12 @@ def synthesize_signal(ensemble: Ensemble, grid: Grid,
     if noise_rms > 0:
         rng = np.random.default_rng(noise_seed)
         scale = noise_rms / math.sqrt(2.0)
-        draws = np.empty(data.shape)
+        # row blocks, all real parts first: the stream of two whole-grid draws
+        draws = np.empty((max(1, _TABLE_ENTRIES // grid.n_t), grid.n_t))
         for part in (data.real, data.imag):
-            rng.standard_normal(out=draws)
-            draws *= scale
-            part += draws
+            for dst in np.split(part, range(len(draws), grid.n_tau, len(draws))):
+                noise = rng.standard_normal(out=draws[:len(dst)])
+                dst += np.multiply(noise, scale, out=noise)
 
     meta = {"detection_mode": mode, "noise_rms": noise_rms,
             "noise_seed": noise_seed, "n_emitters": len(ensemble)}

@@ -13,7 +13,7 @@ import numpy as np
 
 from .emitter import LaserSpectrum
 from .errors import InvalidSpec, NonSquareGrid
-from .response import TimeDomainSignal
+from .response import _TABLE_ENTRIES, TimeDomainSignal
 
 
 @dataclass
@@ -68,40 +68,44 @@ class DecayTrace:
 
 
 def to_spectrum(signal: TimeDomainSignal, pad_factor: int = 1) -> Spectrum2D:
-    """Discrete 2D transform of S(tau, t) with the rephasing axis convention."""
+    """Discrete 2D transform of S(tau, t) with the rephasing axis convention,
+    in two passes over the output through 65,536-entry blocks; the input is
+    never written, and each 1-D line has the whole-array form's numpy call."""
     if pad_factor < 1:
         raise InvalidSpec(f"pad factor must be >= 1, got {pad_factor}")
     grid = signal.grid
     n_tau = grid.n_tau * pad_factor
     n_t = grid.n_t * pad_factor
     dtype = np.result_type(signal.data.dtype, 1j)     # numpy fft's output type
+    k, k_t = n_tau - n_tau // 2, n_t - n_t // 2
+    out = np.empty((n_tau, n_t), dtype)
 
-    # One complex128 working buffer, zero-padded along tau; the caller's
-    # data is never written.  numpy's backward-norm fft runs in double
-    # precision for any complex input, so widening here gives the bits of
-    # its own, slower, buffered cast.
-    f = np.zeros((n_tau, grid.n_t), np.complex128)
-    f[:grid.n_tau] = signal.data
-    # tau axis: forward kernel peaks exp(+2 pi i d tau) at +d.
-    np.fft.fft(f, axis=0, out=f)
-    # t axis: conjugate kernel peaks exp(-2 pi i d t) at +d.  For complex64
-    # input this transform runs in single precision, as the cast back selects.
-    f = f.astype(dtype, copy=False)
-    f = np.fft.ifft(f, n=n_t, axis=1, out=f if n_t == grid.n_t else None)
-    f *= n_t
+    # tau axis by widened, zero-padded column blocks (numpy's fft runs in double
+    # precision for any complex input), stored fftshifted and row-reversed
+    cols = max(1, _TABLE_ENTRIES // n_tau)
+    scratch = np.empty((n_tau, cols), np.complex128)
+    for lo in range(0, grid.n_t, cols):
+        hi = min(lo + cols, grid.n_t)
+        s = scratch[:, :hi - lo]
+        s[:grid.n_tau] = signal.data[:, lo:hi]
+        s[grid.n_tau:] = 0
+        np.fft.fft(s, axis=0, out=s)
+        out[:k, lo:hi] = s[k - 1::-1]
+        out[k:, lo:hi] = s[:k - 1:-1]
+    out[:, grid.n_t:] = 0
+    # t axis by row blocks in the output's precision, scaled and fftshifted
+    rows = max(1, _TABLE_ENTRIES // n_t)
+    scratch = np.empty((rows, n_t), dtype)
+    for block in np.split(out, range(rows, n_tau, rows)):
+        s = np.fft.ifft(block, axis=1, out=scratch[:len(block)])
+        np.multiply(s[:, k_t:], n_t, out=block[:, :n_t - k_t])
+        np.multiply(s[:, :k_t], n_t, out=block[:, n_t - k_t:])
 
     f_tau = np.fft.fftshift(np.fft.fftfreq(n_tau, grid.tau_step_ps))
     f_t = np.fft.fftshift(np.fft.fftfreq(n_t, grid.t_step_ps))
     nu_t = f_t + grid.frame_thz
     # Negation reverses the axis; reverse it and the rows to keep it ascending.
     nu_tau = -(f_tau + grid.frame_thz)[::-1]
-    # fftshift of both axes, then the row reversal, as four block copies:
-    # rows k-1..0 then n_tau-1..k, each with its columns rotated by n_t // 2.
-    k, k_t = n_tau - n_tau // 2, n_t - n_t // 2
-    out = np.empty_like(f)
-    for dst, src in ((out[:k], f[k - 1::-1]), (out[k:], f[:k - 1:-1])):
-        dst[:, :n_t - k_t] = src[:, k_t:]
-        dst[:, n_t - k_t:] = src[:, :k_t]
 
     meta = dict(signal.metadata)
     meta["waiting_time_ps"] = signal.waiting_time_ps

@@ -235,10 +235,14 @@ def test_demod_reference_follows_the_config_tags(tmp_path, capsys):
     assert abs(value - 0.5) <= 0.005
 
 
-def test_demod_rejects_non_positive_bandwidth(capsys):
+def test_demod_rejects_non_positive_bandwidth(capsys, monkeypatch):
+    simulated = []
+    monkeypatch.setattr("sivmdcs.cli.simulate_pulse_train",
+                        lambda *args, **kwargs: simulated.append(args))
     for bandwidth in ("0", "-1", "nan"):
         assert main(["demod", "--bandwidth", bandwidth]) == EXIT_RUNTIME
         assert "bandwidth must be positive" in capsys.readouterr().err
+    assert simulated == []          # refused before the record is built
 
 
 @pytest.mark.parametrize("argv", [

@@ -423,10 +423,12 @@ def _peak_bytes(fn) -> int:
 
 
 def test_peak_memory_of_the_file_chain(tmp_path):
-    """At most one payload-sized buffer to read, none to write, and one
-    complex128 working buffer plus the output to transform (512 x 512)."""
+    """At most one payload-sized buffer to read, none to write, and only the
+    output plus two 1 MiB scratch blocks to transform (512 x 512)."""
     n, slack = 512, 64 * 1024
     payload = 8 * n * n                      # complex64 bytes
+    mask = 65_536                            # one block of finiteness flags
+    scratch = 2 * 1024 * 1024                # the transform's two blocks
     rng = np.random.default_rng(0)
     data = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
     grid = Grid(n, n, 0.5, 0.5, 406.77)
@@ -435,11 +437,11 @@ def test_peak_memory_of_the_file_chain(tmp_path):
     dataset = signal_to_dataset(narrow)
     path = tmp_path / "big.mdcs"
 
-    # write: the finiteness mask is the only payload-scale allocation
-    assert _peak_bytes(lambda: write_dataset(path, dataset)) <= payload // 8 + slack
-    # read: the file's own buffer and the finiteness mask
-    assert _peak_bytes(lambda: read_dataset(path)) <= payload + payload // 8 + slack
-    # complex64: the complex128 buffer and the complex64 result
-    assert _peak_bytes(lambda: to_spectrum(narrow)) <= 3 * payload + slack
-    # complex128: the buffer and the result
-    assert _peak_bytes(lambda: to_spectrum(wide)) <= 4 * payload + slack
+    # write: the block mask is the only allocation beyond the header
+    assert _peak_bytes(lambda: write_dataset(path, dataset)) <= mask + slack
+    # read: the file's own buffer and the block mask
+    assert _peak_bytes(lambda: read_dataset(path)) <= payload + mask + slack
+    # complex64: the complex64 result and the scratch blocks
+    assert _peak_bytes(lambda: to_spectrum(narrow)) <= payload + scratch + slack
+    # complex128: the complex128 result and the scratch blocks
+    assert _peak_bytes(lambda: to_spectrum(wide)) <= 2 * payload + scratch + slack

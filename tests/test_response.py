@@ -161,6 +161,21 @@ def test_noise_is_seeded_and_scaled():
     assert np.sqrt(np.mean(np.abs(noise) ** 2)) == pytest.approx(2.0, rel=0.05)
 
 
+def test_noise_bits_follow_the_seeded_stream():
+    # 300 rows span two noise blocks of 218 rows; the real parts take the
+    # first n draws of the seed's standard-normal stream, the imaginary
+    # parts the next n
+    grid = _grid(300, 0.3)
+    quiet = synthesize_signal(_emitter(), grid, 0.5, "heterodyne")
+    noisy = synthesize_signal(_emitter(), grid, 0.5, "heterodyne",
+                              noise_rms=2.0, noise_seed=9)
+    n = 300 * 300
+    z = np.random.default_rng(9).standard_normal(2 * n).reshape(2, 300, 300)
+    scale = 2.0 / math.sqrt(2.0)
+    assert noisy.data.real.tobytes() == (quiet.data.real + scale * z[0]).tobytes()
+    assert noisy.data.imag.tobytes() == (quiet.data.imag + scale * z[1]).tobytes()
+
+
 def test_grid_too_coarse_raises():
     with pytest.raises(GridTooCoarse):
         synthesize_signal(_emitter(detuning_thz=1.2), _grid(8, 0.5), 0.5,

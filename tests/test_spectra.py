@@ -39,8 +39,11 @@ def test_transform_matches_direct_sums_rectangular():
     assert np.max(np.abs(spec.data - expected)) <= 1e-9 * np.max(np.abs(expected))
 
 
-@pytest.mark.parametrize("pad", [1, 2])
-@pytest.mark.parametrize("shape", [(7, 7), (8, 8), (6, 9), (9, 4), (1, 5)])
+# (300, 500) splits into column and row blocks with a short last block;
+# (70_000, 2) takes one-column blocks and (2, 40_000) one-row blocks
+@pytest.mark.parametrize("pad", [1, 2, 3])
+@pytest.mark.parametrize("shape", [(7, 7), (8, 8), (6, 9), (9, 4), (1, 5),
+                                   (300, 500), (70_000, 2), (2, 40_000)])
 @pytest.mark.parametrize("dtype", [np.complex64, np.complex128])
 def test_transform_bits_match_the_five_step_reference(dtype, shape, pad):
     signal = _random_signal(*shape, seed=4)
