@@ -15,13 +15,13 @@ with ChecksumMismatch.  Every malformed file, and every matrix or axis that
 holds a NaN or an infinity, fails with IoFailure (or its kin above), never
 with a bare Python error, and nothing non-finite is ever written.
 
-Copy rule: the payload is never copied after it leaves the file or the
-caller's matrix.  A read takes the whole file with one ``readinto`` into an
-owned buffer, checks the CRC over a view of it, parses the header by offset
-and returns the matrix as a view of that buffer.  A write builds only the
-header in memory, then writes the matrix's own bytes after it, with the CRC
-taken over views of both.  The finiteness check reads the matrix as floats
-in slices of 65,536, so its mask is one 64 KiB block, not payload-sized.
+Copy rule: the payload is never copied whole after it leaves the file or
+the caller's matrix.  A read takes the whole file with one ``readinto`` into
+an owned buffer, checks the CRC over a view of it, parses the header by
+offset and returns the matrix as a view of that buffer.  A write checks and
+checksums the payload before it opens the file, then writes it after the
+header: a complex64 matrix's own bytes, any other matrix cast to complex64
+in 64 KiB blocks, once per pass.  The finiteness mask is at most 64 KiB.
 """
 from __future__ import annotations
 
@@ -37,11 +37,12 @@ from .response import _TABLE_ENTRIES
 
 MAGIC = b"MDCS2D\x00"
 FORMAT_VERSION = 1
+_CAST_BLOCK = 8_192          # complex64 elements of a write's cast block: 64 KiB
 
 
 @dataclass
 class DatasetFile:
-    matrix: np.ndarray                       # complex64, 2-d
+    matrix: np.ndarray       # 2-d; written as complex64, read as a complex64 view
     axes: tuple[tuple[str, str, np.ndarray], ...]   # (name, unit, values)
     metadata: dict[str, str] = field(default_factory=dict)
     version: int = FORMAT_VERSION
@@ -52,21 +53,30 @@ def _pack_str(s: str) -> bytes:
     return struct.pack("<I", len(raw)) + raw
 
 
-def _check_finite(path, matrix: np.ndarray, axes) -> None:
-    flat = matrix.reshape(-1).view(matrix.real.dtype)   # contiguous: a view
-    for lo in range(0, flat.size, _TABLE_ENTRIES):
-        if not np.isfinite(flat[lo:lo + _TABLE_ENTRIES]).all():
-            raise IoFailure(f"{path}: dataset matrix holds a NaN or an infinity")
+def _check_finite(path, blocks, axes) -> None:
+    for block in blocks:
+        floats = block.view(block.real.dtype)       # contiguous and flat: a view
+        for lo in range(0, floats.size, _TABLE_ENTRIES):
+            if not np.isfinite(floats[lo:lo + _TABLE_ENTRIES]).all():
+                raise IoFailure(f"{path}: dataset matrix holds a NaN or an infinity")
     for name, _, values in axes:
         if not np.isfinite(values).all():
             raise IoFailure(f"{path}: axis {name!r} holds a NaN or an infinity")
 
 
+def _c8_blocks(flat: np.ndarray):
+    """A flat payload as complex64: itself, or its cast in 64 KiB blocks."""
+    if flat.dtype == np.dtype("<c8"):
+        return [flat]
+    return (flat[lo:lo + _CAST_BLOCK].astype("<c8")
+            for lo in range(0, flat.size, _CAST_BLOCK))
+
+
 def write_dataset(path, data: DatasetFile) -> None:
-    matrix = np.ascontiguousarray(data.matrix, dtype="<c8")
+    matrix = np.ascontiguousarray(data.matrix)
     if matrix.ndim != 2:
         raise IoFailure(f"dataset matrix must be 2-d, got shape {matrix.shape}")
-    _check_finite(path, matrix, data.axes)
+    flat = matrix.reshape(-1)
     header = bytearray(MAGIC)
     header += struct.pack("<HI", data.version, len(data.metadata))
     for key, value in data.metadata.items():
@@ -77,13 +87,17 @@ def write_dataset(path, data: DatasetFile) -> None:
         header += _pack_str(name) + _pack_str(unit)
         header += struct.pack("<Q", vals.size) + vals.tobytes()
     header += struct.pack("<QQ", *matrix.shape)
-    # a flat byte view: memoryview.cast refuses a matrix with a zero-length axis
-    payload = matrix.reshape(-1).view(np.uint8)
-    checksum = zlib.crc32(payload, zlib.crc32(header))
+    checksum = zlib.crc32(header)
+    with np.errstate(over="ignore"):       # a cast that overflows is refused
+        for block in _c8_blocks(flat):
+            _check_finite(path, [block], ())
+            checksum = zlib.crc32(block, checksum)
+    _check_finite(path, (), data.axes)
     try:
         with open(path, "wb") as fh:
             fh.write(header)
-            fh.write(payload)
+            for block in _c8_blocks(flat):       # the second pass casts again
+                fh.write(block)
             fh.write(struct.pack("<I", checksum))
     except OSError as exc:
         raise IoFailure(f"cannot write dataset {path}: {exc}") from exc
@@ -164,5 +178,5 @@ def read_dataset(path) -> DatasetFile:
         raise IoFailure(f"{path}: a {rows}x{cols} matrix needs {8 * rows * cols} "
                         f"payload bytes, the file holds {left}")
     matrix = blob[cur.pos:size - 4].view("<c8").reshape(rows, cols)
-    _check_finite(path, matrix, axes)
+    _check_finite(path, [matrix.reshape(-1)], axes)
     return DatasetFile(matrix, tuple(axes), metadata, version)

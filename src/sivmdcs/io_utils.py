@@ -28,7 +28,7 @@ def signal_to_dataset(signal: TimeDomainSignal) -> DatasetFile:
         "t_step_ps": repr(grid.t_step_ps),
     })
     axes = (("tau", "ps", grid.tau_ps), ("t", "ps", grid.t_ps))
-    return DatasetFile(np.asarray(signal.data, np.complex64), axes, meta)
+    return DatasetFile(signal.data, axes, meta)
 
 
 def _axes(data: DatasetFile, kind: str, keys) -> tuple[np.ndarray, np.ndarray]:
@@ -90,7 +90,7 @@ def spectrum_to_dataset(spectrum: Spectrum2D) -> DatasetFile:
     })
     axes = (("nu_tau", "THz", spectrum.nu_tau_thz),
             ("nu_t", "THz", spectrum.nu_t_thz))
-    return DatasetFile(np.asarray(spectrum.data, np.complex64), axes, meta)
+    return DatasetFile(spectrum.data, axes, meta)
 
 
 def dataset_to_spectrum(data: DatasetFile) -> Spectrum2D:

@@ -341,10 +341,15 @@ def _box(spectrum, nu_tau_center, nu_t_center, half_width):
 
 # --- targets ---------------------------------------------------------------
 
-def _target_fig1c(cfg, report, threads, seed_shift):
+def _simulate_to_spectrum(cfg, report, name, threads):
+    """Simulate ``cfg``, write dataset ``name`` and return the spectrum."""
     signal = run_simulation(cfg, threads=threads)
-    spectrum = to_spectrum(signal)
-    write_dataset(report.path("fig1c_pl.mdcs"), signal_to_dataset(signal))
+    write_dataset(report.path(name), signal_to_dataset(signal))
+    return to_spectrum(signal)
+
+
+def _target_fig1c(cfg, report, threads, seed_shift):
+    spectrum = _simulate_to_spectrum(cfg, report, "fig1c_pl.mdcs", threads)
     write_trace_csv(report.path("fig1c_projection.csv"), project_nu_t(spectrum))
 
     lines = cfg.scheme.transition_frequencies()
@@ -369,9 +374,7 @@ def _target_fig1c(cfg, report, threads, seed_shift):
 
 
 def _target_fig1d(cfg, report, threads, seed_shift):
-    signal = run_simulation(cfg, threads=threads)
-    spectrum = to_spectrum(signal)
-    write_dataset(report.path("fig1d_het.mdcs"), signal_to_dataset(signal))
+    spectrum = _simulate_to_spectrum(cfg, report, "fig1d_het.mdcs", threads)
     projection = project_nu_t(spectrum)
     write_trace_csv(report.path("fig1d_projection.csv"), projection)
 
@@ -396,8 +399,7 @@ def _target_fig1d(cfg, report, threads, seed_shift):
 
 def _target_fig2(cfg, report, threads, seed_shift):
     # bright branch (PL detection, coarse frequency grid)
-    bright_signal = run_simulation(cfg, threads=threads)
-    bright_proj = project_nu_t(to_spectrum(bright_signal))
+    bright_proj = project_nu_t(to_spectrum(run_simulation(cfg, threads=threads)))
     write_trace_csv(report.path("fig2_bright_projection.csv"), bright_proj)
 
     lowest = float(cfg.scheme.transition_frequencies()[0])
@@ -407,8 +409,7 @@ def _target_fig2(cfg, report, threads, seed_shift):
 
     # hidden branch (heterodyne, fine grid, broad two-level ensemble)
     hidden_cfg = _shift_seed(parse_config(FIG2_HIDDEN_CONFIG), seed_shift)
-    hidden_signal = run_simulation(hidden_cfg, threads=threads)
-    hidden_proj = project_nu_t(to_spectrum(hidden_signal))
+    hidden_proj = project_nu_t(to_spectrum(run_simulation(hidden_cfg, threads=threads)))
     write_trace_csv(report.path("fig2_hidden_projection.csv"), hidden_proj)
 
     # both width routes work on the central window; a constant-background
@@ -444,12 +445,18 @@ def _proportionality_dev(signal, reference, factor):
 
 def _target_fig3(cfg, report, threads, seed_shift):
     ensemble = build_ensemble(cfg)
-    het = synthesize_signal(ensemble, cfg.grid, cfg.waiting_time_ps,
-                            "heterodyne", cfg.laser, threads=threads)
-    pl = synthesize_signal(ensemble, cfg.grid, cfg.waiting_time_ps,
-                           "pl", cfg.laser, threads=threads)
+    def synthesize(ens, mode):
+        return synthesize_signal(ens, cfg.grid, cfg.waiting_time_ps, mode,
+                                 cfg.laser, threads=threads)
+
+    # (c) with yield suppression disabled, PL == Y0 * heterodyne; the yield-free
+    # ``het`` serves, and goes first so that at most two full grids are alive.
+    het = synthesize(ensemble, "heterodyne")
+    flat = replace(ensemble, quantum_yield=np.full(len(ensemble), 0.8))
+    dev = _proportionality_dev(synthesize(flat, "pl").data, het.data, 0.8)
     het_proj = project_nu_t(to_spectrum(het))
-    pl_proj = project_nu_t(to_spectrum(pl))
+    del het
+    pl_proj = project_nu_t(to_spectrum(synthesize(ensemble, "pl")))
     write_trace_csv(report.path("fig3_het_projection.csv"), het_proj)
     write_trace_csv(report.path("fig3_pl_projection.csv"), pl_proj)
 
@@ -469,28 +476,20 @@ def _target_fig3(cfg, report, threads, seed_shift):
     report.add("fwhm_ratio_het_over_pl", w_het / w_pl,
                "expected >= 20", w_het / w_pl >= 20.0)
 
-    # (c) with yield suppression disabled, PL == Y0 * heterodyne.  The
-    # heterodyne signal does not depend on the yield, so ``het`` serves.
-    flat = replace(ensemble, quantum_yield=np.full(len(ensemble), 0.8))
-    pl_flat = synthesize_signal(flat, cfg.grid, cfg.waiting_time_ps,
-                                "pl", cfg.laser, threads=threads)
-    dev = _proportionality_dev(pl_flat.data, het.data, 0.8)
     report.add("yield_off_proportionality_dev", dev,
                "expected <= 1e-6", dev <= 1e-6)
 
 
 def _target_fig4(cfg, report, threads, seed_shift):
     # PL-detected bright diagonal: mono-exponential
-    pl_signal = run_simulation(cfg, threads=threads)
-    pl_decay = diagonal_lineout(pl_signal)
+    pl_decay = diagonal_lineout(run_simulation(cfg, threads=threads))
     write_decay_csv(report.path("fig4_pl_diagonal.csv"), pl_decay)
     mono = fit_exponential(pl_decay.truncated(600.0), 1)
     report.add_interval("pl_t2a_ps", mono["T2a_ps"], 122 - 7, 122 + 7)
 
     # heterodyne hidden diagonal: bi-exponential
     het_cfg = _shift_seed(parse_config(FIG4_HET_CONFIG), seed_shift)
-    het_signal = run_simulation(het_cfg, threads=threads)
-    het_decay = diagonal_lineout(het_signal)
+    het_decay = diagonal_lineout(run_simulation(het_cfg, threads=threads))
     write_decay_csv(report.path("fig4_het_diagonal.csv"), het_decay)
     bi = fit_exponential(het_decay, 2)
     report.add_interval("het_t2a_ps", bi["T2a_ps"], 120 - 5, 120 + 5)

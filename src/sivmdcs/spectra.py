@@ -71,12 +71,12 @@ def to_spectrum(signal: TimeDomainSignal, pad_factor: int = 1) -> Spectrum2D:
     """Discrete 2D transform of S(tau, t) with the rephasing axis convention,
     in two passes over the output through 65,536-entry blocks; the input is
     never written, and each 1-D line has the whole-array form's numpy call."""
-    if pad_factor < 1:
-        raise InvalidSpec(f"pad factor must be >= 1, got {pad_factor}")
     grid = signal.grid
     n_tau = grid.n_tau * pad_factor
     n_t = grid.n_t * pad_factor
     dtype = np.result_type(signal.data.dtype, 1j)     # numpy fft's output type
+    if pad_factor < 1 or n_tau * n_t * dtype.itemsize > np.iinfo(np.intp).max:
+        raise InvalidSpec(f"pad factor {pad_factor} is below 1 or too large for an array")
     k, k_t = n_tau - n_tau // 2, n_t - n_t // 2
     out = np.empty((n_tau, n_t), dtype)
 
@@ -114,8 +114,18 @@ def to_spectrum(signal: TimeDomainSignal, pad_factor: int = 1) -> Spectrum2D:
 
 
 def project_nu_t(spectrum: Spectrum2D) -> Trace1D:
-    """Amplitude projection onto the nu_t axis (per-column sum of |F|)."""
-    return Trace1D(spectrum.nu_t_thz.copy(), np.abs(spectrum.data).sum(axis=0))
+    """Amplitude projection onto the nu_t axis: ``np.abs(F).sum(axis=0)`` bit
+    for bit, by row blocks of |F| whose row 0 carries the running sum, so the
+    additions stay row-sequential; one column, summed pairwise, is done whole."""
+    data, n_t = spectrum.data, spectrum.data.shape[1]
+    if n_t <= 1:
+        return Trace1D(spectrum.nu_t_thz.copy(), np.abs(data).sum(axis=0))
+    rows = max(1, _TABLE_ENTRIES // n_t)
+    block = np.zeros((rows + 1, n_t), data.real.dtype)
+    for part in np.split(data, range(rows, len(data), rows)):
+        np.abs(part, out=block[1:len(part) + 1])
+        block[0] = block[:len(part) + 1].sum(axis=0)
+    return Trace1D(spectrum.nu_t_thz.copy(), block[0].copy())
 
 
 def diagonal_lineout(signal: TimeDomainSignal) -> DecayTrace:

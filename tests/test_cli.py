@@ -3,6 +3,9 @@ import pytest
 
 from sivmdcs.cli import (EXIT_CHECK_FAILED, EXIT_OK, EXIT_RUNTIME, EXIT_USAGE,
                          main)
+from sivmdcs.dataset import write_dataset
+from sivmdcs.io_utils import signal_to_dataset
+from sivmdcs.response import Grid, TimeDomainSignal
 
 TINY_CONFIG = """
 [grid]
@@ -261,6 +264,34 @@ def test_non_finite_demod_and_tscan_arguments_are_runtime_errors(tmp_path, capsy
     assert main(argv) == EXIT_RUNTIME
     captured = capsys.readouterr()
     assert "error:" in captured.err and captured.out == ""
+    assert not (tmp_path / "out").exists()
+
+
+# every size is exabytes, so each allocation fails at once; numpy's
+# MemoryError says "Unable to allocate", and a padded spectrum larger than
+# any array is refused before numpy is asked
+ALLOCATIONS_THAT_FAIL = {
+    "tscan --stop 1e15 --step 1e-3": "Unable to allocate",     # 10^18 waits
+    "demod --duration 1e17": "Unable to allocate",             # 5 x 10^17 samples
+    "spectrum --pad 100000000": "Unable to allocate",          # 1.1 EiB
+    "spectrum --pad 1000000000": "too large for an array",
+}
+
+
+@pytest.mark.parametrize("argv", ALLOCATIONS_THAT_FAIL)
+def test_an_allocation_that_cannot_be_made_is_a_runtime_error(tmp_path, capsys, argv):
+    message = ALLOCATIONS_THAT_FAIL[argv]
+    argv = argv.split()
+    if argv[0] == "spectrum":             # a 4 x 4 signal, padded to exabytes
+        path = tmp_path / "small.mdcs"
+        write_dataset(path, signal_to_dataset(TimeDomainSignal(
+            np.ones((4, 4), np.complex64), Grid(4, 4, 0.5, 0.5, 406.77), 0.5, "pl")))
+        argv = ["spectrum", str(path), *argv[1:]]
+    if argv[0] != "demod":
+        argv = argv + ["--out-dir", str(tmp_path / "out")]
+    assert main(argv) == EXIT_RUNTIME
+    captured = capsys.readouterr()
+    assert message in captured.err and captured.out == ""
     assert not (tmp_path / "out").exists()
 
 

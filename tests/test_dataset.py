@@ -1,11 +1,11 @@
 import hashlib
 import struct
-import tracemalloc
 import zlib
 
 import numpy as np
 import pytest
 
+from memory import peak_bytes
 from sivmdcs.cli import EXIT_OK, EXIT_RUNTIME, main
 from sivmdcs.dataset import (FORMAT_VERSION, DatasetFile, read_dataset,
                              write_dataset)
@@ -411,23 +411,13 @@ def test_written_bytes_are_pinned(tmp_path, dtype):
     assert digest["f.mdcs"] == PINNED_SHA256[("spectrum", dtype)]
 
 
-def _peak_bytes(fn) -> int:
-    """Peak traced allocation while ``fn`` runs, its result included."""
-    tracemalloc.start()
-    try:
-        base = tracemalloc.get_traced_memory()[0]
-        fn()
-        return tracemalloc.get_traced_memory()[1] - base
-    finally:
-        tracemalloc.stop()
-
-
 def test_peak_memory_of_the_file_chain(tmp_path):
     """At most one payload-sized buffer to read, none to write, and only the
     output plus two 1 MiB scratch blocks to transform (512 x 512)."""
     n, slack = 512, 64 * 1024
     payload = 8 * n * n                      # complex64 bytes
     mask = 65_536                            # one block of finiteness flags
+    cast = 65_536                            # one block of complex64 casts
     scratch = 2 * 1024 * 1024                # the transform's two blocks
     rng = np.random.default_rng(0)
     data = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
@@ -438,10 +428,50 @@ def test_peak_memory_of_the_file_chain(tmp_path):
     path = tmp_path / "big.mdcs"
 
     # write: the block mask is the only allocation beyond the header
-    assert _peak_bytes(lambda: write_dataset(path, dataset)) <= mask + slack
+    assert peak_bytes(lambda: write_dataset(path, dataset)) <= mask + slack
+    # a complex128 source adds one block of its complex64 cast
+    assert peak_bytes(lambda: write_dataset(path, signal_to_dataset(wide))) \
+        <= mask + cast + slack
     # read: the file's own buffer and the block mask
-    assert _peak_bytes(lambda: read_dataset(path)) <= payload + mask + slack
+    assert peak_bytes(lambda: read_dataset(path)) <= payload + mask + slack
     # complex64: the complex64 result and the scratch blocks
-    assert _peak_bytes(lambda: to_spectrum(narrow)) <= payload + scratch + slack
+    assert peak_bytes(lambda: to_spectrum(narrow)) <= payload + scratch + slack
     # complex128: the complex128 result and the scratch blocks
-    assert _peak_bytes(lambda: to_spectrum(wide)) <= 2 * payload + scratch + slack
+    assert peak_bytes(lambda: to_spectrum(wide)) <= 2 * payload + scratch + slack
+
+
+@pytest.mark.parametrize("source", [
+    lambda m: m.astype(np.complex128),
+    lambda m: m.astype(">c8"),                           # big-endian
+    lambda m: np.asfortranarray(m.astype(np.complex128)),
+])
+def test_any_complex_source_writes_its_complex64_cast(tmp_path, source):
+    # 100 x 200 = 20,000 elements: two full 8,192-element cast blocks and a
+    # short last one
+    rng = np.random.default_rng(9)
+    narrow = (rng.normal(size=(100, 200))
+              + 1j * rng.normal(size=(100, 200))).astype(np.complex64)
+    axes = (("tau", "ps", np.arange(100.0)), ("t", "ps", np.arange(200.0)))
+    write_dataset(tmp_path / "narrow.mdcs", DatasetFile(narrow, axes, {"k": "v"}))
+    write_dataset(tmp_path / "wide.mdcs", DatasetFile(source(narrow), axes, {"k": "v"}))
+    assert ((tmp_path / "wide.mdcs").read_bytes()
+            == (tmp_path / "narrow.mdcs").read_bytes())
+    assert read_dataset(tmp_path / "wide.mdcs").matrix.dtype == np.complex64
+
+
+def test_a_value_that_overflows_complex64_is_never_written(tmp_path):
+    # 1e39 is finite in complex128 but infinite once cast to complex64; it
+    # sits in the last cast block, so every earlier block passes the check
+    data = _dataset()
+    data.matrix = np.ones((100, 200), np.complex128)
+    data.matrix[-1, -1] = 1e39
+    data.axes = ()
+    with pytest.raises(IoFailure, match="infinity"):
+        write_dataset(tmp_path / "new.mdcs", data)
+    assert not (tmp_path / "new.mdcs").exists()
+    kept = tmp_path / "kept.mdcs"
+    write_dataset(kept, _dataset())
+    before = kept.read_bytes()
+    with pytest.raises(IoFailure, match="infinity"):
+        write_dataset(kept, data)
+    assert kept.read_bytes() == before

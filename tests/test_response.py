@@ -1,10 +1,10 @@
 import math
-import tracemalloc
 
 import numpy as np
 import pytest
 
 import ensembles
+from memory import peak_bytes
 from oracles import (direct_waiting_time_scan, exact_dense_sum,
                      gaussian_ensemble_response, rephasing_response_model,
                      rephasing_response_oracle)
@@ -303,12 +303,7 @@ def test_phasor_product_memory_is_flat_in_the_term_count(monkeypatch):
     for n in (32 * 64, 64 * 64):
         terms = (rng.uniform(-1.0, 1.0, n), rng.uniform(-1.0, 1.0, n),
                  np.ones(n, dtype=complex), np.full(n, 60.0))
-        tracemalloc.start()
-        try:
-            _dense(terms, grid, 4)
-            peaks.append(tracemalloc.get_traced_memory()[1])
-        finally:
-            tracemalloc.stop()
+        peaks.append(peak_bytes(lambda: _dense(terms, grid, 4)))
     assert peaks[1] <= 1.5 * peaks[0]
 
 
@@ -322,12 +317,7 @@ def test_small_output_tables_do_not_grow_with_the_term_count():
     for n in (20_000, 80_000):
         terms = (rng.uniform(-1.0, 1.0, n), rng.uniform(-1.0, 1.0, n),
                  np.ones(n, dtype=complex), rng.lognormal(3.0, 0.5, n))
-        tracemalloc.start()
-        try:
-            _dense(terms, grid, 1)
-            tables.append(tracemalloc.get_traced_memory()[1])
-        finally:
-            tracemalloc.stop()
+        tables.append(peak_bytes(lambda: _dense(terms, grid, 1)))
     assert tables[1] <= 1.1 * tables[0]
 
 
@@ -550,12 +540,8 @@ def test_waiting_time_scan_memory_is_flat_in_waits_times_emitters():
         ens = ensembles.two_level(FRAME + np.linspace(-0.2, 0.2, n))
         ens.terms       # the layout belongs to the ensemble, not to the scan
         waits = np.linspace(0.0, 4000.0, n_waits)
-        tracemalloc.start()
-        try:
-            waiting_time_scan(ens, 1.0, 1.0, waits, "heterodyne", laser, FRAME)
-            peaks.append(tracemalloc.get_traced_memory()[1])
-        finally:
-            tracemalloc.stop()
+        peaks.append(peak_bytes(lambda: waiting_time_scan(
+            ens, 1.0, 1.0, waits, "heterodyne", laser, FRAME)))
     assert peaks[1] <= 4 * peaks[0]
     assert peaks[1] <= 1600 * 8000 * 8 / 16
 

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from ensembles import two_level
+from memory import peak_bytes
 from oracles import direct_spectrum_oracle, five_step_transform
 from sivmdcs.emitter import LaserSpectrum
 from sivmdcs.errors import InvalidSpec, NoHalfCrossing, NonSquareGrid
@@ -93,14 +94,46 @@ def test_pad_factor_refines_bins():
     assert fine.bin_widths()[0] == pytest.approx(coarse.bin_widths()[0] / 4)
     with pytest.raises(InvalidSpec):
         to_spectrum(signal, pad_factor=0)
+    with pytest.raises(InvalidSpec, match="too large for an array"):
+        to_spectrum(signal, pad_factor=10**9)
+
+
+def _check_projection(spec):
+    proj = project_nu_t(spec)
+    expected = np.abs(spec.data).sum(axis=0)
+    assert proj.amplitude.dtype == expected.dtype
+    assert proj.amplitude.tobytes() == expected.tobytes()
+    assert np.array_equal(proj.freqs_thz, spec.nu_t_thz)
+    assert np.all(proj.valid)
 
 
 def test_projection_sums_columns():
-    spec = to_spectrum(_random_signal())
-    proj = project_nu_t(spec)
-    assert np.allclose(proj.amplitude, np.abs(spec.data).sum(axis=0))
-    assert np.array_equal(proj.freqs_thz, spec.nu_t_thz)
-    assert np.all(proj.valid)
+    _check_projection(to_spectrum(_random_signal()))
+
+
+# (300, 500) sums in 131-row blocks with a short last block, (600, 1000)
+# in 65-row ones; (2, 40_000) takes one-row blocks; a one-column spectrum
+# is summed whole
+@pytest.mark.parametrize("pad", [1, 2])
+@pytest.mark.parametrize("shape", [(300, 500), (1, 7), (7, 1), (9, 4),
+                                   (2, 40_000)])
+@pytest.mark.parametrize("dtype", [np.complex64, np.complex128])
+def test_projection_has_the_bits_of_the_whole_array_column_sum(dtype, shape, pad):
+    signal = _random_signal(*shape, seed=5)
+    signal.data = signal.data.astype(dtype)
+    _check_projection(to_spectrum(signal, pad_factor=pad))
+
+
+@pytest.mark.parametrize("dtype", [np.complex64, np.complex128])
+def test_projection_memory_is_one_block_and_its_output(dtype):
+    n, slack = 512, 64 * 1024
+    signal = _random_signal(n, n, seed=6)
+    signal.data = signal.data.astype(dtype)
+    spec = to_spectrum(signal)
+    itemsize = np.dtype(dtype).itemsize // 2             # of |F|
+    block = (65_536 // n + 1) * n * itemsize
+    output = n * (itemsize + 8 + 1)                      # amplitude, axis, flags
+    assert peak_bytes(lambda: project_nu_t(spec)) <= block + output + slack
 
 
 def test_diagonal_lineout_values_and_axis():
