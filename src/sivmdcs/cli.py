@@ -1,7 +1,8 @@
 """Command-line interface.
 
 Exit codes: 0 success, 1 a requested check failed, 2 usage error,
-3 runtime or data error.
+3 runtime or data error, also before any array is made for more than
+``MAX_WAITS`` waits in ``tscan`` or ``pulsetrain.MAX_SAMPLES`` in ``demod``.
 """
 from __future__ import annotations
 
@@ -33,6 +34,7 @@ EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
 EXIT_USAGE = 2
 EXIT_RUNTIME = 3
+MAX_WAITS = 1_000_000
 
 
 def _load_config(path, seed=None):
@@ -67,7 +69,8 @@ def _cmd_simulate(args):
 
 def _cmd_spectrum(args):
     signal = dataset_to_signal(read_dataset(args.input))
-    spectrum = to_spectrum(signal, pad_factor=args.pad)
+    # the signal is this command's own read buffer: at pad 1, transform in it
+    spectrum = to_spectrum(signal, pad_factor=args.pad, overwrite=True)
     return _write(args, "spectrum.mdcs", write_dataset, spectrum_to_dataset(spectrum))
 
 
@@ -116,8 +119,11 @@ def _cmd_tscan(args):
         raise InvalidSpec(f"waiting-time step must be positive, got {args.step} ps")
     if not (math.isfinite(args.start) and math.isfinite(args.stop)):
         raise InvalidSpec(f"waiting-time range {args.start}..{args.stop} ps must be finite")
+    stop = args.stop + 0.5 * args.step
+    if not (stop - args.start) / args.step <= MAX_WAITS:
+        raise InvalidSpec(f"the waits exceed the ceiling of {MAX_WAITS} waits")
     ensemble = build_ensemble(cfg)
-    waits = np.arange(args.start, args.stop + 0.5 * args.step, args.step)
+    waits = np.arange(args.start, stop, args.step)
     scan = waiting_time_scan(ensemble, args.tau, args.t, waits, cfg.mode,
                              cfg.laser, cfg.grid.frame_thz)
     return _write(args, "tscan.csv", write_tscan_csv, scan)
@@ -157,12 +163,13 @@ def build_parser() -> argparse.ArgumentParser:
                         version=f"sivmdcs {__version__}")
     # one parent parser per shared option, so that each command declares
     # only the options it reads
-    config, seed, out_dir, threads, verbose = (
-        argparse.ArgumentParser(add_help=False) for _ in range(5))
+    config, seed, out_dir, output, threads, verbose = (
+        argparse.ArgumentParser(add_help=False) for _ in range(6))
     config.add_argument("--config", help="experiment configuration file")
     seed.add_argument("--seed", type=int, default=None,
                       help="override the configured random seed")
     out_dir.add_argument("--out-dir", default=".", help="output directory")
+    output.add_argument("--output", help="output file name in --out-dir")
     threads.add_argument("--threads", type=int, default=1,
                          help="worker threads for signal synthesis")
     verbose.add_argument("--verbose", action="store_true")
@@ -170,36 +177,31 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("simulate",
-                       parents=[config, seed, out_dir, threads, verbose],
+                       parents=[config, seed, out_dir, output, threads, verbose],
                        help="synthesize a time-domain 2D signal")
     p.add_argument("--mode", choices=DETECTION_MODES, default=None)
-    p.add_argument("--output")
     p.set_defaults(fn=_cmd_simulate)
 
-    p = sub.add_parser("spectrum", parents=[out_dir],
+    p = sub.add_parser("spectrum", parents=[out_dir, output],
                        help="Fourier-transform a signal dataset")
     p.add_argument("input")
     p.add_argument("--pad", type=int, default=1)
-    p.add_argument("--output")
     p.set_defaults(fn=_cmd_spectrum)
 
-    p = sub.add_parser("project", parents=[out_dir],
+    p = sub.add_parser("project", parents=[out_dir, output],
                        help="project a 2D spectrum onto the emission axis")
     p.add_argument("input")
-    p.add_argument("--output")
     p.set_defaults(fn=_cmd_project)
 
-    p = sub.add_parser("deconvolve", parents=[config, out_dir],
+    p = sub.add_parser("deconvolve", parents=[config, out_dir, output],
                        help="remove the excitation bandwidth from a projection")
     p.add_argument("input")
     p.add_argument("--floor", type=float, default=0.05)
-    p.add_argument("--output")
     p.set_defaults(fn=_cmd_deconvolve)
 
-    p = sub.add_parser("lineout", parents=[out_dir],
+    p = sub.add_parser("lineout", parents=[out_dir, output],
                        help="extract the tau = t diagonal decay")
     p.add_argument("input")
-    p.add_argument("--output")
     p.set_defaults(fn=_cmd_lineout)
 
     p = sub.add_parser("fit-decay",
@@ -218,14 +220,13 @@ def build_parser() -> argparse.ArgumentParser:
                             "lineshape"))
     p.set_defaults(fn=_cmd_fit_width)
 
-    p = sub.add_parser("tscan", parents=[config, seed, out_dir],
+    p = sub.add_parser("tscan", parents=[config, seed, out_dir, output],
                        help="scan the waiting time at fixed tau and t")
     p.add_argument("--tau", type=float, default=2.0)
     p.add_argument("--t", type=float, default=2.0)
     p.add_argument("--start", type=float, default=0.0)
     p.add_argument("--stop", type=float, default=4000.0)
     p.add_argument("--step", type=float, default=250.0)
-    p.add_argument("--output")
     p.set_defaults(fn=_cmd_tscan)
 
     p = sub.add_parser("demod", parents=[config],

@@ -18,13 +18,16 @@ with a bare Python error, and nothing non-finite is ever written.
 Copy rule: the payload is never copied whole after it leaves the file or
 the caller's matrix.  A read takes the whole file with one ``readinto`` into
 an owned buffer, checks the CRC over a view of it, parses the header by
-offset and returns the matrix as a view of that buffer.  A write checks and
-checksums the payload before it opens the file, then writes it after the
-header: a complex64 matrix's own bytes, any other matrix cast to complex64
-in 64 KiB blocks, once per pass.  The finiteness mask is at most 64 KiB.
+offset and returns the matrix as a view of that buffer.  A write puts a
+complex64 matrix's own bytes, or any other matrix cast to complex64 in
+64 KiB blocks, each cast once, checked, checksummed and written in one
+pass, into a temporary file beside the target, which replaces the target
+once complete: a refused or failed write creates nothing and leaves an
+existing file untouched.  The finiteness mask is at most 64 KiB.
 """
 from __future__ import annotations
 
+import contextlib
 import os
 import struct
 import zlib
@@ -33,11 +36,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ChecksumMismatch, IoFailure, VersionUnsupported
-from .response import _TABLE_ENTRIES
+from .blocks import row_blocks
 
 MAGIC = b"MDCS2D\x00"
 FORMAT_VERSION = 1
-_CAST_BLOCK = 8_192          # complex64 elements of a write's cast block: 64 KiB
+_WRITE_BLOCK = 8_192         # complex64 entries of a write's cast block: 64 KiB
 
 
 @dataclass
@@ -53,30 +56,21 @@ def _pack_str(s: str) -> bytes:
     return struct.pack("<I", len(raw)) + raw
 
 
-def _check_finite(path, blocks, axes) -> None:
-    for block in blocks:
-        floats = block.view(block.real.dtype)       # contiguous and flat: a view
-        for lo in range(0, floats.size, _TABLE_ENTRIES):
-            if not np.isfinite(floats[lo:lo + _TABLE_ENTRIES]).all():
-                raise IoFailure(f"{path}: dataset matrix holds a NaN or an infinity")
+def _check_finite(path, flat, axes=()) -> None:
+    floats = flat.view(flat.real.dtype)         # contiguous and flat: a view
+    blocks = row_blocks(floats.size, 1)
+    for lo in blocks:
+        if not np.isfinite(floats[lo:lo + blocks.step]).all():
+            raise IoFailure(f"{path}: dataset matrix holds a NaN or an infinity")
     for name, _, values in axes:
         if not np.isfinite(values).all():
             raise IoFailure(f"{path}: axis {name!r} holds a NaN or an infinity")
-
-
-def _c8_blocks(flat: np.ndarray):
-    """A flat payload as complex64: itself, or its cast in 64 KiB blocks."""
-    if flat.dtype == np.dtype("<c8"):
-        return [flat]
-    return (flat[lo:lo + _CAST_BLOCK].astype("<c8")
-            for lo in range(0, flat.size, _CAST_BLOCK))
 
 
 def write_dataset(path, data: DatasetFile) -> None:
     matrix = np.ascontiguousarray(data.matrix)
     if matrix.ndim != 2:
         raise IoFailure(f"dataset matrix must be 2-d, got shape {matrix.shape}")
-    flat = matrix.reshape(-1)
     header = bytearray(MAGIC)
     header += struct.pack("<HI", data.version, len(data.metadata))
     for key, value in data.metadata.items():
@@ -87,20 +81,29 @@ def write_dataset(path, data: DatasetFile) -> None:
         header += _pack_str(name) + _pack_str(unit)
         header += struct.pack("<Q", vals.size) + vals.tobytes()
     header += struct.pack("<QQ", *matrix.shape)
-    checksum = zlib.crc32(header)
-    with np.errstate(over="ignore"):       # a cast that overflows is refused
-        for block in _c8_blocks(flat):
-            _check_finite(path, [block], ())
-            checksum = zlib.crc32(block, checksum)
-    _check_finite(path, (), data.axes)
+    flat, tmp = matrix.reshape(-1), f"{os.fspath(path)}.{os.getpid()}.tmp"
+    _check_finite(path, flat[:0], data.axes)
+    step = flat.size if flat.dtype == np.dtype("<c8") else _WRITE_BLOCK
     try:
-        with open(path, "wb") as fh:
+        with open(tmp, "wb") as fh, np.errstate(over="ignore"):   # overflow is refused
             fh.write(header)
-            for block in _c8_blocks(flat):       # the second pass casts again
+            checksum = zlib.crc32(header)
+            for lo in row_blocks(flat.size, 1, step):
+                block = flat[lo:lo + step].astype("<c8", copy=False)
+                _check_finite(path, block)
+                checksum = zlib.crc32(block, checksum)
                 fh.write(block)
             fh.write(struct.pack("<I", checksum))
+        # the target goes just before the rename: renaming over a file makes
+        # ext4 write the new one back first, 3-5 ms per 8 MB on an x86-64 guest
+        with contextlib.suppress(FileNotFoundError):
+            os.remove(path)
+        os.rename(tmp, path)
     except OSError as exc:
         raise IoFailure(f"cannot write dataset {path}: {exc}") from exc
+    finally:
+        with contextlib.suppress(OSError):      # gone once it has replaced path
+            os.remove(tmp)
 
 
 class _Cursor:
@@ -178,5 +181,5 @@ def read_dataset(path) -> DatasetFile:
         raise IoFailure(f"{path}: a {rows}x{cols} matrix needs {8 * rows * cols} "
                         f"payload bytes, the file holds {left}")
     matrix = blob[cur.pos:size - 4].view("<c8").reshape(rows, cols)
-    _check_finite(path, [matrix.reshape(-1)], axes)
+    _check_finite(path, matrix.reshape(-1), axes)
     return DatasetFile(matrix, tuple(axes), metadata, version)

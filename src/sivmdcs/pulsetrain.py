@@ -8,7 +8,8 @@ real-valued detector record from a map of signature -> complex amplitude;
 a Hann-windowed software lock-in.
 
 Time is handled in microseconds so that MHz tags and MS/s sample rates are
-dimensionally consistent.
+dimensionally consistent.  A record holds at most ``MAX_SAMPLES`` samples;
+a longer one is refused before any array is made.
 """
 from __future__ import annotations
 
@@ -20,6 +21,8 @@ import numpy as np
 
 from .errors import AliasError, InsufficientRecord, InvalidSpec
 from .pathways import TagSet, signature_frequency
+
+MAX_SAMPLES = 1 << 24          # 128 MiB per float64 array
 
 
 @dataclass
@@ -61,7 +64,9 @@ def simulate_pulse_train(amplitudes: Mapping[tuple[int, int, int, int], complex]
         raise AliasError(
             f"sample rate {sample_rate_msps} MS/s must exceed 4x the largest "
             f"beat frequency {max_beat} MHz")
-    n = int(round(duration_us * sample_rate_msps))
+    n = round(duration_us * sample_rate_msps)
+    if n > MAX_SAMPLES:
+        raise InvalidSpec(f"{n} samples exceed the ceiling of {MAX_SAMPLES} samples")
     t = np.arange(n) / sample_rate_msps
     series = np.full(n, dc_offset)
     for sig, amp in amplitudes.items():

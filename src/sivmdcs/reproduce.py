@@ -19,7 +19,8 @@ from .fitting import (fit_exponential, fit_finite_bandwidth, fwhm,
                       lorentzian_width_from_t2)
 from .io_utils import (signal_to_dataset, write_dataset, write_decay_csv,
                        write_trace_csv, write_tscan_csv)
-from .response import synthesize_signal, waiting_time_scan
+from .blocks import row_blocks
+from .response import signal_rows, synthesize_signal, waiting_time_scan
 from .spectra import (deconvolve_laser, diagonal_lineout, interpolated_fwhm,
                       project_nu_t, to_spectrum)
 
@@ -74,6 +75,12 @@ class Report:
 
 # --- default configurations -------------------------------------------------
 
+def _grid(n_tau: int, n_t: int, step: str) -> str:
+    """A [grid] section with equal steps."""
+    return (f"\n[grid]\ntau_points = {n_tau}\nt_points = {n_t}\n"
+            f"tau_step = {step}\nt_step = {step}\n")
+
+
 _BASE = """
 [laser]
 center = 406.770 thz
@@ -87,13 +94,7 @@ nu4 = 80.300 mhz
 """
 
 DEFAULT_CONFIGS = {
-    "fig1c": _BASE + """
-[grid]
-tau_points = 1024
-t_points = 1024
-tau_step = 1.171875 ps
-t_step = 1.171875 ps
-
+    "fig1c": _BASE + _grid(1024, 1024, "1.171875 ps") + """
 [simulation]
 waiting_time = 0.5 ps
 mode = pl
@@ -113,13 +114,7 @@ yield = strain
 [strain]
 yield_crossover = 0.02
 yield_steepness = 4.0
-
-[grid]
-tau_points = 1024
-t_points = 1024
-tau_step = 0.1 ps
-t_step = 0.1 ps
-
+""" + _grid(1024, 1024, "0.1 ps") + """
 [simulation]
 waiting_time = 0.5 ps
 mode = heterodyne
@@ -144,13 +139,7 @@ t1 = 1.7 ns
 yield = strain
 two_level = true
 """,
-    "fig2": _BASE + """
-[grid]
-tau_points = 512
-t_points = 512
-tau_step = 1.171875 ps
-t_step = 1.171875 ps
-
+    "fig2": _BASE + _grid(512, 512, "1.171875 ps") + """
 [simulation]
 waiting_time = 0.5 ps
 mode = pl
@@ -170,13 +159,7 @@ yield = strain
 [strain]
 yield_crossover = 0.02
 yield_steepness = 4.0
-
-[grid]
-tau_points = 1024
-t_points = 1024
-tau_step = 0.1 ps
-t_step = 0.1 ps
-
+""" + _grid(1024, 1024, "0.1 ps") + """
 [simulation]
 waiting_time = 0.5 ps
 mode = heterodyne
@@ -202,13 +185,7 @@ t1 = 1.7 ns
 yield = strain
 two_level = true
 """,
-    "fig4": _BASE + """
-[grid]
-tau_points = 1024
-t_points = 1024
-tau_step = 1.0 ps
-t_step = 1.0 ps
-
+    "fig4": _BASE + _grid(1024, 1024, "1.0 ps") + """
 [simulation]
 waiting_time = 0.5 ps
 mode = pl
@@ -225,13 +202,7 @@ t1 = 1.7 ns
 yield = strain
 two_level = true
 """,
-    "t1scan": _BASE + """
-[grid]
-tau_points = 16
-t_points = 16
-tau_step = 1.0 ps
-t_step = 1.0 ps
-
+    "t1scan": _BASE + _grid(16, 16, "1.0 ps") + """
 [simulation]
 waiting_time = 0.0 ps
 mode = heterodyne
@@ -252,13 +223,7 @@ two_level = true
 
 # Secondary config for the fig2 hidden-population measurement: a broad
 # two-level ensemble observed in heterodyne detection on a fine grid.
-FIG2_HIDDEN_CONFIG = _BASE + """
-[grid]
-tau_points = 256
-t_points = 8192
-tau_step = 0.125 ps
-t_step = 0.125 ps
-
+FIG2_HIDDEN_CONFIG = _BASE + _grid(256, 8192, "0.125 ps") + """
 [simulation]
 waiting_time = 0.5 ps
 mode = heterodyne
@@ -279,13 +244,7 @@ two_level = true
 # Heterodyne branch of the fig4 dephasing comparison.  The inhomogeneous
 # width is kept modest so a 1 ps step grid resolves every detuning; the
 # diagonal decay is independent of that width (photon-echo property).
-FIG4_HET_CONFIG = _BASE + """
-[grid]
-tau_points = 1024
-t_points = 1024
-tau_step = 1.0 ps
-t_step = 1.0 ps
-
+FIG4_HET_CONFIG = _BASE + _grid(1024, 1024, "1.0 ps") + """
 [simulation]
 waiting_time = 0.5 ps
 mode = heterodyne
@@ -342,10 +301,11 @@ def _box(spectrum, nu_tau_center, nu_t_center, half_width):
 # --- targets ---------------------------------------------------------------
 
 def _simulate_to_spectrum(cfg, report, name, threads):
-    """Simulate ``cfg``, write dataset ``name`` and return the spectrum."""
+    """Simulate ``cfg``, write dataset ``name`` and return the spectrum,
+    transformed in the signal's buffer."""
     signal = run_simulation(cfg, threads=threads)
     write_dataset(report.path(name), signal_to_dataset(signal))
-    return to_spectrum(signal)
+    return to_spectrum(signal, overwrite=True)
 
 
 def _target_fig1c(cfg, report, threads, seed_shift):
@@ -381,25 +341,32 @@ def _target_fig1d(cfg, report, threads, seed_shift):
     width = interpolated_fwhm(projection.freqs_thz, projection.amplitude)
     report.add("projection_fwhm_thz", width, "expected > 1 THz", width > 1.0)
 
-    # ridge on the nu_tau = -nu_t diagonal
-    magnitude = np.abs(spectrum.data)
-    idx = np.unravel_index(np.argmax(magnitude), magnitude.shape)
-    mismatch = abs(spectrum.nu_tau_thz[idx[0]] + spectrum.nu_t_thz[idx[1]])
+    # ridge on the nu_tau = -nu_t diagonal: the first largest |F|, by row blocks
+    data, (n, n_t) = spectrum.data, spectrum.data.shape
+    rows, peak, at = row_blocks(n, n_t), -1.0, 0
+    for lo in rows:
+        part = np.abs(data[lo:lo + rows.step]).ravel()
+        i = int(part.argmax())
+        if part[i] > peak:
+            peak, at = part[i], lo * n_t + i
+    i, j = divmod(at, n_t)
+    mismatch = abs(spectrum.nu_tau_thz[i] + spectrum.nu_t_thz[j])
     bin_tau, bin_t = spectrum.bin_widths()
     report.add("peak_diagonal_offset_thz", mismatch,
                f"expected <= {2 * max(bin_tau, bin_t):.4g}",
                mismatch <= 2 * max(bin_tau, bin_t))
 
     # the ridge is the array's anti-diagonal; compare it with cells n // 8 rows off
-    flipped = np.flipud(magnitude)
-    k, n = np.arange(min(flipped.shape)), len(flipped)
-    ratio = flipped[k, k].mean() / max(flipped[(k + n // 8) % n, k].mean(), 1e-300)
+    k = np.arange(min(n, n_t))
+    ratio = np.abs(data[n - 1 - k, k]).mean() \
+        / max(np.abs(data[n - 1 - (k + n // 8) % n, k]).mean(), 1e-300)
     report.add("diagonal_ridge_contrast", ratio, "diag/off >= 10", ratio >= 10.0)
 
 
 def _target_fig2(cfg, report, threads, seed_shift):
     # bright branch (PL detection, coarse frequency grid)
-    bright_proj = project_nu_t(to_spectrum(run_simulation(cfg, threads=threads)))
+    bright_proj = project_nu_t(to_spectrum(run_simulation(cfg, threads=threads),
+                                           overwrite=True))
     write_trace_csv(report.path("fig2_bright_projection.csv"), bright_proj)
 
     lowest = float(cfg.scheme.transition_frequencies()[0])
@@ -409,7 +376,8 @@ def _target_fig2(cfg, report, threads, seed_shift):
 
     # hidden branch (heterodyne, fine grid, broad two-level ensemble)
     hidden_cfg = _shift_seed(parse_config(FIG2_HIDDEN_CONFIG), seed_shift)
-    hidden_proj = project_nu_t(to_spectrum(run_simulation(hidden_cfg, threads=threads)))
+    hidden_proj = project_nu_t(to_spectrum(run_simulation(hidden_cfg, threads=threads),
+                                           overwrite=True))
     write_trace_csv(report.path("fig2_hidden_projection.csv"), hidden_proj)
 
     # both width routes work on the central window; a constant-background
@@ -433,16 +401,6 @@ def _target_fig2(cfg, report, threads, seed_shift):
                f"expected <= {budget:.4g}", gap <= budget)
 
 
-def _proportionality_dev(signal, reference, factor):
-    """max |signal - factor reference| / max |reference| / factor, with the
-    bits of that whole-array expression but taken by blocks of 64 rows, so
-    that no full-grid temporary is made."""
-    blocks = range(0, len(signal), 64)
-    worst = np.max([np.abs(signal[i:i + 64] - factor * reference[i:i + 64]).max()
-                    for i in blocks])
-    return worst / np.max([np.abs(reference[i:i + 64]).max() for i in blocks]) / factor
-
-
 def _target_fig3(cfg, report, threads, seed_shift):
     ensemble = build_ensemble(cfg)
     def synthesize(ens, mode):
@@ -450,13 +408,20 @@ def _target_fig3(cfg, report, threads, seed_shift):
                                  cfg.laser, threads=threads)
 
     # (c) with yield suppression disabled, PL == Y0 * heterodyne; the yield-free
-    # ``het`` serves, and goes first so that at most two full grids are alive.
+    # ``het`` serves, and the flat-yield PL rows stream against it: one full
+    # grid, and the bits of max |pl - 0.8 het| / max |het| / 0.8
     het = synthesize(ensemble, "heterodyne")
     flat = replace(ensemble, quantum_yield=np.full(len(ensemble), 0.8))
-    dev = _proportionality_dev(synthesize(flat, "pl").data, het.data, 0.8)
-    het_proj = project_nu_t(to_spectrum(het))
+    worst = scale = 0.0
+    for lo, pl in signal_rows(flat, cfg.grid, cfg.waiting_time_ps, "pl",
+                              cfg.laser, threads):
+        rows = slice(lo, lo + len(pl))      # no view of het outlives het
+        worst = np.maximum(worst, np.abs(pl - 0.8 * het.data[rows]).max())
+        scale = np.maximum(scale, np.abs(het.data[rows]).max())
+    dev = worst / scale / 0.8
+    het_proj = project_nu_t(to_spectrum(het, overwrite=True))
     del het
-    pl_proj = project_nu_t(to_spectrum(synthesize(ensemble, "pl")))
+    pl_proj = project_nu_t(to_spectrum(synthesize(ensemble, "pl"), overwrite=True))
     write_trace_csv(report.path("fig3_het_projection.csv"), het_proj)
     write_trace_csv(report.path("fig3_pl_projection.csv"), pl_proj)
 

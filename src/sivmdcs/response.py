@@ -32,30 +32,26 @@ Both call one kernel, ``_phasor_product``, a weighted sum over terms of two
 exponential factors on uniform axes: the dense route once, the echo route
 once per group, with a coarse and a fine lag factor.  Each factor is a
 phasor table exp(z (start + k step)): a fresh complex exp every 64th row,
-products with exp(z step) between (at most ~64 ulp per entry), so a table
-of n rows costs ceil(n/64) + 1 exps per term, one fewer from start 0, at
-30-40 ns per exp against 1-3 ns per multiply (numpy 2.4, x86-64): the dense
-route takes ceil(n_tau/64) + ceil(n_t/64) exps per term, the echo route
-2 ceil(b/64) + 1 per merged term, b ~ sqrt(n_tau + n_t).  Tests check both
-routes against a direct exp at every grid point.  The kernel
-contracts each chunk of terms as one matrix product and adds the partials
-in chunk order; ``_chunk_terms`` sizes a chunk from the table shape alone,
-so the bits do not depend on the thread count.  It holds the larger table
-to 1 MiB whatever the term count, so that the table stays in L2 and comes
-back from the heap instead of fresh pages (about 3.6 us per 4 KiB page on a
-virtualized x86-64 host), but keeps at least four times the output's
-entries in it, so that a large output's partial stays amortized (64-term
-chunks took 1.6x the time on a 1024^2 grid).  A chunk
-builds its own rates and weights and a pool holds at most 2 * threads
-chunks, so memory stays flat in the term count.  ``waiting_time_scan``
-contracts its per-emitter sums, as (n, 2) floats, with real tables of
-exp(-T/T1) in chunks of ``_chunk_terms(n_waits, 1)`` emitters, so its
-memory is flat in n_waits * n too.
+products with exp(z step) between (at most ~64 ulp per entry; an exp costs
+30-40 ns against 1-3 ns per multiply).  Tests check both routes against a
+direct exp at every grid point.  The kernel contracts each chunk of terms
+as one matrix product and adds the partials in chunk order; ``_chunk_terms``
+sizes a chunk from the table shape alone, so the bits do not depend on the
+thread count.  It holds the larger table to 1 MiB, so that it stays in L2
+and comes back from the heap instead of fresh pages, but keeps at least
+four times the output's entries in it, so that a large output's partial
+stays amortized.  A chunk builds its own rates and weights and a pool holds
+at most 2 * threads chunks, so memory stays flat in the term count, as it
+does in ``waiting_time_scan``, which contracts per-emitter sums with real
+tables of exp(-T/T1) in chunks of ``_chunk_terms(n_waits, 1)`` emitters.
 
 The echo route is taken when the two grid steps are equal and the distinct
 (delta, T2) groups are few compared with the terms (constant or class T2,
 strain-independent splittings); otherwise, for example with log-normal T2
-or unequal steps, the dense route runs.
+or unequal steps, the dense route runs.  The echo route builds its lag
+functions first and then fills any rows on demand, through one 1 MiB
+scratch block: ``synthesize_signal`` fills its grid in place, and
+``signal_rows`` streams the noise-free signal in reused row blocks.
 """
 from __future__ import annotations
 
@@ -63,11 +59,12 @@ import math
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
+from .blocks import BLOCK_ENTRIES, row_blocks
 from .emitter import Ensemble, LaserSpectrum
 from .errors import EmptyEnsemble, GridTooCoarse, InvalidSpec
 
@@ -150,7 +147,7 @@ def _rates(nu, t2, sign: float) -> np.ndarray:
 # time at m = 48, 0.7-1.0x at m = 64 and 0.4-0.8x at m = 96: 64 is the
 # smallest of these where the echo route is never the slower.
 _ECHO_TERMS_PER_GROUP = 64
-_TABLE_ENTRIES = 65_536        # of a chunk's larger table and of scratch blocks: 1 MiB
+_TABLE_ENTRIES = BLOCK_ENTRIES  # of a chunk's larger table: 1 MiB
 _ANCHOR_ROWS = 64
 
 
@@ -252,9 +249,10 @@ def _echo_groups(nu_exc, nu_emit, weight, t2):
             for lo, hi in zip(bounds[:-1], bounds[1:])]
 
 
-def _echo_sum(groups, grid: Grid, threads: int) -> np.ndarray:
-    """Difference-axis route on a grid with equal steps: per group, the lag
-    function h(L) on L = tau - t, assembled by a Toeplitz view."""
+def _echo_fill(groups, grid: Grid, threads: int):
+    """Difference-axis route on a grid with equal steps: builds every group's
+    lag function h(L) on L = tau - t, then returns ``fill(lo, out)``, which
+    writes rows lo:lo + len(out) of the signal through Toeplitz views of h."""
     n_tau, n_t, step = grid.n_tau, grid.n_t, grid.tau_step_ps
     n_lag = n_tau + n_t - 1
     # lag index p = b * block + j holds L = (p - n_t + 1) * step, so that
@@ -268,32 +266,32 @@ def _echo_sum(groups, grid: Grid, threads: int) -> np.ndarray:
         h = _phasor_product(lambda lo, hi, z=z, w=weight: (z[lo:hi], z[lo:hi], w[lo:hi]),
                             len(weight), n_block, block * step, -(n_t - 1) * step,
                             block, step, threads).ravel()
-        # lags[i, j] = h[i - j + n_t - 1]
-        factors.append((sliding_window_view(h[n_lag - 1::-1], n_t)[::-1],
+        # lags[i, j] = h[i - j + n_t - 1]: row i of h reversed once, read
+        # forward from index n_tau - 1 - i
+        factors.append((sliding_window_view(h[n_lag - 1::-1].copy(), n_t)[::-1],
                         np.exp((-2j * np.pi * delta - 1.0 / t2) * grid.t_ps),
                         np.exp(-grid.tau_ps / t2)[:, None]))
-    # row block by row block of about 64k entries: group 0 writes the block,
-    # later groups add to it through a scratch block, in group order
-    data = np.empty((n_tau, n_t), dtype=complex)
-    rows = max(1, 65_536 // n_t)
+    # row block by row block: group 0 writes the block, later groups add to
+    # it through a scratch block, in group order
+    rows = row_blocks(n_tau, n_t).step
     scratch = np.empty((min(rows, n_tau), n_t), dtype=complex)
-    for lo in range(0, n_tau, rows):
-        out = data[lo:lo + rows]
-        for g, (lags, along_t, along_tau) in enumerate(factors):
-            part = scratch[:len(out)] if g else out
-            np.multiply(lags[lo:lo + rows], along_t, out=part)
-            part *= along_tau[lo:lo + rows]
-            if g:
-                out += part
-    return data
+
+    def fill(lo, out):
+        for first in range(0, len(out), rows):
+            dst = out[first:first + rows]
+            r = slice(lo + first, lo + first + len(dst))
+            for g, (lags, along_t, along_tau) in enumerate(factors):
+                part = scratch[:len(dst)] if g else dst
+                np.multiply(lags[r], along_t, out=part)
+                part *= along_tau[r]
+                if g:
+                    dst += part
+    return fill
 
 
-def synthesize_signal(ensemble: Ensemble, grid: Grid,
-                      waiting_time_ps: float, mode: str,
-                      laser: LaserSpectrum | None = None,
-                      noise_rms: float = 0.0, noise_seed: int = 0,
-                      threads: int = 1) -> TimeDomainSignal:
-    """Sum pathway responses over the ensemble on the (tau, t) grid."""
+def _route(ensemble: Ensemble, grid: Grid, waiting_time_ps: float, mode: str,
+           laser: LaserSpectrum | None, threads: int):
+    """A checked request's echo-route ``fill(lo, out)``, or its dense grid."""
     if mode not in DETECTION_MODES:
         raise InvalidSpec(f"unknown detection mode {mode!r}")
     if len(ensemble) == 0:
@@ -310,16 +308,48 @@ def synthesize_signal(ensemble: Ensemble, grid: Grid,
 
     terms = _pathway_terms(ensemble, mode, laser, grid.frame_thz, waiting_time_ps)
     groups = _echo_groups(*terms()) if grid.tau_step_ps == grid.t_step_ps else None
-    data = _dense_sum(terms, len(layout.t2_ps), grid, threads) if groups is None \
-        else _echo_sum(groups, grid, threads)
+    if groups is None:
+        return _dense_sum(terms, len(layout.t2_ps), grid, threads)
+    return _echo_fill(groups, grid, threads)
+
+
+def signal_rows(ensemble: Ensemble, grid: Grid, waiting_time_ps: float,
+                mode: str, laser: LaserSpectrum | None = None,
+                threads: int = 1) -> Iterator[tuple[int, np.ndarray]]:
+    """The noise-free signal of ``synthesize_signal`` as (first row, block)
+    pairs with its bits: on the echo route one reused block of about 64k
+    entries, valid until the next pair; on the dense route the whole grid."""
+    source = _route(ensemble, grid, waiting_time_ps, mode, laser, threads)
+    if not callable(source):
+        yield 0, source
+        return
+    rows = row_blocks(grid.n_tau, grid.n_t)
+    block = np.empty((min(rows.step, grid.n_tau), grid.n_t), dtype=complex)
+    for lo in rows:
+        source(lo, block[:grid.n_tau - lo])
+        yield lo, block[:grid.n_tau - lo]
+
+
+def synthesize_signal(ensemble: Ensemble, grid: Grid,
+                      waiting_time_ps: float, mode: str,
+                      laser: LaserSpectrum | None = None,
+                      noise_rms: float = 0.0, noise_seed: int = 0,
+                      threads: int = 1) -> TimeDomainSignal:
+    """Sum pathway responses over the ensemble on the (tau, t) grid."""
+    data = _route(ensemble, grid, waiting_time_ps, mode, laser, threads)
+    if callable(data):
+        fill, data = data, np.empty((grid.n_tau, grid.n_t), dtype=complex)
+        fill(0, data)
+        del fill            # its lag tables and scratch block
 
     if noise_rms > 0:
         rng = np.random.default_rng(noise_seed)
         scale = noise_rms / math.sqrt(2.0)
         # row blocks, all real parts first: the stream of two whole-grid draws
-        draws = np.empty((max(1, _TABLE_ENTRIES // grid.n_t), grid.n_t))
+        rows = row_blocks(grid.n_tau, grid.n_t)
+        draws = np.empty((min(rows.step, grid.n_tau), grid.n_t))
         for part in (data.real, data.imag):
-            for dst in np.split(part, range(len(draws), grid.n_tau, len(draws))):
+            for dst in np.split(part, rows[1:]):
                 noise = rng.standard_normal(out=draws[:len(dst)])
                 dst += np.multiply(noise, scale, out=noise)
 

@@ -13,7 +13,8 @@ import numpy as np
 
 from .emitter import LaserSpectrum
 from .errors import InvalidSpec, NonSquareGrid
-from .response import _TABLE_ENTRIES, TimeDomainSignal
+from .blocks import row_blocks
+from .response import TimeDomainSignal
 
 
 @dataclass
@@ -67,36 +68,44 @@ class DecayTrace:
         return DecayTrace(self.time_ps[keep], self.amplitude[keep])
 
 
-def to_spectrum(signal: TimeDomainSignal, pad_factor: int = 1) -> Spectrum2D:
+def to_spectrum(signal: TimeDomainSignal, pad_factor: int = 1, *,
+                overwrite: bool = False) -> Spectrum2D:
     """Discrete 2D transform of S(tau, t) with the rephasing axis convention,
-    in two passes over the output through 65,536-entry blocks; the input is
-    never written, and each 1-D line has the whole-array form's numpy call."""
-    grid = signal.grid
+    in two passes over the output through 65,536-entry blocks; each 1-D line
+    has the whole-array form's numpy call.  The input is never written unless
+    ``overwrite`` (scipy.fft's ``overwrite_x``) is set at pad 1 and
+    ``signal.data`` is a writeable C-contiguous array of the output's dtype:
+    then it becomes the output, with the same bits, and the signal must not
+    be read after the call."""
+    grid, data = signal.grid, signal.data
     n_tau = grid.n_tau * pad_factor
     n_t = grid.n_t * pad_factor
-    dtype = np.result_type(signal.data.dtype, 1j)     # numpy fft's output type
+    dtype = np.result_type(data.dtype, 1j)     # numpy fft's output type
     if pad_factor < 1 or n_tau * n_t * dtype.itemsize > np.iinfo(np.intp).max:
         raise InvalidSpec(f"pad factor {pad_factor} is below 1 or too large for an array")
     k, k_t = n_tau - n_tau // 2, n_t - n_t // 2
-    out = np.empty((n_tau, n_t), dtype)
+    in_place = (overwrite and pad_factor == 1 and data.dtype == dtype
+                and data.flags.c_contiguous and data.flags.writeable)
+    out = data if in_place else np.empty((n_tau, n_t), dtype)
 
     # tau axis by widened, zero-padded column blocks (numpy's fft runs in double
-    # precision for any complex input), stored fftshifted and row-reversed
-    cols = max(1, _TABLE_ENTRIES // n_tau)
-    scratch = np.empty((n_tau, cols), np.complex128)
-    for lo in range(0, grid.n_t, cols):
-        hi = min(lo + cols, grid.n_t)
+    # precision for any complex input), stored fftshifted and row-reversed; a
+    # block is copied whole into scratch before its columns are written
+    cols = row_blocks(grid.n_t, n_tau)
+    scratch = np.empty((n_tau, min(cols.step, grid.n_t)), np.complex128)
+    for lo in cols:
+        hi = min(lo + cols.step, grid.n_t)
         s = scratch[:, :hi - lo]
-        s[:grid.n_tau] = signal.data[:, lo:hi]
+        s[:grid.n_tau] = data[:, lo:hi]
         s[grid.n_tau:] = 0
         np.fft.fft(s, axis=0, out=s)
         out[:k, lo:hi] = s[k - 1::-1]
         out[k:, lo:hi] = s[:k - 1:-1]
     out[:, grid.n_t:] = 0
     # t axis by row blocks in the output's precision, scaled and fftshifted
-    rows = max(1, _TABLE_ENTRIES // n_t)
-    scratch = np.empty((rows, n_t), dtype)
-    for block in np.split(out, range(rows, n_tau, rows)):
+    rows = row_blocks(n_tau, n_t)
+    scratch = np.empty((min(rows.step, n_tau), n_t), dtype)
+    for block in np.split(out, rows[1:]):
         s = np.fft.ifft(block, axis=1, out=scratch[:len(block)])
         np.multiply(s[:, k_t:], n_t, out=block[:, :n_t - k_t])
         np.multiply(s[:, :k_t], n_t, out=block[:, n_t - k_t:])
@@ -120,9 +129,9 @@ def project_nu_t(spectrum: Spectrum2D) -> Trace1D:
     data, n_t = spectrum.data, spectrum.data.shape[1]
     if n_t <= 1:
         return Trace1D(spectrum.nu_t_thz.copy(), np.abs(data).sum(axis=0))
-    rows = max(1, _TABLE_ENTRIES // n_t)
-    block = np.zeros((rows + 1, n_t), data.real.dtype)
-    for part in np.split(data, range(rows, len(data), rows)):
+    rows = row_blocks(len(data), n_t)
+    block = np.zeros((rows.step + 1, n_t), data.real.dtype)
+    for part in np.split(data, rows[1:]):
         np.abs(part, out=block[1:len(part) + 1])
         block[0] = block[:len(part) + 1].sum(axis=0)
     return Trace1D(spectrum.nu_t_thz.copy(), block[0].copy())

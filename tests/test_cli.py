@@ -2,9 +2,10 @@ import numpy as np
 import pytest
 
 from sivmdcs.cli import (EXIT_CHECK_FAILED, EXIT_OK, EXIT_RUNTIME, EXIT_USAGE,
-                         main)
+                         MAX_WAITS, main)
 from sivmdcs.dataset import write_dataset
 from sivmdcs.io_utils import signal_to_dataset
+from sivmdcs.pulsetrain import MAX_SAMPLES
 from sivmdcs.response import Grid, TimeDomainSignal
 
 TINY_CONFIG = """
@@ -267,12 +268,13 @@ def test_non_finite_demod_and_tscan_arguments_are_runtime_errors(tmp_path, capsy
     assert not (tmp_path / "out").exists()
 
 
-# every size is exabytes, so each allocation fails at once; numpy's
+# every size is exabytes, so each allocation fails at once: a scan or a
+# record past its ceiling is refused before any array is made, numpy's
 # MemoryError says "Unable to allocate", and a padded spectrum larger than
 # any array is refused before numpy is asked
 ALLOCATIONS_THAT_FAIL = {
-    "tscan --stop 1e15 --step 1e-3": "Unable to allocate",     # 10^18 waits
-    "demod --duration 1e17": "Unable to allocate",             # 5 x 10^17 samples
+    "tscan --stop 1e15 --step 1e-3": "exceed the ceiling",     # 10^18 waits
+    "demod --duration 1e17": "exceed the ceiling",            # 5 x 10^17 samples
     "spectrum --pad 100000000": "Unable to allocate",          # 1.1 EiB
     "spectrum --pad 1000000000": "too large for an array",
 }
@@ -292,6 +294,19 @@ def test_an_allocation_that_cannot_be_made_is_a_runtime_error(tmp_path, capsys, 
     assert main(argv) == EXIT_RUNTIME
     captured = capsys.readouterr()
     assert message in captured.err and captured.out == ""
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["tscan", "--stop", repr(250.0 * MAX_WAITS)],        # MAX_WAITS + 1 waits
+    ["demod", "--duration", repr((MAX_SAMPLES + 1) / 5.0)],   # at 5 MS/s
+])
+def test_one_wait_or_sample_past_the_ceiling_exits_3_at_once(tmp_path, capsys, argv):
+    if argv[0] == "tscan":
+        argv = argv + ["--out-dir", str(tmp_path / "out")]
+    assert main(argv) == EXIT_RUNTIME
+    captured = capsys.readouterr()
+    assert "the ceiling of" in captured.err and captured.out == ""
     assert not (tmp_path / "out").exists()
 
 

@@ -440,6 +440,23 @@ def test_peak_memory_of_the_file_chain(tmp_path):
     assert peak_bytes(lambda: to_spectrum(wide)) <= 2 * payload + scratch + slack
 
 
+def test_the_spectrum_command_holds_one_payload(tmp_path, capsys):
+    """At pad 1 ``spectrum`` transforms in its own read buffer: a second
+    1024 x 1024 complex64 payload (8 MiB) would break this bound."""
+    n = 1024
+    rng = np.random.default_rng(1)
+    data = (rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))).astype(np.complex64)
+    path = tmp_path / "signal.mdcs"
+    write_dataset(path, signal_to_dataset(
+        TimeDomainSignal(data, Grid(n, n, 0.5, 0.5, 406.77), 0.5, "pl")))
+    expected = spectrum_to_dataset(to_spectrum(dataset_to_signal(read_dataset(path))))
+    del data
+    argv = ["spectrum", str(path), "--out-dir", str(tmp_path)]
+    assert peak_bytes(lambda: main(argv)) <= path.stat().st_size + 8 * 2**20
+    capsys.readouterr()
+    assert np.array_equal(read_dataset(tmp_path / "spectrum.mdcs").matrix, expected.matrix)
+
+
 @pytest.mark.parametrize("source", [
     lambda m: m.astype(np.complex128),
     lambda m: m.astype(">c8"),                           # big-endian
@@ -475,3 +492,12 @@ def test_a_value_that_overflows_complex64_is_never_written(tmp_path):
     with pytest.raises(IoFailure, match="infinity"):
         write_dataset(kept, data)
     assert kept.read_bytes() == before
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["kept.mdcs"]
+
+
+def test_a_failed_write_leaves_no_temporary_file(tmp_path):
+    (tmp_path / "taken").mkdir()
+    with pytest.raises(IoFailure, match="cannot write"):
+        write_dataset(tmp_path / "taken", _dataset())
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["taken"]
+    assert not any((tmp_path / "taken").iterdir())

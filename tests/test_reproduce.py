@@ -1,11 +1,15 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from memory import peak_bytes
 from sivmdcs.config import parse_config
 from sivmdcs.reproduce import (DEFAULT_CONFIGS, FIG2_HIDDEN_CONFIG,
-                               FIG4_HET_CONFIG, TARGETS, _proportionality_dev,
-                               run_reproduction)
+                               FIG4_HET_CONFIG, TARGETS, build_ensemble,
+                               run_reproduction, run_simulation)
+from sivmdcs.response import synthesize_signal
+from sivmdcs.spectra import to_spectrum
 
 
 def test_seed_override_reaches_secondary_branch(tmp_path):
@@ -20,28 +24,50 @@ def test_seed_override_reaches_secondary_branch(tmp_path):
     assert diagonals[0] == diagonals[1] != diagonals[2]
 
 
-def test_blockwise_proportionality_dev_has_the_whole_array_bits():
-    # fig3's yield-off check, taken by row blocks (the last one short), must
-    # give the bits of the whole-array expression, and keep a NaN
-    rng = np.random.default_rng(12)
-    shape = (150, 70)
-    het = rng.normal(size=shape) + 1j * rng.normal(size=shape)
-    pl = 0.8 * het + 1e-9 * (rng.normal(size=shape) + 1j * rng.normal(size=shape))
+def _check(report, name):
+    (value,) = [c.value for c in report.checks if c.name == name]
+    return value
+
+
+def test_fig3_streamed_proportionality_dev_has_the_whole_array_bits(tmp_path):
+    # fig3's yield-off check streams the flat-yield PL rows against the
+    # heterodyne grid; it must report the bits of the whole-array expression
+    cfg = parse_config(DEFAULT_CONFIGS["fig3"])
+    ensemble = build_ensemble(cfg)
+    het, pl = (synthesize_signal(ens, cfg.grid, cfg.waiting_time_ps, mode,
+                                 cfg.laser).data
+               for ens, mode in ((ensemble, "heterodyne"),
+                                 (replace(ensemble, quantum_yield=np.full(
+                                     len(ensemble), 0.8)), "pl")))
     whole = np.max(np.abs(pl - 0.8 * het)) / np.max(np.abs(het)) / 0.8
-    assert _proportionality_dev(pl, het, 0.8) == whole
-    pl[140, 3] = np.nan
-    assert np.isnan(_proportionality_dev(pl, het, 0.8))
+    report = run_reproduction("fig3", out_dir=str(tmp_path))
+    assert _check(report, "yield_off_proportionality_dev") == whole
+
+
+def test_fig1d_blocked_ridge_checks_have_the_whole_array_bits(tmp_path):
+    # the argmax by row blocks of |F| and the ridge means at indexed cells
+    cfg = parse_config(DEFAULT_CONFIGS["fig1d"])
+    spectrum = to_spectrum(run_simulation(cfg))
+    magnitude = np.abs(spectrum.data)
+    i, j = np.unravel_index(np.argmax(magnitude), magnitude.shape)
+    flipped = np.flipud(magnitude)
+    k, n = np.arange(min(flipped.shape)), len(flipped)
+    report = run_reproduction("fig1d", out_dir=str(tmp_path))
+    assert _check(report, "peak_diagonal_offset_thz") \
+        == abs(spectrum.nu_tau_thz[i] + spectrum.nu_t_thz[j])
+    assert _check(report, "diagonal_ridge_contrast") \
+        == flipped[k, k].mean() / flipped[(k + n // 8) % n, k].mean()
 
 
 @pytest.mark.parametrize("target", TARGETS)
 def test_a_target_holds_at_most_a_signal_and_a_spectrum(tmp_path, target):
     # a full grid is one complex128 signal or spectrum of the target's
-    # largest grid; fig4 reads only the diagonal of each signal, so it
-    # never needs a second one
+    # largest grid; each transform runs in its signal's buffer, so a signal
+    # and its spectrum are one grid, and every other reader streams or reads
+    # cells: a second full grid fails this
     texts = [DEFAULT_CONFIGS[target]]
     texts += {"fig2": [FIG2_HIDDEN_CONFIG], "fig4": [FIG4_HET_CONFIG]}.get(target, [])
     grid = max(16 * cfg.grid.n_tau * cfg.grid.n_t for cfg in map(parse_config, texts))
-    grids = 1 if target == "fig4" else 2
     peak = peak_bytes(lambda: run_reproduction(target, out_dir=str(tmp_path),
                                                threads=1))
-    assert peak <= grids * grid + 4 * 2**20
+    assert peak <= grid + 8 * 2**20

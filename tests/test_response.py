@@ -16,8 +16,9 @@ from sivmdcs.errors import EmptyEnsemble, GridTooCoarse, InvalidSpec
 from sivmdcs import response
 from sivmdcs.pathways import REPHASING_PATHWAYS
 from sivmdcs.response import (Grid, TimeDomainSignal, _dense_sum, _echo_groups,
-                              _echo_sum, _pathway_terms, _phasors,
-                              synthesize_signal, waiting_time_scan)
+                              _echo_fill, _pathway_terms, _phasors,
+                              signal_rows, synthesize_signal,
+                              waiting_time_scan)
 
 FRAME = 406.770
 
@@ -242,9 +243,29 @@ def test_echo_route_matches_dense_reference(shape, mode, laser, hidden_t2):
     groups = _echo_groups(*terms)
     assert groups is not None
     signal = synthesize_signal(ensemble, grid, 0.5, mode, laser, threads=2)
-    assert np.array_equal(signal.data, _echo_sum(groups, grid, 1))
+    echo = np.empty(shape, complex)
+    _echo_fill(groups, grid, 1)(0, echo)
+    assert np.array_equal(signal.data, echo)
     exact = exact_dense_sum(*terms, grid.tau_ps, grid.t_ps)
     assert np.abs(signal.data - exact).max() <= 1e-10 * np.abs(exact).max()
+
+
+# (40, 2000) gives row blocks of 32 rows with a short last block; lognormal
+# T2 takes the dense route, which yields the whole grid as one block
+@pytest.mark.parametrize("hidden_t2", [CONSTANT_T2, LOGNORMAL_T2])
+@pytest.mark.parametrize("threads", [1, 3])
+def test_signal_rows_concatenate_to_the_noise_free_signal(hidden_t2, threads):
+    ensemble = _mixed_ensemble(hidden_t2)
+    grid = Grid(40, 2000, 0.25, 0.25, FRAME)
+    laser = LaserSpectrum(FRAME, 0.5)
+    whole = synthesize_signal(ensemble, grid, 0.5, "pl", laser, threads=threads).data
+    firsts, blocks = [], []
+    for first, block in signal_rows(ensemble, grid, 0.5, "pl", laser, threads):
+        firsts.append(first)
+        blocks.append(block.copy())
+    assert len(blocks) == (2 if hidden_t2 is CONSTANT_T2 else 1)
+    assert firsts == list(np.cumsum([0] + [len(b) for b in blocks[:-1]]))
+    assert np.concatenate(blocks).tobytes() == whole.tobytes()
 
 
 def test_echo_route_merges_direct_peak_pathways():

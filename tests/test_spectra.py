@@ -60,6 +60,37 @@ def test_transform_bits_match_the_five_step_reference(dtype, shape, pad):
     assert signal.data.tobytes() == before.tobytes()      # input left unchanged
 
 
+@pytest.mark.parametrize("shape", [(7, 7), (6, 9), (9, 4), (1, 5), (5, 1),
+                                   (300, 500), (70_000, 2), (2, 40_000)])
+@pytest.mark.parametrize("dtype", [np.complex64, np.complex128])
+def test_overwriting_transform_gives_the_same_bytes_in_the_signal_buffer(dtype, shape):
+    signal = _random_signal(*shape, seed=5)
+    signal.data = signal.data.astype(dtype)
+    plain = to_spectrum(signal)
+    buffer = signal.data
+    spec = to_spectrum(signal, overwrite=True)
+    assert spec.data is buffer
+    assert spec.data.tobytes() == plain.data.tobytes()
+    assert spec.nu_tau_thz.tobytes() == plain.nu_tau_thz.tobytes()
+
+
+@pytest.mark.parametrize("case", ["pad 2", "read-only", "float64", "fortran"])
+def test_overwrite_falls_back_to_a_fresh_output(case):
+    signal = _random_signal(6, 9, seed=6)
+    if case == "read-only":
+        signal.data.flags.writeable = False
+    elif case == "float64":
+        signal.data = signal.data.real.copy()
+    elif case == "fortran":
+        signal.data = np.asfortranarray(signal.data)
+    pad = 2 if case == "pad 2" else 1
+    before = signal.data.copy()
+    spec = to_spectrum(signal, pad, overwrite=True)
+    assert not np.shares_memory(spec.data, signal.data)
+    assert spec.data.tobytes() == to_spectrum(signal, pad).data.tobytes()
+    assert signal.data.tobytes() == before.tobytes()
+
+
 def test_parseval_identity():
     signal = _random_signal(seed=11)
     spec = to_spectrum(signal)
