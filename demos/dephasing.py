@@ -3,13 +3,15 @@
 The tau = t diagonal decays as exp(-(t + tau)/T2) independently of the
 inhomogeneous width, so exponential fits along it read off T2 directly.
 A population with two dephasing classes produces a bi-exponential decay.
+Only the diagonal is read, so it is synthesized without the 2D grid.
 
 Run:  python3 demos/dephasing.py
 """
 from sivmdcs import parse_config
 from sivmdcs.fitting import fit_exponential, lorentzian_width_from_t2
-from sivmdcs.reproduce import run_simulation
-from sivmdcs.spectra import diagonal_lineout
+from sivmdcs.reproduce import build_ensemble
+from sivmdcs.response import synthesize_diagonal
+from sivmdcs.spectra import diagonal_decay
 
 MONO = """
 [grid]
@@ -39,7 +41,10 @@ BI = MONO.replace("mode = pl", "mode = heterodyne") \
 for label, config, n_comp in (("single class", MONO, 1),
                               ("two classes", BI, 2)):
     cfg = parse_config(config)
-    decay = diagonal_lineout(run_simulation(cfg, threads=4))
+    diagonal = synthesize_diagonal(build_ensemble(cfg), cfg.grid, cfg.waiting_time_ps,
+                                   cfg.mode, cfg.laser, noise_rms=cfg.noise,
+                                   noise_seed=cfg.seed + 1)
+    decay = diagonal_decay(diagonal, cfg.grid.tau_step_ps)
     result = fit_exponential(decay, n_comp, floor=1.0)
     print(f"--- {label} ({cfg.mode} detection) ---")
     print(result.as_text())

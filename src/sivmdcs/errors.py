@@ -36,7 +36,7 @@ class InsufficientRecord(SivMdcsError):
 # --- spectral transforms ------------------------------------------------
 
 class NonSquareGrid(SivMdcsError):
-    """Diagonal lineout requires a square grid with equal tau and t steps."""
+    """The tau = t diagonal requires a square grid with equal tau and t steps."""
 
 
 # --- fitting --------------------------------------------------------------

@@ -52,6 +52,12 @@ or unequal steps, the dense route runs.  The echo route builds its lag
 functions first and then fills any rows on demand, through one 1 MiB
 scratch block: ``synthesize_signal`` fills its grid in place, and
 ``signal_rows`` streams the noise-free signal in reused row blocks.
+
+The third product, ``synthesize_diagonal``, is the tau = t diagonal alone.
+There the inhomogeneous phase cancels, S(tau, tau) = sum_k w_k
+exp[(-2/T2_k - 2 pi i delta_k) tau], so terms of equal (delta, T2) merge
+and one phasor product with a single zero-rate column sums the G merged
+terms: O(N log N + G n) time and no grid.
 """
 from __future__ import annotations
 
@@ -66,7 +72,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from .blocks import BLOCK_ENTRIES, row_blocks
 from .emitter import Ensemble, LaserSpectrum
-from .errors import EmptyEnsemble, GridTooCoarse, InvalidSpec
+from .errors import EmptyEnsemble, GridTooCoarse, InvalidSpec, NonSquareGrid
 
 DETECTION_MODES = ("pl", "heterodyne")
 
@@ -219,6 +225,18 @@ def _dense_sum(terms, n_terms: int, grid: Grid, threads: int) -> np.ndarray:
                            grid.n_t, grid.t_step_ps, threads)
 
 
+def _sorted_groups(nu_exc, nu_emit, t2):
+    """Sort the terms by (T2, delta = d_emit - d_exc, d_exc): the order, the
+    sorted delta, T2 and d_exc, and flags on each (delta, T2) group's first."""
+    delta = nu_emit - nu_exc
+    order = np.lexsort((nu_exc, delta, t2))
+    delta, t2, nu = delta[order], t2[order], nu_exc[order]
+    new_group = np.empty(len(order), dtype=bool)
+    new_group[0] = True
+    new_group[1:] = (delta[1:] != delta[:-1]) | (t2[1:] != t2[:-1])
+    return order, delta, t2, nu, new_group
+
+
 def _echo_groups(nu_exc, nu_emit, weight, t2):
     """Split the terms into groups of exactly equal (delta, T2), merging
     terms that also share d_exc (those of emitters with identical lines).
@@ -229,12 +247,7 @@ def _echo_groups(nu_exc, nu_emit, weight, t2):
     rounding moves the phase at t by at most 2 pi n_t 2^-53 rad, the size of
     the dense route's own rounding of its exponent.
     """
-    delta = nu_emit - nu_exc
-    order = np.lexsort((nu_exc, delta, t2))
-    delta, t2, nu = delta[order], t2[order], nu_exc[order]
-    new_group = np.empty(len(order), dtype=bool)
-    new_group[0] = True
-    new_group[1:] = (delta[1:] != delta[:-1]) | (t2[1:] != t2[:-1])
+    order, delta, t2, nu, new_group = _sorted_groups(nu_exc, nu_emit, t2)
     n_groups = int(np.count_nonzero(new_group))
     if n_groups * _ECHO_TERMS_PER_GROUP > len(order):
         return None
@@ -289,13 +302,14 @@ def _echo_fill(groups, grid: Grid, threads: int):
     return fill
 
 
-def _route(ensemble: Ensemble, grid: Grid, waiting_time_ps: float, mode: str,
-           laser: LaserSpectrum | None, threads: int):
-    """A checked request's echo-route ``fill(lo, out)``, or its dense grid."""
+def _checked_terms(ensemble: Ensemble, grid: Grid, waiting_time_ps: float,
+                   mode: str, laser: LaserSpectrum | None):
+    """The ``_pathway_terms`` of a request with a detection mode, an emitter
+    and grid steps that resolve its largest detuning."""
     if mode not in DETECTION_MODES:
         raise InvalidSpec(f"unknown detection mode {mode!r}")
     if len(ensemble) == 0:
-        raise EmptyEnsemble("synthesize_signal needs at least one emitter")
+        raise EmptyEnsemble("signal synthesis needs at least one emitter")
 
     layout = ensemble.terms
     nyquist = 0.5 / max(grid.tau_step_ps, grid.t_step_ps)
@@ -305,12 +319,40 @@ def _route(ensemble: Ensemble, grid: Grid, waiting_time_ps: float, mode: str,
     if max_det >= nyquist:
         raise GridTooCoarse(f"largest detuning {max_det:.4g} THz exceeds Nyquist "
                             f"{nyquist:.4g} THz; shrink the grid step")
+    return _pathway_terms(ensemble, mode, laser, grid.frame_thz, waiting_time_ps)
 
-    terms = _pathway_terms(ensemble, mode, laser, grid.frame_thz, waiting_time_ps)
+
+def _require_square(grid: Grid) -> None:
+    """Raise ``NonSquareGrid`` unless the grid has a tau = t diagonal."""
+    if not grid.is_square:
+        raise NonSquareGrid(
+            f"the tau = t diagonal needs a square grid with equal steps, got "
+            f"{grid.n_tau}x{grid.n_t} at ({grid.tau_step_ps}, {grid.t_step_ps}) ps")
+
+
+def _route(ensemble: Ensemble, grid: Grid, waiting_time_ps: float, mode: str,
+           laser: LaserSpectrum | None, threads: int):
+    """A checked request's echo-route ``fill(lo, out)``, or its dense grid."""
+    terms = _checked_terms(ensemble, grid, waiting_time_ps, mode, laser)
     groups = _echo_groups(*terms()) if grid.tau_step_ps == grid.t_step_ps else None
     if groups is None:
-        return _dense_sum(terms, len(layout.t2_ps), grid, threads)
+        return _dense_sum(terms, len(ensemble.terms.t2_ps), grid, threads)
     return _echo_fill(groups, grid, threads)
+
+
+def _add_noise(data: np.ndarray, noise_rms: float, noise_seed: int) -> None:
+    """Add noise of RMS ``noise_rms`` to the 2D ``data`` by row blocks, all
+    real parts first: the stream of two whole-array draws of the seed."""
+    if noise_rms <= 0:
+        return
+    rng = np.random.default_rng(noise_seed)
+    scale = noise_rms / math.sqrt(2.0)
+    rows = row_blocks(*data.shape)
+    draws = np.empty((min(rows.step, len(data)), data.shape[1]))
+    for part in (data.real, data.imag):
+        for dst in np.split(part, rows[1:]):
+            noise = rng.standard_normal(out=draws[:len(dst)])
+            dst += np.multiply(noise, scale, out=noise)
 
 
 def signal_rows(ensemble: Ensemble, grid: Grid, waiting_time_ps: float,
@@ -342,22 +384,40 @@ def synthesize_signal(ensemble: Ensemble, grid: Grid,
         fill(0, data)
         del fill            # its lag tables and scratch block
 
-    if noise_rms > 0:
-        rng = np.random.default_rng(noise_seed)
-        scale = noise_rms / math.sqrt(2.0)
-        # row blocks, all real parts first: the stream of two whole-grid draws
-        rows = row_blocks(grid.n_tau, grid.n_t)
-        draws = np.empty((min(rows.step, grid.n_tau), grid.n_t))
-        for part in (data.real, data.imag):
-            for dst in np.split(part, rows[1:]):
-                noise = rng.standard_normal(out=draws[:len(dst)])
-                dst += np.multiply(noise, scale, out=noise)
-
+    _add_noise(data, noise_rms, noise_seed)
     meta = {"detection_mode": mode, "noise_rms": noise_rms,
             "noise_seed": noise_seed, "n_emitters": len(ensemble)}
     if laser is not None:
         meta.update(laser_center_thz=laser.center_thz, laser_fwhm_thz=laser.fwhm_thz)
     return TimeDomainSignal(data, grid, waiting_time_ps, mode, meta)
+
+
+def _diagonal_terms(nu_exc, nu_emit, weight, t2):
+    """Rates -2/T2 - 2 pi i delta and summed weights of the (delta, T2)
+    groups; the per-term arrays go when it returns."""
+    order, delta, t2, _, new_group = _sorted_groups(nu_exc, nu_emit, t2)
+    starts = np.flatnonzero(new_group)
+    return (_rates(delta[starts], t2[starts] / 2.0, -1.0),
+            np.add.reduceat(weight[order], starts))
+
+
+def synthesize_diagonal(ensemble: Ensemble, grid: Grid, waiting_time_ps: float,
+                        mode: str, laser: LaserSpectrum | None = None,
+                        noise_rms: float = 0.0, noise_seed: int = 0) -> np.ndarray:
+    """S(tau_k, tau_k), k < n, on the diagonal of a square grid with equal
+    steps, without the grid, in O(N log N + G n) for G distinct (delta, T2).
+    The checks are those of ``synthesize_signal``, and the noise is what it
+    adds to a 1 x n grid of the same ``noise_rms`` and ``noise_seed``: a
+    noisy grid's lineout in distribution, not in bits."""
+    terms = _checked_terms(ensemble, grid, waiting_time_ps, mode, laser)
+    _require_square(grid)
+    rate, weight = _diagonal_terms(*terms())
+    zero = np.zeros_like(rate)
+    data = _phasor_product(lambda lo, hi: (rate[lo:hi], zero[lo:hi], weight[lo:hi]),
+                           len(rate), grid.n_tau, grid.tau_step_ps, 0.0,
+                           1, grid.t_step_ps, 1).reshape(1, grid.n_tau)
+    _add_noise(data, noise_rms, noise_seed)
+    return data[0]
 
 
 def waiting_time_scan(ensemble: Ensemble, tau0_ps: float, t0_ps: float,

@@ -12,9 +12,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .emitter import LaserSpectrum
-from .errors import InvalidSpec, NonSquareGrid
+from .errors import InvalidSpec
 from .blocks import row_blocks
-from .response import TimeDomainSignal
+from .response import TimeDomainSignal, _require_square
 
 
 @dataclass
@@ -139,14 +139,15 @@ def project_nu_t(spectrum: Spectrum2D) -> Trace1D:
 
 def diagonal_lineout(signal: TimeDomainSignal) -> DecayTrace:
     """|S| sampled along tau = t, plotted against t + tau."""
-    grid = signal.grid
-    if not grid.is_square:
-        raise NonSquareGrid(
-            f"diagonal lineout needs a square grid with equal steps, got "
-            f"{grid.n_tau}x{grid.n_t} at ({grid.tau_step_ps}, {grid.t_step_ps}) ps")
-    k = np.arange(grid.n_tau)
-    return DecayTrace(2.0 * k * grid.tau_step_ps,
-                      np.abs(signal.data[k, k]))
+    _require_square(signal.grid)
+    k = np.arange(signal.grid.n_tau)
+    return diagonal_decay(signal.data[k, k], signal.grid.tau_step_ps)
+
+
+def diagonal_decay(diagonal: np.ndarray, step_ps: float) -> DecayTrace:
+    """|S(tau_k, tau_k)| against t + tau = 2 k ``step_ps``: the decay trace
+    of a diagonal from ``synthesize_diagonal`` or of a grid's lineout."""
+    return DecayTrace(2.0 * np.arange(len(diagonal)) * step_ps, np.abs(diagonal))
 
 
 def deconvolve_laser(trace: Trace1D, laser: LaserSpectrum,

@@ -3,7 +3,8 @@
 Everything here is deliberately brute-force and shares no code with the
 library: a phase-cycled two-level density-matrix propagator, a pathway
 enumerator driven purely by level connectivity, the dense synthesis sum
-with a direct exp at every grid point, a waiting-time scan summed one
+with a direct exp at every grid point, ensemble means in closed form or by
+Gauss-Hermite quadrature, a waiting-time scan summed one
 emitter, one wait and one pathway at a time, direct discrete-Fourier sums,
 and finite-difference Jacobians.
 """
@@ -95,6 +96,21 @@ def gaussian_ensemble_response(nu0_thz, sigma_thz, t2_ps, t1_ps, tau_ps,
     return 2.0 * math.exp(-wait_ps / t1_ps) * math.exp(-(tau_ps + t_ps) / t2_ps) \
         * np.exp(TWO_PI * 1j * nu0_thz * lag
                  - 2.0 * math.pi ** 2 * sigma_thz ** 2 * lag ** 2)
+
+
+def lognormal_t2_diagonal_moments(median_t2, log_sigma, t1, tau_ps, wait_ps,
+                                  nodes=64):
+    """Mean and standard deviation per emitter of the heterodyne diagonal
+    S(tau, tau) of a two-level ensemble with T2 = median * exp(log_sigma Z),
+    Z standard normal, and no laser filter: each emitter gives
+    f = 2 exp(-T/T1) exp(-2 tau/T2), its detuning cancelling on the diagonal,
+    and E[f], E[f^2] are Gauss-Hermite sums over Z = sqrt(2) x."""
+    x, w = np.polynomial.hermite.hermgauss(nodes)
+    t2 = median_t2 * np.exp(log_sigma * math.sqrt(2.0) * x)
+    f = 2.0 * math.exp(-wait_ps / t1) * np.exp(-2.0 * tau_ps / t2)
+    mean = float(np.sum(w * f) / math.sqrt(math.pi))
+    square = float(np.sum(w * f * f) / math.sqrt(math.pi))
+    return mean, math.sqrt(max(square - mean * mean, 0.0))
 
 
 def exact_dense_sum(nu_exc, nu_emit, weight, t2, tau_ps, t_ps):

@@ -5,9 +5,8 @@ import pytest
 
 from memory import peak_bytes
 from sivmdcs.config import parse_config
-from sivmdcs.reproduce import (DEFAULT_CONFIGS, FIG2_HIDDEN_CONFIG,
-                               FIG4_HET_CONFIG, TARGETS, build_ensemble,
-                               run_reproduction, run_simulation)
+from sivmdcs.reproduce import (DEFAULT_CONFIGS, FIG2_HIDDEN_CONFIG, TARGETS,
+                               build_ensemble, run_reproduction, run_simulation)
 from sivmdcs.response import synthesize_signal
 from sivmdcs.spectra import to_spectrum
 
@@ -64,10 +63,20 @@ def test_a_target_holds_at_most_a_signal_and_a_spectrum(tmp_path, target):
     # a full grid is one complex128 signal or spectrum of the target's
     # largest grid; each transform runs in its signal's buffer, so a signal
     # and its spectrum are one grid, and every other reader streams or reads
-    # cells: a second full grid fails this
+    # cells: a second full grid fails this.  fig4 reads only the tau = t
+    # diagonals and synthesizes no grid: 2 MiB, against 16 MiB for one grid
     texts = [DEFAULT_CONFIGS[target]]
-    texts += {"fig2": [FIG2_HIDDEN_CONFIG], "fig4": [FIG4_HET_CONFIG]}.get(target, [])
+    texts += {"fig2": [FIG2_HIDDEN_CONFIG]}.get(target, [])
     grid = max(16 * cfg.grid.n_tau * cfg.grid.n_t for cfg in map(parse_config, texts))
+    bound = 2 * 2**20 if target == "fig4" else grid + 8 * 2**20
     peak = peak_bytes(lambda: run_reproduction(target, out_dir=str(tmp_path),
                                                threads=1))
-    assert peak <= grid + 8 * 2**20
+    assert peak <= bound
+
+
+@pytest.mark.parametrize("seed", range(200, 220))
+def test_fig4_dephasing_fits_pass_on_fresh_seeds(tmp_path, seed):
+    # criterion 4 beyond the configured seed: all five checks hold for
+    # seeds that no tolerance was tuned on
+    report = run_reproduction("fig4", out_dir=str(tmp_path), seed=seed)
+    assert len(report.checks) == 5 and report.passed, report.to_text()

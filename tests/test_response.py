@@ -6,19 +6,20 @@ import pytest
 import ensembles
 from memory import peak_bytes
 from oracles import (direct_waiting_time_scan, exact_dense_sum,
-                     gaussian_ensemble_response, rephasing_response_model,
-                     rephasing_response_oracle)
+                     gaussian_ensemble_response, lognormal_t2_diagonal_moments,
+                     rephasing_response_model, rephasing_response_oracle)
 from sivmdcs.emitter import (GAUSSIAN_FWHM_PER_SIGMA, EnsembleSpec,
                              LaserSpectrum, LevelScheme, PopulationComponent,
                              StrainDistribution, StrainModel, T2Rule,
                              sample_ensemble)
-from sivmdcs.errors import EmptyEnsemble, GridTooCoarse, InvalidSpec
+from sivmdcs.errors import (EmptyEnsemble, GridTooCoarse, InvalidSpec,
+                            NonSquareGrid)
 from sivmdcs import response
 from sivmdcs.pathways import REPHASING_PATHWAYS
 from sivmdcs.response import (Grid, TimeDomainSignal, _dense_sum, _echo_groups,
                               _echo_fill, _pathway_terms, _phasors,
-                              signal_rows, synthesize_signal,
-                              waiting_time_scan)
+                              signal_rows, synthesize_diagonal,
+                              synthesize_signal, waiting_time_scan)
 
 FRAME = 406.770
 
@@ -573,3 +574,118 @@ def test_phasor_table_from_zero_starts_at_exactly_one():
     for n in (1, 64, 200):
         table = _phasors(z, n, 0.25, 0.0)
         assert np.array_equal(table[0], np.ones(32))
+
+
+# --- the tau = t diagonal without the grid -----------------------------------
+
+@pytest.mark.parametrize("mode", ["pl", "heterodyne"])
+@pytest.mark.parametrize("laser", [None, LaserSpectrum(FRAME, 0.5)])
+@pytest.mark.parametrize("hidden_t2,bound", [(CLASS_T2, 1e-10), (LOGNORMAL_T2, 1e-12)])
+def test_diagonal_matches_the_grid_and_the_exact_sum(mode, laser, hidden_t2, bound):
+    # 130 points span three anchor blocks of the phasor table; the bounds
+    # are those of the echo and dense grid routes that the two T2 rules take
+    ensemble = _mixed_ensemble(hidden_t2)
+    grid = _grid(130, 0.25)
+    diagonal = synthesize_diagonal(ensemble, grid, 0.5, mode, laser)
+    assert diagonal.shape == (130,)
+    k = np.arange(130)
+    signal = synthesize_signal(ensemble, grid, 0.5, mode, laser).data[k, k]
+    terms = _pathway_terms(ensemble, mode, laser, FRAME, 0.5)()
+    exact = exact_dense_sum(*terms, grid.tau_ps, grid.t_ps)[k, k]
+    for want in (exact, signal):
+        assert np.abs(diagonal - want).max() <= bound * np.abs(want).max()
+
+
+def test_diagonal_noise_is_that_of_a_one_row_grid():
+    # the noisy diagonal and a noisy 1 x n grid each add the seed's stream,
+    # real parts first, to their own noise-free values
+    ensemble = _mixed_ensemble(CLASS_T2)
+    n, rms, seed = 300, 2.0, 9
+    quiet = synthesize_diagonal(ensemble, _grid(n, 0.25), 0.5, "pl")
+    noisy = synthesize_diagonal(ensemble, _grid(n, 0.25), 0.5, "pl",
+                                noise_rms=rms, noise_seed=seed)
+    row = Grid(1, n, 0.25, 0.25, FRAME)
+    row_quiet, row_noisy = (synthesize_signal(ensemble, row, 0.5, "pl", noise_rms=r,
+                                              noise_seed=seed).data[0]
+                            for r in (0.0, rms))
+    z = np.random.default_rng(seed).standard_normal(2 * n).reshape(2, n)
+    scale = rms / math.sqrt(2.0)
+    for clean, dirty in ((quiet, noisy), (row_quiet, row_noisy)):
+        assert dirty.real.tobytes() == (clean.real + scale * z[0]).tobytes()
+        assert dirty.imag.tobytes() == (clean.imag + scale * z[1]).tobytes()
+
+
+def test_diagonal_validation():
+    with pytest.raises(NonSquareGrid):
+        synthesize_diagonal(_emitter(), Grid(16, 16, 0.5, 0.4, FRAME), 0.5, "pl")
+    with pytest.raises(NonSquareGrid):
+        synthesize_diagonal(_emitter(), Grid(16, 12, 0.5, 0.5, FRAME), 0.5, "pl")
+    with pytest.raises(InvalidSpec):
+        synthesize_diagonal(_emitter(), _grid(), 0.5, "fluorescence")
+    with pytest.raises(EmptyEnsemble):
+        synthesize_diagonal(ensembles.two_level([]), _grid(), 0.5, "pl")
+    with pytest.raises(GridTooCoarse):
+        synthesize_diagonal(_emitter(detuning_thz=1.2), _grid(8, 0.5), 0.5,
+                            "heterodyne")
+
+
+def test_diagonal_memory_builds_no_term_by_point_table():
+    # 6000 log-normal T2 values give 6000 merged terms; an n x N phasor
+    # table of the 1024-point diagonal would take 94 MiB
+    rng = np.random.default_rng(12)
+    n = 6000
+    ensemble = ensembles.two_level(FRAME + rng.normal(0.0, 0.2, n),
+                                   60.0 * rng.lognormal(0.0, 0.4, n))
+    ensemble.terms      # the layout belongs to the ensemble, not to the call
+    grid = _grid(1024, 0.25)
+    assert peak_bytes(lambda: synthesize_diagonal(ensemble, grid, 0.5, "heterodyne",
+                                                  LaserSpectrum(FRAME, 0.5))) <= 2 * 2**20
+
+
+def _lognormal_two_level(n, seed, median_t2, log_sigma, t1):
+    """``n`` two-level emitters 0.03 THz above the frame, with a Gaussian
+    strain spread of 0.2 THz FWHM and T2 = median * exp(log_sigma Z)."""
+    spec = EnsembleSpec((PopulationComponent(
+        1.0, StrainDistribution("gaussian", 0.0, 0.2),
+        T2Rule("lognormal", (median_t2,), log_sigma=log_sigma),
+        t1_ns=t1 * 1e-3, two_level=True),))
+    base = LevelScheme(FRAME + 0.03, 59.0, 261.0)
+    return sample_ensemble(spec, base, StrainModel(), n, seed)
+
+
+# log-normal T2 around 60 ps, heterodyne, no laser; on the diagonal each
+# two-level emitter contributes 2 exp(-T/T1) exp(-2 tau/T2), real
+LOGNORMAL_CASE = dict(median_t2=60.0, log_sigma=0.4, t1=1700.0)
+DIAGONAL_WAIT = 40.0
+
+
+def test_lognormal_t2_diagonal_matches_closed_form():
+    n = 4000
+    ensemble = _lognormal_two_level(n, 5, **LOGNORMAL_CASE)
+    grid = _grid(128, 0.5)
+    diagonal = synthesize_diagonal(ensemble, grid, DIAGONAL_WAIT, "heterodyne")
+    for k in (1, 10, 40, 90, 127):
+        mean, sd = lognormal_t2_diagonal_moments(tau_ps=grid.tau_ps[k],
+                                                 wait_ps=DIAGONAL_WAIT,
+                                                 **LOGNORMAL_CASE)
+        got = diagonal[k] / n
+        assert abs(got.real - mean) <= 5.0 * sd / np.sqrt(n)
+        assert abs(got.imag) <= 1e-12 * mean
+
+
+def test_lognormal_t2_diagonal_error_converges_as_inverse_sqrt_n():
+    # RMS deviation in units of the per-emitter standard deviation, over the
+    # diagonal past tau = 0 and 16 seeds per ensemble size
+    grid = _grid(128, 0.5)
+    mean, sd = np.transpose([lognormal_t2_diagonal_moments(
+        tau_ps=tau, wait_ps=DIAGONAL_WAIT, **LOGNORMAL_CASE) for tau in grid.tau_ps[1:]])
+    sizes = (250, 1000, 4000)
+    errors = []
+    for k, n in enumerate(sizes):
+        sq = [np.mean(np.abs(synthesize_diagonal(
+            _lognormal_two_level(n, 16 * k + s, **LOGNORMAL_CASE), grid,
+            DIAGONAL_WAIT, "heterodyne")[1:] / n - mean) ** 2 / sd ** 2)
+            for s in range(16)]
+        errors.append(np.sqrt(np.mean(sq)))
+    slope = np.polyfit(np.log(sizes), np.log(errors), 1)[0]
+    assert slope == pytest.approx(-0.5, abs=0.15)
