@@ -50,7 +50,7 @@ print(f"{len(ensemble)} emitters, median quantum yield "
 
 for mode in ("heterodyne", "pl"):
     signal = synthesize_signal(ensemble, cfg.grid, cfg.waiting_time_ps, mode,
-                               cfg.laser, threads=4)
+                               cfg.laser)
     proj = project_nu_t(to_spectrum(signal))
     width = interpolated_fwhm(proj.freqs_thz, proj.amplitude)
     wings = np.abs(proj.freqs_thz - cfg.scheme.center_thz) > 0.15

@@ -34,7 +34,7 @@ two_level = true
 """
 
 cfg = parse_config(CONFIG)
-signal = run_simulation(cfg, threads=4)
+signal = run_simulation(cfg)
 projection = project_nu_t(to_spectrum(signal))
 
 center = cfg.scheme.center_thz

@@ -29,7 +29,7 @@ t2 = 122 ps
 """
 
 cfg = parse_config(CONFIG)
-signal = run_simulation(cfg, threads=4)
+signal = run_simulation(cfg)
 spectrum = to_spectrum(signal)
 amp = np.abs(spectrum.data)
 

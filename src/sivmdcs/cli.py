@@ -60,7 +60,7 @@ def _write(args, name, write, obj):
 
 def _cmd_simulate(args):
     cfg = _load_config(args.config, args.seed)
-    signal = run_simulation(cfg, mode=args.mode, threads=args.threads)
+    signal = run_simulation(cfg, mode=args.mode)
     if args.verbose:
         print(f"config sha256 {config_hash(cfg)}")
     return _write(args, f"{cfg.basename}_signal.mdcs", write_dataset,
@@ -148,8 +148,7 @@ def _cmd_reproduce(args):
     if args.config:
         with open(args.config) as fh:
             config_text = fh.read()
-    report = run_reproduction(args.target, config_text, args.out_dir,
-                              args.seed, args.threads)
+    report = run_reproduction(args.target, config_text, args.out_dir, args.seed)
     print(report.to_text(), end="")
     return EXIT_OK if report.passed else EXIT_CHECK_FAILED
 
@@ -163,21 +162,19 @@ def build_parser() -> argparse.ArgumentParser:
                         version=f"sivmdcs {__version__}")
     # one parent parser per shared option, so that each command declares
     # only the options it reads
-    config, seed, out_dir, output, threads, verbose = (
-        argparse.ArgumentParser(add_help=False) for _ in range(6))
+    config, seed, out_dir, output, verbose = (
+        argparse.ArgumentParser(add_help=False) for _ in range(5))
     config.add_argument("--config", help="experiment configuration file")
     seed.add_argument("--seed", type=int, default=None,
                       help="override the configured random seed")
     out_dir.add_argument("--out-dir", default=".", help="output directory")
     output.add_argument("--output", help="output file name in --out-dir")
-    threads.add_argument("--threads", type=int, default=1,
-                         help="worker threads for signal synthesis")
     verbose.add_argument("--verbose", action="store_true")
 
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("simulate",
-                       parents=[config, seed, out_dir, output, threads, verbose],
+                       parents=[config, seed, out_dir, output, verbose],
                        help="synthesize a time-domain 2D signal")
     p.add_argument("--mode", choices=DETECTION_MODES, default=None)
     p.set_defaults(fn=_cmd_simulate)
@@ -243,7 +240,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="detection bandwidth in kHz")
     p.set_defaults(fn=_cmd_demod)
 
-    p = sub.add_parser("reproduce", parents=[config, seed, out_dir, threads],
+    p = sub.add_parser("reproduce", parents=[config, seed, out_dir],
                        help="run a complete reproduction target")
     p.add_argument("target", choices=TARGETS)
     p.set_defaults(fn=_cmd_reproduce)

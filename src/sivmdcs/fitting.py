@@ -301,7 +301,8 @@ def fwhm(trace: Trace1D, model: str = "interpolated",
 
     ``model`` is 'gaussian', 'lorentzian', or 'interpolated' (linear
     interpolation of the half-maximum crossings).  ``background`` adds a
-    constant additive offset parameter to the fitted models.
+    constant additive offset parameter to the fitted models; the
+    interpolated width has none and raises ``InvalidSpec`` with it.
     """
     mask = trace.valid
     x = np.asarray(trace.freqs_thz, float)[mask]
@@ -309,6 +310,9 @@ def fwhm(trace: Trace1D, model: str = "interpolated",
     if len(x) < 5:
         raise InvalidSpec("trace too short for a width measurement")
     if model == "interpolated":
+        if background:
+            raise InvalidSpec("the interpolated width has no background term; "
+                              "fit a 'gaussian' or 'lorentzian' model")
         width = interpolated_fwhm(x, y)
         bin_w = float(np.median(np.diff(x)))
         return width, bin_w / 2.0

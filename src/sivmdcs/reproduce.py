@@ -277,12 +277,11 @@ def build_ensemble(cfg: ExperimentConfig):
                            cfg.ensemble_size, cfg.seed)
 
 
-def run_simulation(cfg: ExperimentConfig, mode: str | None = None, threads: int = 1):
+def run_simulation(cfg: ExperimentConfig, mode: str | None = None):
     ensemble = build_ensemble(cfg)
     return synthesize_signal(ensemble, cfg.grid, cfg.waiting_time_ps,
                              mode or cfg.mode, cfg.laser,
-                             noise_rms=cfg.noise, noise_seed=cfg.seed + 1,
-                             threads=threads)
+                             noise_rms=cfg.noise, noise_seed=cfg.seed + 1)
 
 
 def _box(spectrum, nu_tau_center, nu_t_center, half_width):
@@ -301,16 +300,16 @@ def _box(spectrum, nu_tau_center, nu_t_center, half_width):
 
 # --- targets ---------------------------------------------------------------
 
-def _simulate_to_spectrum(cfg, report, name, threads):
+def _simulate_to_spectrum(cfg, report, name):
     """Simulate ``cfg``, write dataset ``name`` and return the spectrum,
     transformed in the signal's buffer."""
-    signal = run_simulation(cfg, threads=threads)
+    signal = run_simulation(cfg)
     write_dataset(report.path(name), signal_to_dataset(signal))
     return to_spectrum(signal, overwrite=True)
 
 
-def _target_fig1c(cfg, report, threads, seed_shift):
-    spectrum = _simulate_to_spectrum(cfg, report, "fig1c_pl.mdcs", threads)
+def _target_fig1c(cfg, report, seed_shift):
+    spectrum = _simulate_to_spectrum(cfg, report, "fig1c_pl.mdcs")
     write_trace_csv(report.path("fig1c_projection.csv"), project_nu_t(spectrum))
 
     lines = cfg.scheme.transition_frequencies()
@@ -334,8 +333,8 @@ def _target_fig1c(cfg, report, threads, seed_shift):
     report.add("cross_peak_contrast", ratio, "shared/unshared >= 5", ratio >= 5.0)
 
 
-def _target_fig1d(cfg, report, threads, seed_shift):
-    spectrum = _simulate_to_spectrum(cfg, report, "fig1d_het.mdcs", threads)
+def _target_fig1d(cfg, report, seed_shift):
+    spectrum = _simulate_to_spectrum(cfg, report, "fig1d_het.mdcs")
     projection = project_nu_t(spectrum)
     write_trace_csv(report.path("fig1d_projection.csv"), projection)
 
@@ -364,10 +363,9 @@ def _target_fig1d(cfg, report, threads, seed_shift):
     report.add("diagonal_ridge_contrast", ratio, "diag/off >= 10", ratio >= 10.0)
 
 
-def _target_fig2(cfg, report, threads, seed_shift):
+def _target_fig2(cfg, report, seed_shift):
     # bright branch (PL detection, coarse frequency grid)
-    bright_proj = project_nu_t(to_spectrum(run_simulation(cfg, threads=threads),
-                                           overwrite=True))
+    bright_proj = project_nu_t(to_spectrum(run_simulation(cfg), overwrite=True))
     write_trace_csv(report.path("fig2_bright_projection.csv"), bright_proj)
 
     lowest = float(cfg.scheme.transition_frequencies()[0])
@@ -377,8 +375,7 @@ def _target_fig2(cfg, report, threads, seed_shift):
 
     # hidden branch (heterodyne, fine grid, broad two-level ensemble)
     hidden_cfg = _shift_seed(parse_config(FIG2_HIDDEN_CONFIG), seed_shift)
-    hidden_proj = project_nu_t(to_spectrum(run_simulation(hidden_cfg, threads=threads),
-                                           overwrite=True))
+    hidden_proj = project_nu_t(to_spectrum(run_simulation(hidden_cfg), overwrite=True))
     write_trace_csv(report.path("fig2_hidden_projection.csv"), hidden_proj)
 
     # both width routes work on the central window; a constant-background
@@ -402,11 +399,10 @@ def _target_fig2(cfg, report, threads, seed_shift):
                f"expected <= {budget:.4g}", gap <= budget)
 
 
-def _target_fig3(cfg, report, threads, seed_shift):
+def _target_fig3(cfg, report, seed_shift):
     ensemble = build_ensemble(cfg)
     def synthesize(ens, mode):
-        return synthesize_signal(ens, cfg.grid, cfg.waiting_time_ps, mode,
-                                 cfg.laser, threads=threads)
+        return synthesize_signal(ens, cfg.grid, cfg.waiting_time_ps, mode, cfg.laser)
 
     # (c) with yield suppression disabled, PL == Y0 * heterodyne; the yield-free
     # ``het`` serves, and the flat-yield PL rows stream against it: one full
@@ -414,8 +410,7 @@ def _target_fig3(cfg, report, threads, seed_shift):
     het = synthesize(ensemble, "heterodyne")
     flat = replace(ensemble, quantum_yield=np.full(len(ensemble), 0.8))
     worst = scale = 0.0
-    for lo, pl in signal_rows(flat, cfg.grid, cfg.waiting_time_ps, "pl",
-                              cfg.laser, threads):
+    for lo, pl in signal_rows(flat, cfg.grid, cfg.waiting_time_ps, "pl", cfg.laser):
         rows = slice(lo, lo + len(pl))      # no view of het outlives het
         worst = np.maximum(worst, np.abs(pl - 0.8 * het.data[rows]).max())
         scale = np.maximum(scale, np.abs(het.data[rows]).max())
@@ -454,7 +449,7 @@ def _diagonal_decay(cfg):
     return diagonal_decay(diagonal, cfg.grid.tau_step_ps)
 
 
-def _target_fig4(cfg, report, threads, seed_shift):
+def _target_fig4(cfg, report, seed_shift):
     # PL-detected bright diagonal: mono-exponential
     pl_decay = _diagonal_decay(cfg)
     write_decay_csv(report.path("fig4_pl_diagonal.csv"), pl_decay)
@@ -480,7 +475,7 @@ def _target_fig4(cfg, report, threads, seed_shift):
         fh.write(mono.as_text() + "\n\n" + bi.as_text() + "\n")
 
 
-def _target_t1scan(cfg, report, threads, seed_shift):
+def _target_t1scan(cfg, report, seed_shift):
     ensemble = build_ensemble(cfg)
     waits = np.arange(0.0, 4000.1, 250.0)
     scan = waiting_time_scan(ensemble, 2.0, 2.0, waits, cfg.mode,
@@ -505,7 +500,8 @@ _TARGET_FNS = {
 def run_reproduction(target: str, config_text: str | None = None,
                      out_dir: str = ".", seed: int | None = None,
                      threads: int = 1) -> Report:
-    """Run one reproduction target and write its artifacts and report."""
+    """Run one reproduction target and write its artifacts and report.
+    ``threads`` is ignored: synthesis is serial, BLAS uses every core."""
     if target not in TARGETS:
         raise ValueError(f"unknown reproduction target {target!r}; "
                          f"choose from {', '.join(TARGETS)}")
@@ -515,7 +511,7 @@ def run_reproduction(target: str, config_text: str | None = None,
     cfg = _shift_seed(cfg, seed_shift)
     os.makedirs(out_dir, exist_ok=True)
     report = Report(target, cfg, out_dir)
-    _TARGET_FNS[target](cfg, report, threads, seed_shift)
+    _TARGET_FNS[target](cfg, report, seed_shift)
     text = report.to_text()      # the report file does not list itself
     with open(report.path(f"{target}_report.txt"), "w") as fh:
         fh.write(text)

@@ -35,15 +35,17 @@ phasor table exp(z (start + k step)): a fresh complex exp every 64th row,
 products with exp(z step) between (at most ~64 ulp per entry; an exp costs
 30-40 ns against 1-3 ns per multiply).  Tests check both routes against a
 direct exp at every grid point.  The kernel contracts each chunk of terms
-as one matrix product and adds the partials in chunk order; ``_chunk_terms``
-sizes a chunk from the table shape alone, so the bits do not depend on the
-thread count.  It holds the larger table to 1 MiB, so that it stays in L2
-and comes back from the heap instead of fresh pages, but keeps at least
-four times the output's entries in it, so that a large output's partial
-stays amortized.  A chunk builds its own rates and weights and a pool holds
-at most 2 * threads chunks, so memory stays flat in the term count, as it
-does in ``waiting_time_scan``, which contracts per-emitter sums with real
-tables of exp(-T/T1) in chunks of ``_chunk_terms(n_waits, 1)`` emitters.
+as one matrix product and adds the partials in chunk order.  ``_chunk_terms``
+sizes a chunk from the table shape alone, so the bits depend on the grid
+alone, and zero terms round each chunk up to a multiple of 8
+(``_TERM_MULTIPLE``), so they do not depend on the BLAS thread count either.
+It holds the larger table to 1 MiB, so that it stays in L2 and comes back
+from the heap instead of fresh pages, but keeps at least four times the
+output's entries in it, so that a large output's partial stays amortized.
+A chunk builds its own rates, weights and tables, which go before the next
+chunk's are built, so memory stays flat in the term count, as it does in
+``waiting_time_scan``, which contracts per-emitter sums with real tables of
+exp(-T/T1) in chunks of ``_chunk_terms(n_waits, 1)`` emitters.
 
 The echo route is taken when the two grid steps are equal and the distinct
 (delta, T2) groups are few compared with the terms (constant or class T2,
@@ -62,8 +64,6 @@ terms: O(N log N + G n) time and no grid.
 from __future__ import annotations
 
 import math
-from collections import deque
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Iterator, Sequence
 
@@ -155,6 +155,11 @@ def _rates(nu, t2, sign: float) -> np.ndarray:
 _ECHO_TERMS_PER_GROUP = 64
 _TABLE_ENTRIES = BLOCK_ENTRIES  # of a chunk's larger table: 1 MiB
 _ANCHOR_ROWS = 64
+# OpenBLAS's zgemm contracts in blocks of Q = 256 terms and halves a last
+# Q < r < 2Q terms at (r + 1) // 2 when threaded but at r // 2 rounded up to
+# a multiple of 4 when serial, so those bits follow the BLAS thread count.
+# Zero terms up to a multiple of 8 make both split at r / 2 and add zeros.
+_TERM_MULTIPLE = 8
 
 
 def _chunk_terms(n_row: int, n_col: int) -> int:
@@ -181,48 +186,37 @@ def _phasors(z, n: int, step: float, start: float = 0.0) -> np.ndarray:
 
 
 def _phasor_product(factors, n_terms: int, n_row: int, row_step: float,
-                    row_start: float, n_col: int, col_step: float,
-                    threads: int) -> np.ndarray:
+                    row_start: float, n_col: int, col_step: float) -> np.ndarray:
     """(n_row, n_col) sum over terms k of weight_k exp(z_row,k (row_start +
     i row_step)) exp(z_col,k j col_step), ``factors(lo, hi)`` giving (z_row,
-    z_col, weight) of terms lo:hi; partials add in chunk order at any threads."""
-    chunk = _chunk_terms(n_row, n_col)
+    z_col, weight) of terms lo:hi; partials add in chunk order."""
+    # a multiple of _TERM_MULTIPLE, so that only the last chunk takes zeros
+    chunk = -(-_chunk_terms(n_row, n_col) // _TERM_MULTIPLE) * _TERM_MULTIPLE
 
     def partial(lo):
         z_row, z_col, weight = factors(lo, lo + chunk)
+        if pad := -len(weight) % _TERM_MULTIPLE:
+            z_row, z_col, weight = (np.concatenate((a, np.zeros(pad, complex)))
+                                    for a in (z_row, z_col, weight))
         u = _phasors(z_row, n_row, row_step, row_start)
         u *= weight
         return u @ _phasors(z_col, n_col, col_step).T
 
-    def partials():
-        starts = range(0, n_terms, chunk)
-        if threads <= 1 or len(starts) == 1:
-            yield from map(partial, starts)
-            return
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            pending = deque()
-            for lo in starts:
-                pending.append(pool.submit(partial, lo))
-                if len(pending) == 2 * threads:
-                    yield pending.popleft().result()
-            for fut in pending:
-                yield fut.result()
-
-    parts = partials()
+    parts = map(partial, range(0, n_terms, chunk))
     total = next(parts)
     for part in parts:
         total += part
     return total
 
 
-def _dense_sum(terms, n_terms: int, grid: Grid, threads: int) -> np.ndarray:
+def _dense_sum(terms, n_terms: int, grid: Grid) -> np.ndarray:
     """Dense route, the general path, on ``terms(lo, hi)`` = (d_exc, d_emit, weight, T2)."""
     def factors(lo, hi):
         nu_exc, nu_emit, weight, t2 = terms(lo, hi)
         return _rates(nu_exc, t2, 1.0), _rates(nu_emit, t2, -1.0), weight
 
     return _phasor_product(factors, n_terms, grid.n_tau, grid.tau_step_ps, 0.0,
-                           grid.n_t, grid.t_step_ps, threads)
+                           grid.n_t, grid.t_step_ps)
 
 
 def _sorted_groups(nu_exc, nu_emit, t2):
@@ -262,7 +256,7 @@ def _echo_groups(nu_exc, nu_emit, weight, t2):
             for lo, hi in zip(bounds[:-1], bounds[1:])]
 
 
-def _echo_fill(groups, grid: Grid, threads: int):
+def _echo_fill(groups, grid: Grid):
     """Difference-axis route on a grid with equal steps: builds every group's
     lag function h(L) on L = tau - t, then returns ``fill(lo, out)``, which
     writes rows lo:lo + len(out) of the signal through Toeplitz views of h."""
@@ -278,7 +272,7 @@ def _echo_fill(groups, grid: Grid, threads: int):
         z = 2j * np.pi * nu
         h = _phasor_product(lambda lo, hi, z=z, w=weight: (z[lo:hi], z[lo:hi], w[lo:hi]),
                             len(weight), n_block, block * step, -(n_t - 1) * step,
-                            block, step, threads).ravel()
+                            block, step).ravel()
         # lags[i, j] = h[i - j + n_t - 1]: row i of h reversed once, read
         # forward from index n_tau - 1 - i
         factors.append((sliding_window_view(h[n_lag - 1::-1].copy(), n_t)[::-1],
@@ -302,15 +296,19 @@ def _echo_fill(groups, grid: Grid, threads: int):
     return fill
 
 
+def _check_request(ensemble: Ensemble, mode: str) -> None:
+    """Raise unless ``mode`` is a detection mode and the ensemble has an emitter."""
+    if mode not in DETECTION_MODES:
+        raise InvalidSpec(f"unknown detection mode {mode!r}")
+    if len(ensemble) == 0:
+        raise EmptyEnsemble("the ensemble needs at least one emitter")
+
+
 def _checked_terms(ensemble: Ensemble, grid: Grid, waiting_time_ps: float,
                    mode: str, laser: LaserSpectrum | None):
     """The ``_pathway_terms`` of a request with a detection mode, an emitter
     and grid steps that resolve its largest detuning."""
-    if mode not in DETECTION_MODES:
-        raise InvalidSpec(f"unknown detection mode {mode!r}")
-    if len(ensemble) == 0:
-        raise EmptyEnsemble("signal synthesis needs at least one emitter")
-
+    _check_request(ensemble, mode)
     layout = ensemble.terms
     nyquist = 0.5 / max(grid.tau_step_ps, grid.t_step_ps)
     # every emitting line also excites, and rounding nu - frame is monotonic
@@ -331,13 +329,13 @@ def _require_square(grid: Grid) -> None:
 
 
 def _route(ensemble: Ensemble, grid: Grid, waiting_time_ps: float, mode: str,
-           laser: LaserSpectrum | None, threads: int):
+           laser: LaserSpectrum | None):
     """A checked request's echo-route ``fill(lo, out)``, or its dense grid."""
     terms = _checked_terms(ensemble, grid, waiting_time_ps, mode, laser)
     groups = _echo_groups(*terms()) if grid.tau_step_ps == grid.t_step_ps else None
     if groups is None:
-        return _dense_sum(terms, len(ensemble.terms.t2_ps), grid, threads)
-    return _echo_fill(groups, grid, threads)
+        return _dense_sum(terms, len(ensemble.terms.t2_ps), grid)
+    return _echo_fill(groups, grid)
 
 
 def _add_noise(data: np.ndarray, noise_rms: float, noise_seed: int) -> None:
@@ -356,12 +354,12 @@ def _add_noise(data: np.ndarray, noise_rms: float, noise_seed: int) -> None:
 
 
 def signal_rows(ensemble: Ensemble, grid: Grid, waiting_time_ps: float,
-                mode: str, laser: LaserSpectrum | None = None,
-                threads: int = 1) -> Iterator[tuple[int, np.ndarray]]:
+                mode: str, laser: LaserSpectrum | None = None
+                ) -> Iterator[tuple[int, np.ndarray]]:
     """The noise-free signal of ``synthesize_signal`` as (first row, block)
     pairs with its bits: on the echo route one reused block of about 64k
     entries, valid until the next pair; on the dense route the whole grid."""
-    source = _route(ensemble, grid, waiting_time_ps, mode, laser, threads)
+    source = _route(ensemble, grid, waiting_time_ps, mode, laser)
     if not callable(source):
         yield 0, source
         return
@@ -377,8 +375,9 @@ def synthesize_signal(ensemble: Ensemble, grid: Grid,
                       laser: LaserSpectrum | None = None,
                       noise_rms: float = 0.0, noise_seed: int = 0,
                       threads: int = 1) -> TimeDomainSignal:
-    """Sum pathway responses over the ensemble on the (tau, t) grid."""
-    data = _route(ensemble, grid, waiting_time_ps, mode, laser, threads)
+    """Sum pathway responses over the ensemble on the (tau, t) grid.
+    ``threads`` is ignored: synthesis is serial, BLAS uses every core."""
+    data = _route(ensemble, grid, waiting_time_ps, mode, laser)
     if callable(data):
         fill, data = data, np.empty((grid.n_tau, grid.n_t), dtype=complex)
         fill(0, data)
@@ -415,7 +414,7 @@ def synthesize_diagonal(ensemble: Ensemble, grid: Grid, waiting_time_ps: float,
     zero = np.zeros_like(rate)
     data = _phasor_product(lambda lo, hi: (rate[lo:hi], zero[lo:hi], weight[lo:hi]),
                            len(rate), grid.n_tau, grid.tau_step_ps, 0.0,
-                           1, grid.t_step_ps, 1).reshape(1, grid.n_tau)
+                           1, grid.t_step_ps).reshape(1, grid.n_tau)
     _add_noise(data, noise_rms, noise_seed)
     return data[0]
 
@@ -431,8 +430,7 @@ def waiting_time_scan(ensemble: Ensemble, tau0_ps: float, t0_ps: float,
         raise InvalidSpec("waiting times must be a non-empty list of finite values >= 0")
     if not (math.isfinite(tau0_ps) and math.isfinite(t0_ps)):
         raise InvalidSpec(f"delays tau = {tau0_ps} ps, t = {t0_ps} ps must be finite")
-    if len(ensemble) == 0:
-        raise EmptyEnsemble("waiting_time_scan needs at least one emitter")
+    _check_request(ensemble, mode)
 
     layout = ensemble.terms
     terms = _pathway_terms(ensemble, mode, laser, frame_thz, 0.0)

@@ -2,8 +2,7 @@
 
 Each test covers one numbered acceptance criterion and prints a single
 pass/fail line.  The reproduction targets are executed once per session and
-shared across criteria; bit-reproducibility re-runs them with a different
-thread count.
+shared across criteria; bit-reproducibility re-runs them.
 """
 import hashlib
 import time
@@ -20,7 +19,6 @@ from sivmdcs.reproduce import run_reproduction, run_simulation
 from sivmdcs.response import Grid, TimeDomainSignal, synthesize_signal
 from sivmdcs.spectra import diagonal_lineout, to_spectrum
 
-THREADS = 4
 TARGET_LIST = ("fig1c", "fig1d", "fig2", "fig3", "fig4", "t1scan")
 
 
@@ -37,7 +35,7 @@ def reports(tmp_path_factory):
     for target in TARGET_LIST:
         out_dir = base / target
         start = time.perf_counter()
-        report = run_reproduction(target, out_dir=str(out_dir), threads=THREADS)
+        report = run_reproduction(target, out_dir=str(out_dir))
         out[target] = (report, time.perf_counter() - start, out_dir)
     return out
 
@@ -108,7 +106,7 @@ two_level = true
     decays = []
     for fwhm in (0.028, 1.84):
         cfg = parse_config(base.format(fwhm=fwhm))
-        signal = run_simulation(cfg, threads=THREADS)
+        signal = run_simulation(cfg)
         decay = diagonal_lineout(signal)
         decays.append(decay.amplitude / decay.amplitude[0])
     span = decays[0].shape[0] * 2 * 0.15
@@ -194,8 +192,7 @@ def test_criterion_10_numerics_and_reproducibility(reports, tmp_path_factory):
     identical = True
     for target in TARGET_LIST:
         report, _, first_dir = reports[target]
-        rerun = run_reproduction(target, out_dir=str(second / target),
-                                 threads=2)
+        rerun = run_reproduction(target, out_dir=str(second / target))
         for name in report.artifacts:
             a = hashlib.sha256((first_dir / name).read_bytes()).hexdigest()
             b = hashlib.sha256((second / target / name).read_bytes()).hexdigest()

@@ -92,6 +92,8 @@ def test_non_finite_config_value_is_runtime_error(tmp_path, capsys, line,
     ["demod", "--out-dir", "x"],
     ["tscan", "--threads", "2"],
     ["reproduce", "t1scan", "--verbose"],
+    ["simulate", "--threads", "2"],
+    ["reproduce", "fig1c", "--threads", "2"],
 ])
 def test_option_a_command_does_not_read_is_usage_error(capsys, argv):
     # none of the files named exists: parsing fails before any is opened

@@ -197,6 +197,14 @@ def test_fwhm_validation():
         fwhm(short)
 
 
+def test_fwhm_interpolated_rejects_background():
+    # the half-maximum crossings include a pedestal: the width would come
+    # back too wide instead of corrected
+    trace = _gaussian_trace(background=0.3)
+    with pytest.raises(InvalidSpec, match="background"):
+        fwhm(trace, model="interpolated", background=True)
+
+
 def test_fit_finite_bandwidth_recovers_broad_width():
     laser = LaserSpectrum(406.77, 4.14)
     sigma = 1.84 / GAUSSIAN_FWHM_PER_SIGMA

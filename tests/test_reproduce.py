@@ -69,8 +69,7 @@ def test_a_target_holds_at_most_a_signal_and_a_spectrum(tmp_path, target):
     texts += {"fig2": [FIG2_HIDDEN_CONFIG]}.get(target, [])
     grid = max(16 * cfg.grid.n_tau * cfg.grid.n_t for cfg in map(parse_config, texts))
     bound = 2 * 2**20 if target == "fig4" else grid + 8 * 2**20
-    peak = peak_bytes(lambda: run_reproduction(target, out_dir=str(tmp_path),
-                                               threads=1))
+    peak = peak_bytes(lambda: run_reproduction(target, out_dir=str(tmp_path)))
     assert peak <= bound
 
 

@@ -1,4 +1,8 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -33,10 +37,10 @@ def _emitter(detuning_thz=0.05, t2_ps=122.0, t1_ps=1700.0, yield_=1.0,
     return ensembles.four_line(ensembles.default_scheme(), 1, t2_ps, t1_ps, yield_)
 
 
-def _dense(terms, grid, threads):
+def _dense(terms, grid):
     """The dense route over whole per-term arrays."""
     return _dense_sum(lambda lo=0, hi=None: tuple(a[lo:hi] for a in terms),
-                      len(terms[0]), grid, threads)
+                      len(terms[0]), grid)
 
 
 def _grid(n=16, step=0.5):
@@ -126,26 +130,37 @@ def test_four_line_emitter_sums_twelve_pathways():
     assert signal.data[0, 0] == pytest.approx(12.0)
 
 
-def _assert_thread_count_does_not_change_bits(grid):
-    rng = np.random.default_rng(5)
-    ensemble = ensembles.concat(
-        ensembles.two_level(FRAME + rng.normal(0.0, 0.2, 300), 60.0),
-        _mixed_ensemble(CLASS_T2, n=200))
-    a = synthesize_signal(ensemble, grid, 0.5, "heterodyne", threads=1)
-    b = synthesize_signal(ensemble, grid, 0.5, "heterodyne", threads=4)
-    c = synthesize_signal(ensemble, grid, 0.5, "heterodyne", threads=3)
-    assert np.array_equal(a.data, b.data)
-    assert np.array_equal(a.data, c.data)
+# sha256 of a dense signal (log-normal T2, unequal steps) and an echo one.
+# On 256 rows the dense sum's 1,390 terms run in chunks of 1,024 and 366:
+# products large enough for BLAS to thread, and a last one that OpenBLAS's
+# serial and threaded zgemm split at different terms unless it is padded
+_BLAS_HASHES = """
+import hashlib
+from test_response import (CLASS_T2, FRAME, LOGNORMAL_T2, Grid,
+                           _mixed_ensemble, synthesize_signal)
+for t2, t_step in ((LOGNORMAL_T2, 0.2), (CLASS_T2, 0.25)):
+    grid = Grid(256, 256, 0.25, t_step, FRAME)
+    data = synthesize_signal(_mixed_ensemble(t2), grid, 0.5, "heterodyne").data
+    print(hashlib.sha256(data.tobytes()).hexdigest())
+"""
 
 
-def test_thread_count_does_not_change_bits():
-    _assert_thread_count_does_not_change_bits(_grid(32, 0.3))      # echo route
+def _blas_hashes(blas_threads):
+    here = Path(__file__).resolve().parent
+    path = [str(here.parent / "src"), str(here), os.environ.get("PYTHONPATH", "")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in path if p),
+               OPENBLAS_NUM_THREADS=str(blas_threads),
+               OMP_NUM_THREADS=str(blas_threads))
+    done = subprocess.run([sys.executable, "-c", _BLAS_HASHES], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    return done.stdout.split()
 
 
-def test_thread_count_does_not_change_dense_bits():
-    # unequal steps: dense route, 1060 terms in 67 chunks of 16, the
-    # large-output guard's four times min(n_tau, n_t)
-    _assert_thread_count_does_not_change_bits(Grid(4, 8000, 0.3, 0.25, FRAME))
+def test_blas_thread_count_does_not_change_bits():
+    one = _blas_hashes(1)
+    assert len(one) == 2
+    assert _blas_hashes(2) == one
 
 
 def test_noise_is_seeded_and_scaled():
@@ -231,6 +246,12 @@ def test_waiting_time_scan_validation():
         waiting_time_scan(ensembles.two_level([]), 1.0, 1.0, [0.0], "pl")
 
 
+def test_waiting_time_scan_rejects_an_unknown_mode():
+    # the mode check of synthesis: "bogus" is not read as heterodyne
+    with pytest.raises(InvalidSpec, match="detection mode"):
+        waiting_time_scan(_emitter(), 2.0, 2.0, [0.0, 100.0], "bogus")
+
+
 # --- difference-axis (echo) route against the dense reference --------------
 
 @pytest.mark.parametrize("shape", [(24, 40), (40, 24), (16, 4200)])
@@ -243,9 +264,9 @@ def test_echo_route_matches_dense_reference(shape, mode, laser, hidden_t2):
     terms = _pathway_terms(ensemble, mode, laser, FRAME, 0.5)()
     groups = _echo_groups(*terms)
     assert groups is not None
-    signal = synthesize_signal(ensemble, grid, 0.5, mode, laser, threads=2)
+    signal = synthesize_signal(ensemble, grid, 0.5, mode, laser)
     echo = np.empty(shape, complex)
-    _echo_fill(groups, grid, 1)(0, echo)
+    _echo_fill(groups, grid)(0, echo)
     assert np.array_equal(signal.data, echo)
     exact = exact_dense_sum(*terms, grid.tau_ps, grid.t_ps)
     assert np.abs(signal.data - exact).max() <= 1e-10 * np.abs(exact).max()
@@ -254,14 +275,13 @@ def test_echo_route_matches_dense_reference(shape, mode, laser, hidden_t2):
 # (40, 2000) gives row blocks of 32 rows with a short last block; lognormal
 # T2 takes the dense route, which yields the whole grid as one block
 @pytest.mark.parametrize("hidden_t2", [CONSTANT_T2, LOGNORMAL_T2])
-@pytest.mark.parametrize("threads", [1, 3])
-def test_signal_rows_concatenate_to_the_noise_free_signal(hidden_t2, threads):
+def test_signal_rows_concatenate_to_the_noise_free_signal(hidden_t2):
     ensemble = _mixed_ensemble(hidden_t2)
     grid = Grid(40, 2000, 0.25, 0.25, FRAME)
     laser = LaserSpectrum(FRAME, 0.5)
-    whole = synthesize_signal(ensemble, grid, 0.5, "pl", laser, threads=threads).data
+    whole = synthesize_signal(ensemble, grid, 0.5, "pl", laser).data
     firsts, blocks = [], []
-    for first, block in signal_rows(ensemble, grid, 0.5, "pl", laser, threads):
+    for first, block in signal_rows(ensemble, grid, 0.5, "pl", laser):
         firsts.append(first)
         blocks.append(block.copy())
     assert len(blocks) == (2 if hidden_t2 is CONSTANT_T2 else 1)
@@ -286,7 +306,7 @@ def test_dense_only_inputs_give_dense_bits(hidden_t2, grid):
     ensemble = _mixed_ensemble(hidden_t2)
     terms = _pathway_terms(ensemble, "heterodyne", None, FRAME, 0.5)()
     signal = synthesize_signal(ensemble, grid, 0.5, "heterodyne")
-    assert np.array_equal(signal.data, _dense(terms, grid, 1))
+    assert np.array_equal(signal.data, _dense(terms, grid))
     exact = exact_dense_sum(*terms, grid.tau_ps, grid.t_ps)
     assert np.abs(signal.data - exact).max() <= 1e-12 * np.abs(exact).max()
 
@@ -297,7 +317,7 @@ def test_dense_only_inputs_give_dense_bits(hidden_t2, grid):
     (Grid(24, 40, 0.25, 0.25, FRAME), 1e-10),     # echo route
     (Grid(24, 40, 0.25, 0.2, FRAME), 1e-12),      # dense route
 ])
-def test_many_chunks_give_thread_independent_bits(monkeypatch, grid, bound):
+def test_many_chunks_match_the_exact_sum(monkeypatch, grid, bound):
     # 64-term chunks: each echo group (182 to 513 merged terms) and the
     # dense sum (1390 terms) span at least three of them
     monkeypatch.setattr(response, "_chunk_terms", lambda n_row, n_col: 64)
@@ -308,11 +328,9 @@ def test_many_chunks_give_thread_independent_bits(monkeypatch, grid, bound):
     if grid.is_square:
         assert min(len(nu) for _, _, nu, _ in groups) >= 3 * 64
     assert len(terms[0]) >= 3 * 64
-    a, b, c = (synthesize_signal(ensemble, grid, 0.5, "pl", laser,
-                                 threads=threads).data for threads in (1, 3, 4))
-    assert np.array_equal(a, b) and np.array_equal(a, c)
+    data = synthesize_signal(ensemble, grid, 0.5, "pl", laser).data
     exact = exact_dense_sum(*terms, grid.tau_ps, grid.t_ps)
-    assert np.abs(a - exact).max() <= bound * np.abs(exact).max()
+    assert np.abs(data - exact).max() <= bound * np.abs(exact).max()
 
 
 def test_phasor_product_memory_is_flat_in_the_term_count(monkeypatch):
@@ -325,7 +343,7 @@ def test_phasor_product_memory_is_flat_in_the_term_count(monkeypatch):
     for n in (32 * 64, 64 * 64):
         terms = (rng.uniform(-1.0, 1.0, n), rng.uniform(-1.0, 1.0, n),
                  np.ones(n, dtype=complex), np.full(n, 60.0))
-        peaks.append(peak_bytes(lambda: _dense(terms, grid, 4)))
+        peaks.append(peak_bytes(lambda: _dense(terms, grid)))
     assert peaks[1] <= 1.5 * peaks[0]
 
 
@@ -339,7 +357,7 @@ def test_small_output_tables_do_not_grow_with_the_term_count():
     for n in (20_000, 80_000):
         terms = (rng.uniform(-1.0, 1.0, n), rng.uniform(-1.0, 1.0, n),
                  np.ones(n, dtype=complex), rng.lognormal(3.0, 0.5, n))
-        tables.append(peak_bytes(lambda: _dense(terms, grid, 1)))
+        tables.append(peak_bytes(lambda: _dense(terms, grid)))
     assert tables[1] <= 1.1 * tables[0]
 
 
@@ -353,7 +371,7 @@ def test_dense_sum_matches_exact_reference(mode, grid):
     # log-normal T2: every term has its own decay
     ensemble = _mixed_ensemble(LOGNORMAL_T2)
     terms = _pathway_terms(ensemble, mode, LaserSpectrum(FRAME, 0.5), FRAME, 0.5)()
-    dense = _dense(terms, grid, 2)
+    dense = _dense(terms, grid)
     exact = exact_dense_sum(*terms, grid.tau_ps, grid.t_ps)
     assert np.abs(dense - exact).max() <= 1e-12 * np.abs(exact).max()
 
