@@ -20,8 +20,9 @@ from .config import config_hash, parse_config
 from .errors import InvalidSpec, SivMdcsError
 from .fitting import fit_exponential, fit_finite_bandwidth, fwhm
 from .io_utils import (dataset_to_signal, dataset_to_spectrum, read_decay_csv,
-                       read_trace_csv, signal_to_dataset, spectrum_to_dataset,
-                       write_decay_csv, write_trace_csv, write_tscan_csv)
+                       read_text, read_trace_csv, signal_to_dataset,
+                       spectrum_to_dataset, write_decay_csv, write_trace_csv,
+                       write_tscan_csv)
 from .dataset import read_dataset, write_dataset
 from .pathways import REPHASING_SIGNATURE, rephasing_frequency
 from .pulsetrain import bandwidth_mhz, demodulate, simulate_pulse_train
@@ -39,12 +40,7 @@ MAX_WAITS = 1_000_000
 
 def _load_config(path, seed=None):
     """The config at ``path`` (else fig1c's), with ``seed``, if given."""
-    if path:
-        with open(path) as fh:
-            text = fh.read()
-    else:
-        text = DEFAULT_CONFIGS["fig1c"]
-    cfg = parse_config(text)
+    cfg = parse_config(read_text(path) if path else DEFAULT_CONFIGS["fig1c"])
     return cfg if seed is None else replace(cfg, seed=seed)
 
 
@@ -119,6 +115,8 @@ def _cmd_tscan(args):
         raise InvalidSpec(f"waiting-time step must be positive, got {args.step} ps")
     if not (math.isfinite(args.start) and math.isfinite(args.stop)):
         raise InvalidSpec(f"waiting-time range {args.start}..{args.stop} ps must be finite")
+    if args.stop < args.start:
+        raise InvalidSpec(f"waiting-time range {args.start}..{args.stop} ps is reversed")
     stop = args.stop + 0.5 * args.step
     if not (stop - args.start) / args.step <= MAX_WAITS:
         raise InvalidSpec(f"the waits exceed the ceiling of {MAX_WAITS} waits")
@@ -144,10 +142,7 @@ def _cmd_demod(args):
 
 
 def _cmd_reproduce(args):
-    config_text = None
-    if args.config:
-        with open(args.config) as fh:
-            config_text = fh.read()
+    config_text = read_text(args.config) if args.config else None
     report = run_reproduction(args.target, config_text, args.out_dir, args.seed)
     print(report.to_text(), end="")
     return EXIT_OK if report.passed else EXIT_CHECK_FAILED

@@ -214,13 +214,13 @@ def fit_exponential(trace: DecayTrace, n_components: int = 1,
     """
     if n_components not in (1, 2):
         raise InvalidSpec("n_components must be 1 or 2")
+    if not (math.isfinite(floor) and floor >= 0):
+        raise InvalidSpec(f"floor must be finite and >= 0, got {floor}")
     x = np.asarray(trace.time_ps, float)
     y = np.asarray(trace.amplitude, float)
     n_par = 2 * n_components
     if len(x) < 4 * n_par:
         raise InvalidSpec(f"trace too short: need >= {4 * n_par} points, got {len(x)}")
-    if floor < 0:
-        raise InvalidSpec("floor must be >= 0")
 
     try:    # finite but extreme samples can overflow the start or the steps
         p, cov, cost, n_iter, converged = levenberg_marquardt(

@@ -6,6 +6,8 @@ annotations, e.g. ``nu_t (THz),amplitude (arb),valid``.
 from __future__ import annotations
 
 import csv
+import io
+import itertools
 import math
 
 import numpy as np
@@ -103,11 +105,28 @@ def dataset_to_spectrum(data: DatasetFile) -> Spectrum2D:
 
 def _write_csv(path, header, *columns) -> None:
     """Write ``header``, then one row per position of the equal-length array
-    ``columns``; a float cell is written as the ``repr`` of a Python float."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        writer.writerows(zip(*(np.asarray(column).tolist() for column in columns)))
+    ``columns``, as one string: each cell is the ``str`` of its Python value
+    (a float's ``repr``), cells are joined by commas and each row ends in
+    CRLF.  These are the bytes of ``csv.writer``'s excel dialect, as no cell
+    holds a comma, a quote or a line break.  A non-finite cell is refused
+    before the file is opened."""
+    arrays = [np.asarray(column) for column in columns]
+    for name, array in zip(header, arrays):
+        if not np.isfinite(array).all():
+            raise IoFailure(f"{path}: column {name!r} holds a NaN or an infinity")
+    rows = map(",".join, zip(*(map(str, array.tolist()) for array in arrays)))
+    text = "\r\n".join([",".join(header), *rows, ""])
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        fh.write(text)
+
+
+def read_text(path, newline=None) -> str:
+    """The text of the UTF-8 file at ``path``; IoFailure if it is not UTF-8."""
+    with open(path, encoding="utf-8", newline=newline) as fh:
+        try:
+            return fh.read()
+        except UnicodeDecodeError:
+            raise IoFailure(f"{path} is not UTF-8 text") from None
 
 
 def _is_number(cell: str) -> bool:
@@ -123,26 +142,31 @@ def _read_csv(path, required: int, optional=()) -> list[np.ndarray]:
     ``required`` cells of each row, then one column per default cell in
     ``optional``, which a row may leave out.  Line numbers count rows, as
     ``_write_csv`` puts no line break inside a cell."""
-    with open(path, newline="") as fh:
-        header, *rows = list(csv.reader(fh)) or [[]]     # empty: no header cells
+    text = io.StringIO(read_text(path, newline=""), newline="")
+    try:
+        header, *rows = list(csv.reader(text)) or [[]]   # empty: no header cells
+    except csv.Error as exc:                   # a cell past the field size limit
+        raise IoFailure(f"{path}: {exc}") from None
     if len(header) < required or _is_number(header[0]):
         raise IoFailure(f"{path}: line 1 is not a header row of at least "
                         f"{required} columns")
-    for lineno, row in enumerate(rows, start=2):
-        if len(row) < required:
-            raise IoFailure(f"{path}: line {lineno} has {len(row)} cells, "
-                            f"expected at least {required}")
-        row.extend(optional[len(row) - required:])
     width = required + len(optional)
+    if set(map(len, rows)) - {width}:          # a row to pad or to cut
+        for lineno, row in enumerate(rows, start=2):
+            if len(row) < required:
+                raise IoFailure(f"{path}: line {lineno} has {len(row)} cells, "
+                                f"expected at least {required}")
+            row.extend(optional[len(row) - required:])
+            del row[width:]
     try:
-        columns = [np.array(list(map(float, column)))
-                   for column in list(zip(*rows))[:width] or [()] * width]
-        if all(np.isfinite(column).all() for column in columns):
-            return columns
+        values = np.fromiter(map(float, itertools.chain.from_iterable(rows)),
+                             float, len(rows) * width)
+        if np.isfinite(values).all():
+            return list(values.reshape(len(rows), width).T.copy())
     except ValueError:
         pass
     lineno, cell = next((lineno, cell) for lineno, row in enumerate(rows, start=2)
-                        for cell in row[:width]
+                        for cell in row
                         if not (_is_number(cell) and math.isfinite(float(cell))))
     raise IoFailure(f"{path}: line {lineno}: {cell!r} is not a finite number")
 

@@ -7,18 +7,30 @@ real-valued detector record from a map of signature -> complex amplitude;
 ``demodulate`` recovers the complex amplitude at one reference beatnote with
 a Hann-windowed software lock-in.
 
+Every tone, the record's beats as well as the lock-in's reference phasor
+and its Hann window, comes from ``blocks.phasors``, the recurrence that
+synthesis uses: a fresh complex exp every 64th sample and one
+multiplication by exp(2 pi i f / rate) per sample between.  Each entry is
+within about 64 ulp of a direct exp of its phase; any float evaluation of
+a phase of P rad carries about ulp(P) of rounding besides.  On an x86-64
+guest with numpy 2.4 a complex exp costs 37-50 ns and a multiply 1-3 ns.
+The window is 0.5 - 0.5 Re exp(2 pi i k / (n - 1)), with np.hanning's own
+values for n <= 2.
+
 Time is handled in microseconds so that MHz tags and MS/s sample rates are
 dimensionally consistent.  A record holds at most ``MAX_SAMPLES`` samples;
 a longer one is refused before any array is made.
 """
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass, field
 from typing import Mapping
 
 import numpy as np
 
+from .blocks import phasors
 from .errors import AliasError, InsufficientRecord, InvalidSpec
 from .pathways import TagSet, signature_frequency
 
@@ -35,10 +47,6 @@ class RawTrainRecord:
     @property
     def duration_us(self) -> float:
         return len(self.series) / self.sample_rate_msps
-
-    @property
-    def times_us(self) -> np.ndarray:
-        return np.arange(len(self.series)) / self.sample_rate_msps
 
 
 def simulate_pulse_train(amplitudes: Mapping[tuple[int, int, int, int], complex],
@@ -67,13 +75,28 @@ def simulate_pulse_train(amplitudes: Mapping[tuple[int, int, int, int], complex]
     n = round(duration_us * sample_rate_msps)
     if n > MAX_SAMPLES:
         raise InvalidSpec(f"{n} samples exceed the ceiling of {MAX_SAMPLES} samples")
-    t = np.arange(n) / sample_rate_msps
     series = np.full(n, dc_offset)
     for sig, amp in amplitudes.items():
         if amp != 0:
-            series = series + np.real(amp * np.exp(2j * np.pi * beats[sig] * t))
+            tone = _tone(beats[sig], n, sample_rate_msps)
+            tone *= amp
+            series += tone.real
     return RawTrainRecord(sample_rate_msps, series, tags,
                           metadata={"dc_offset": dc_offset})
+
+
+def _tone(frequency_mhz: float, n: int, sample_rate_msps: float) -> np.ndarray:
+    """exp(2 pi i f k / rate), k = 0..n-1, from the phasor recurrence."""
+    z = np.array([2j * np.pi * frequency_mhz])
+    return phasors(z, n, 1.0 / sample_rate_msps)[:, 0]
+
+
+def _hann(n: int) -> np.ndarray:
+    """``np.hanning(n)``, 0.5 - 0.5 cos(2 pi k / (n - 1)), from the phasor
+    recurrence; np.hanning's own n <= 2 cases, exactly."""
+    if n <= 2:
+        return np.hanning(n)
+    return 0.5 - 0.5 * _tone(1.0, n, n - 1.0).real
 
 
 def bandwidth_mhz(bandwidth_khz: float) -> float:
@@ -90,7 +113,8 @@ def demodulate(record: RawTrainRecord, reference_mhz: float,
     Uses a Hann-windowed synchronous average over the full record, whose
     equivalent bandwidth is at most the requested one (leakage from a tone
     ``df`` away falls off as (df * duration)^-3).  Raises InsufficientRecord
-    when the record is shorter than 10 / bandwidth.
+    when the record is shorter than 10 / bandwidth, and InvalidSpec when the
+    value is not finite: a non-finite sample, or a sum that overflows.
     """
     bw_mhz = bandwidth_mhz(bandwidth_khz)
     if not math.isfinite(reference_mhz):
@@ -101,8 +125,14 @@ def demodulate(record: RawTrainRecord, reference_mhz: float,
             f"10/bandwidth = {10.0 / bw_mhz:.3g} us")
     if abs(reference_mhz) >= record.sample_rate_msps / 2.0:
         raise AliasError("reference frequency is beyond the record's Nyquist limit")
-    t = record.times_us
-    window = np.hanning(len(t))
+    n = len(record.series)
+    window = _hann(n)
     x = record.series - record.series.mean()
-    mixed = x * np.exp(-2j * np.pi * reference_mhz * t) * window
-    return complex(2.0 * mixed.sum() / window.sum())
+    x *= window
+    mixed = _tone(-reference_mhz, n, record.sample_rate_msps)
+    mixed *= x
+    value = complex(2.0 * mixed.sum() / window.sum())
+    if not cmath.isfinite(value):
+        raise InvalidSpec("the demodulated value is not finite: the record holds "
+                          "a non-finite sample or overflows")
+    return value

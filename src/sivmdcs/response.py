@@ -31,9 +31,10 @@ Two routes evaluate the double sum:
 Both call one kernel, ``_phasor_product``, a weighted sum over terms of two
 exponential factors on uniform axes: the dense route once, the echo route
 once per group, with a coarse and a fine lag factor.  Each factor is a
-phasor table exp(z (start + k step)): a fresh complex exp every 64th row,
-products with exp(z step) between (at most ~64 ulp per entry; an exp costs
-30-40 ns against 1-3 ns per multiply).  Tests check both routes against a
+phasor table exp(z (start + k step)) from ``blocks.phasors``, which the
+lock-in shares: a fresh complex exp every 64th row, products with
+exp(z step) between (at most ~64 ulp per entry; an exp costs 30-40 ns
+against 1-3 ns per multiply).  Tests check both routes against a
 direct exp at every grid point.  The kernel contracts each chunk of terms
 as one matrix product and adds the partials in chunk order.  ``_chunk_terms``
 sizes a chunk from the table shape alone, so the bits depend on the grid
@@ -70,7 +71,7 @@ from typing import Iterator, Sequence
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .blocks import BLOCK_ENTRIES, row_blocks
+from .blocks import BLOCK_ENTRIES, phasors, row_blocks
 from .emitter import Ensemble, LaserSpectrum
 from .errors import EmptyEnsemble, GridTooCoarse, InvalidSpec, NonSquareGrid
 
@@ -154,7 +155,6 @@ def _rates(nu, t2, sign: float) -> np.ndarray:
 # smallest of these where the echo route is never the slower.
 _ECHO_TERMS_PER_GROUP = 64
 _TABLE_ENTRIES = BLOCK_ENTRIES  # of a chunk's larger table: 1 MiB
-_ANCHOR_ROWS = 64
 # OpenBLAS's zgemm contracts in blocks of Q = 256 terms and halves a last
 # Q < r < 2Q terms at (r + 1) // 2 when threaded but at r // 2 rounded up to
 # a multiple of 4 when serial, so those bits follow the BLAS thread count.
@@ -167,22 +167,6 @@ def _chunk_terms(n_row: int, n_col: int) -> int:
     tables of _TABLE_ENTRIES, but at least four times the output's entries
     in the larger table."""
     return max(_TABLE_ENTRIES // max(n_row, n_col), 4 * min(n_row, n_col))
-
-
-def _phasors(z, n: int, step: float, start: float = 0.0) -> np.ndarray:
-    """(n, len(z)) table exp(z (start + k step)), k = 0..n-1: a fresh exp
-    every 64th row, repeated multiplication by exp(z step) between.  With
-    start 0 the first row is 1 and takes no exp."""
-    table = np.empty((n, len(z)), dtype=complex)
-    first = _ANCHOR_ROWS if start == 0 else 0
-    table[0] = 1.0              # overwritten below unless start is 0
-    table[first::_ANCHOR_ROWS] = np.exp(
-        np.outer(start + np.arange(first, n, _ANCHOR_ROWS) * step, z))
-    ratio = np.exp(z * step)
-    for j in range(1, min(n, _ANCHOR_ROWS)):
-        rows = table[j::_ANCHOR_ROWS]
-        np.multiply(table[j - 1::_ANCHOR_ROWS][:len(rows)], ratio, out=rows)
-    return table
 
 
 def _phasor_product(factors, n_terms: int, n_row: int, row_step: float,
@@ -198,9 +182,9 @@ def _phasor_product(factors, n_terms: int, n_row: int, row_step: float,
         if pad := -len(weight) % _TERM_MULTIPLE:
             z_row, z_col, weight = (np.concatenate((a, np.zeros(pad, complex)))
                                     for a in (z_row, z_col, weight))
-        u = _phasors(z_row, n_row, row_step, row_start)
+        u = phasors(z_row, n_row, row_step, row_start)
         u *= weight
-        return u @ _phasors(z_col, n_col, col_step).T
+        return u @ phasors(z_col, n_col, col_step).T
 
     parts = map(partial, range(0, n_terms, chunk))
     total = next(parts)

@@ -7,6 +7,7 @@ then relabels it with a negated absolute axis.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -63,7 +64,9 @@ class DecayTrace:
     amplitude: np.ndarray
 
     def truncated(self, t_max_ps: float) -> DecayTrace:
-        """The samples with t + tau <= ``t_max_ps``."""
+        """The samples with t + tau <= ``t_max_ps``, a finite time."""
+        if not math.isfinite(t_max_ps):
+            raise InvalidSpec(f"t_max must be a finite time, got {t_max_ps} ps")
         keep = self.time_ps <= t_max_ps
         return DecayTrace(self.time_ps[keep], self.amplitude[keep])
 

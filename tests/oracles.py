@@ -6,11 +6,13 @@ enumerator driven purely by level connectivity, the dense synthesis sum
 with a direct exp at every grid point, ensemble means in closed form or by
 Gauss-Hermite quadrature, a waiting-time scan summed one
 emitter, one wait and one pathway at a time, direct discrete-Fourier sums,
-and finite-difference Jacobians.
+finite-difference Jacobians, and a CSV writer and reader built on the
+``csv`` module row by row.
 """
 from __future__ import annotations
 
 import cmath
+import csv
 import itertools
 import math
 
@@ -232,3 +234,49 @@ def jacobian_fd_error(model_fn, jac_fn, x, params, rel_step=1e-6):
         numeric[:, k] = (np.asarray(model_fn(x, hi)) - np.asarray(model_fn(x, lo))) / (2.0 * h)
     scale = max(np.abs(analytic).max(), 1e-300)
     return float(np.abs(analytic - numeric).max() / scale)
+
+
+# --- CSV files through the csv module, row by row --------------------------
+
+def csv_module_write(path, header, *columns):
+    """``header``, then one row per position of ``columns``, written by
+    ``csv.writer``'s excel dialect."""
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(zip(*(np.asarray(column).tolist() for column in columns)))
+
+
+def _is_number(cell):
+    try:
+        float(cell)
+    except ValueError:
+        return False
+    return True
+
+
+def csv_module_read(path, required, optional=()):
+    """Float columns of a UTF-8 CSV file with one header row: the first
+    ``required`` cells of each row, then one column per default cell in
+    ``optional``, which a row may leave out.  Raises ValueError with the
+    message that ``io_utils`` gives its IoFailure."""
+    with open(path, encoding="utf-8", newline="") as fh:
+        header, *rows = list(csv.reader(fh)) or [[]]
+    if len(header) < required or _is_number(header[0]):
+        raise ValueError(f"{path}: line 1 is not a header row of at least "
+                         f"{required} columns")
+    width = required + len(optional)
+    columns = [[] for _ in range(width)]
+    for lineno, row in enumerate(rows, start=2):
+        if len(row) < required:
+            raise ValueError(f"{path}: line {lineno} has {len(row)} cells, "
+                             f"expected at least {required}")
+        row = row + list(optional[len(row) - required:])
+        for column, cell in zip(columns, row[:width]):
+            column.append(cell)
+    for lineno, row in enumerate(zip(*columns), start=2):
+        for cell in row:
+            if not (_is_number(cell) and math.isfinite(float(cell))):
+                raise ValueError(f"{path}: line {lineno}: {cell!r} is not a "
+                                 f"finite number")
+    return [np.array([float(cell) for cell in column]) for column in columns]

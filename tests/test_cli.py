@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -105,12 +107,58 @@ def test_option_a_command_does_not_read_is_usage_error(capsys, argv):
     ("fit-width", "nu_t (THz),amplitude (arb),valid\n406.7,abc,1\n"),
     ("fit-width", ""),
     ("fit-decay", "t_plus_tau (ps),amplitude (arb)\n0.0,1.0\n2.0,0.9\n"),
+    # a cell past the csv module's field size limit (131,072 characters)
+    pytest.param("fit-decay", "t_plus_tau (ps),amplitude (arb)\n" + "1" * 200_000 + ",2\n",
+                 id="fit-decay-oversized-cell"),
 ])
 def test_malformed_analysis_input_is_runtime_error(tmp_path, capsys, command, text):
     path = tmp_path / "input.csv"
     path.write_text(text)
     assert main([command, str(path)]) == EXIT_RUNTIME
     assert "error:" in capsys.readouterr().err
+
+
+def _binary_dataset(path):
+    rng = np.random.default_rng(5)
+    data = (rng.normal(size=(8, 8)) + 1j * rng.normal(size=(8, 8))).astype(np.complex64)
+    write_dataset(path, signal_to_dataset(
+        TimeDomainSignal(data, Grid(8, 8, 0.5, 0.5, 406.77), 0.5, "pl")))
+
+
+@pytest.mark.parametrize("content", ["binary .mdcs", "latin-1 csv"])
+@pytest.mark.parametrize("argv", [
+    ["fit-decay", "IN"],
+    ["fit-width", "IN"],
+    ["deconvolve", "IN", "--out-dir", "OUT"],
+    ["simulate", "--config", "IN", "--out-dir", "OUT"],
+    ["reproduce", "fig1c", "--config", "IN", "--out-dir", "OUT"],
+], ids=lambda argv: argv[0])
+def test_text_that_is_not_utf8_is_a_runtime_error(tmp_path, capsys, argv, content):
+    path, out = tmp_path / "input", tmp_path / "out"
+    if content == "binary .mdcs":
+        _binary_dataset(path)
+    else:
+        path.write_bytes("t_plus_tau (ps),amplitude (arb)\n0.0,1.0 \xe9\n"
+                         .encode("latin-1"))
+    argv = [{"IN": str(path), "OUT": str(out)}.get(arg, arg) for arg in argv]
+    assert main(argv) == EXIT_RUNTIME
+    assert f"error: {path} is not UTF-8 text" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_project_refuses_a_projection_that_overflows(tmp_path, capsys):
+    # finite complex64 values whose |F| column sums overflow float32
+    rng = np.random.default_rng(0)
+    data = (rng.normal(size=(64, 64)) * 3e35).astype(np.complex64)
+    write_dataset(tmp_path / "signal.mdcs", signal_to_dataset(
+        TimeDomainSignal(data, Grid(64, 64, 0.5, 0.5, 406.77), 0.5, "pl")))
+    out = str(tmp_path)
+    assert main(["spectrum", str(tmp_path / "signal.mdcs"), "--out-dir", out]) == EXIT_OK
+    capsys.readouterr()
+    assert main(["project", str(tmp_path / "spectrum.mdcs"), "--out-dir", out]) == EXIT_RUNTIME
+    assert "holds a NaN or an infinity" in capsys.readouterr().err
+    assert not (tmp_path / "projection.csv").exists()
 
 
 def test_negative_seed_is_runtime_error(tmp_path, capsys):
@@ -251,6 +299,10 @@ def test_demod_rejects_non_positive_bandwidth(capsys, monkeypatch):
     assert simulated == []          # refused before the record is built
 
 
+DECAY_CSV = "t_plus_tau (ps),amplitude (arb)\n" + "".join(
+    f"{t!r},{math.exp(-t / 30.0)!r}\n" for t in np.linspace(0.0, 100.0, 40).tolist())
+
+
 @pytest.mark.parametrize("argv", [
     *(["demod", "--duration", value] for value in ("nan", "inf", "-5")),
     *(["demod", "--sample-rate", value] for value in ("nan", "inf")),
@@ -260,13 +312,24 @@ def test_demod_rejects_non_positive_bandwidth(capsys, monkeypatch):
     ["tscan", "--start", "nan"],
     ["tscan", "--stop", "inf"],
     ["tscan", "--tau", "nan"],
+    *(["tscan", "--start", "5", "--stop", "1", *step] for step in ([], ["--step", "1"])),
+    ["fit-decay", "--floor", "nan"],
+    ["fit-decay", "--t-max", "nan"],
 ], ids=" ".join)
 def test_non_finite_demod_and_tscan_arguments_are_runtime_errors(tmp_path, capsys, argv):
+    named = "error:"
     if argv[0] == "tscan":
         argv = argv + ["--out-dir", str(tmp_path / "out")]
+    if argv[0] == "fit-decay":      # a decay that fits without the option
+        decay = tmp_path / "decay.csv"
+        decay.write_text(DECAY_CSV)
+        assert main(["fit-decay", str(decay)]) == EXIT_OK
+        capsys.readouterr()
+        argv = ["fit-decay", str(decay), *argv[1:]]
+        named = "error: " + argv[2].lstrip("-").replace("-", "_")  # the option
     assert main(argv) == EXIT_RUNTIME
     captured = capsys.readouterr()
-    assert "error:" in captured.err and captured.out == ""
+    assert named in captured.err and captured.out == ""
     assert not (tmp_path / "out").exists()
 
 

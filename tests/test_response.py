@@ -19,11 +19,12 @@ from sivmdcs.emitter import (GAUSSIAN_FWHM_PER_SIGMA, EnsembleSpec,
 from sivmdcs.errors import (EmptyEnsemble, GridTooCoarse, InvalidSpec,
                             NonSquareGrid)
 from sivmdcs import response
+from sivmdcs.blocks import phasors
 from sivmdcs.pathways import REPHASING_PATHWAYS
 from sivmdcs.response import (Grid, TimeDomainSignal, _dense_sum, _echo_groups,
-                              _echo_fill, _pathway_terms, _phasors,
-                              signal_rows, synthesize_diagonal,
-                              synthesize_signal, waiting_time_scan)
+                              _echo_fill, _pathway_terms, signal_rows,
+                              synthesize_diagonal, synthesize_signal,
+                              waiting_time_scan)
 
 FRAME = 406.770
 
@@ -396,7 +397,7 @@ def test_phasor_table_error_is_bounded_by_direct_exp(n, echo_start):
         return float(np.max(np.abs(table - exact) / np.abs(exact)))
 
     direct = np.exp(np.outer(start + np.arange(n) * step, z))
-    assert error(_phasors(z, n, step, start)) <= error(direct) + 1.5e-14
+    assert error(phasors(z, n, step, start)) <= error(direct) + 1.5e-14
 
 
 def test_gaussian_ensemble_matches_closed_form():
@@ -590,7 +591,7 @@ def test_phasor_table_from_zero_starts_at_exactly_one():
     rng = np.random.default_rng(2)
     z = 2j * np.pi * rng.uniform(-1.9, 1.9, 32) - 1.0 / rng.uniform(20.0, 300.0, 32)
     for n in (1, 64, 200):
-        table = _phasors(z, n, 0.25, 0.0)
+        table = phasors(z, n, 0.25, 0.0)
         assert np.array_equal(table[0], np.ones(32))
 
 
