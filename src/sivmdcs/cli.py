@@ -7,9 +7,11 @@ Exit codes: 0 success, 1 a requested check failed, 2 usage error,
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import math
 import os
+import pathlib
 import sys
 from dataclasses import replace
 
@@ -45,11 +47,19 @@ def _load_config(path, seed=None):
 
 
 def _write(args, name, write, obj):
-    """Write ``obj`` with ``write`` to ``--output`` (else ``name``) in
-    ``--out-dir``, and report the path."""
-    os.makedirs(args.out_dir, exist_ok=True)
+    """Write ``obj`` with ``write`` to ``--output`` (else ``name``) in ``--out-dir``
+    and report the path; a refused write removes the directories it made."""
+    out = pathlib.Path(os.path.abspath(args.out_dir))
+    made = [d for d in (out, *out.parents) if not d.exists()]     # deepest first
+    out.mkdir(parents=True, exist_ok=True)
     path = os.path.join(args.out_dir, args.output or name)
-    write(path, obj)
+    try:
+        write(path, obj)
+    except BaseException:
+        with contextlib.suppress(OSError):
+            for directory in made:
+                directory.rmdir()
+        raise
     print(f"wrote {path}")
     return EXIT_OK
 
@@ -59,8 +69,7 @@ def _cmd_simulate(args):
     signal = run_simulation(cfg, mode=args.mode)
     if args.verbose:
         print(f"config sha256 {config_hash(cfg)}")
-    return _write(args, f"{cfg.basename}_signal.mdcs", write_dataset,
-                  signal_to_dataset(signal))
+    return _write(args, "run_signal.mdcs", write_dataset, signal_to_dataset(signal))
 
 
 def _cmd_spectrum(args):

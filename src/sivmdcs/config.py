@@ -105,10 +105,6 @@ def _enum(allowed):
     return parse, str
 
 
-def _string(text, line, field):
-    return text
-
-
 def _parse_t2(text, line, field):
     parse_ps = _PS[0]
     text = text.strip()
@@ -154,7 +150,6 @@ def _parse_yield(text, line, field):
 
 _NUMBER = (_number, repr)
 _INTEGER = (_integer, repr)
-_STRING = (_string, str)
 
 
 class _Key(typing.NamedTuple):
@@ -204,8 +199,6 @@ _SCHEMA = (
     _Key("tags", "nu2", *_MHZ, 80.107, "tags.nu2_mhz"),
     _Key("tags", "nu3", *_MHZ, 80.214, "tags.nu3_mhz"),
     _Key("tags", "nu4", *_MHZ, 80.300, "tags.nu4_mhz"),
-    _Key("output", "directory", *_STRING, "out", "out_dir"),
-    _Key("output", "basename", *_STRING, "run", "basename"),
     _Key(_COMPONENT, "weight", *_NUMBER, 1.0, "weight"),
     _Key(_COMPONENT, "strain_shape", *_enum(STRAIN_SHAPES), "gaussian", "strain.shape"),
     _Key(_COMPONENT, "strain_center", *_NUMBER, 0.0, "strain.center"),
@@ -240,8 +233,6 @@ class ExperimentConfig:
     noise: float
     seed: int
     ensemble_size: int
-    out_dir: str
-    basename: str
 
     def __post_init__(self):
         # numpy's generators take only non-negative seeds

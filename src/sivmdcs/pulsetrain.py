@@ -106,6 +106,7 @@ def bandwidth_mhz(bandwidth_khz: float) -> float:
     return bandwidth_khz * 1e-3
 
 
+@np.errstate(over="ignore", invalid="ignore")    # a non-finite value is refused
 def demodulate(record: RawTrainRecord, reference_mhz: float,
                bandwidth_khz: float = 1.0) -> complex:
     """Complex amplitude of the record's component at the reference beat.

@@ -401,23 +401,24 @@ def _target_fig2(cfg, report, seed_shift):
 
 def _target_fig3(cfg, report, seed_shift):
     ensemble = build_ensemble(cfg)
-    def synthesize(ens, mode):
-        return synthesize_signal(ens, cfg.grid, cfg.waiting_time_ps, mode, cfg.laser)
 
     # (c) with yield suppression disabled, PL == Y0 * heterodyne; the yield-free
     # ``het`` serves, and the flat-yield PL rows stream against it: one full
     # grid, and the bits of max |pl - 0.8 het| / max |het| / 0.8
-    het = synthesize(ensemble, "heterodyne")
-    flat = replace(ensemble, quantum_yield=np.full(len(ensemble), 0.8))
+    het = synthesize_signal(ensemble, cfg.grid, cfg.waiting_time_ps, "heterodyne", cfg.laser)
     worst = scale = 0.0
-    for lo, pl in signal_rows(flat, cfg.grid, cfg.waiting_time_ps, "pl", cfg.laser):
+    for lo, pl in signal_rows(replace(ensemble, quantum_yield=np.full(len(ensemble), 0.8)),
+                              cfg.grid, cfg.waiting_time_ps, "pl", cfg.laser):
         rows = slice(lo, lo + len(pl))      # no view of het outlives het
         worst = np.maximum(worst, np.abs(pl - 0.8 * het.data[rows]).max())
         scale = np.maximum(scale, np.abs(het.data[rows]).max())
+    del pl                                  # the streamed block, before the next one
     dev = worst / scale / 0.8
     het_proj = project_nu_t(to_spectrum(het, overwrite=True))
+    for lo, pl in signal_rows(ensemble, cfg.grid, cfg.waiting_time_ps, "pl", cfg.laser):
+        het.data[lo:lo + len(pl)] = pl      # the one full grid of fig3 takes PL
+    pl_proj = project_nu_t(to_spectrum(het, overwrite=True))
     del het
-    pl_proj = project_nu_t(to_spectrum(synthesize(ensemble, "pl"), overwrite=True))
     write_trace_csv(report.path("fig3_het_projection.csv"), het_proj)
     write_trace_csv(report.path("fig3_pl_projection.csv"), pl_proj)
 

@@ -12,10 +12,9 @@ field amplitude to the fourth power for a direct peak), d_* are detunings
 from the frame origin, and w_det is 1 for heterodyne detection or the
 emitter quantum yield for PL detection.  The terms follow the merged
 pathway table of ``pathways`` (a direct peak's GSB and SE rows are one term
-of twice the weight): eight per four-line emitter, one per two-level one,
-emitter by emitter.  The ensemble owns that layout, ``Ensemble.terms``,
-built once; a call applies its mode, laser, frame and waiting time to it
-one chunk of terms at a time.
+of twice the weight): eight per four-line emitter, one per two-level one.
+The ensemble owns that layout, ``Ensemble.terms``; a call applies its mode,
+laser, frame and waiting time to it one chunk of terms at a time.
 
 Two routes evaluate the double sum:
 
@@ -29,38 +28,34 @@ Two routes evaluate the double sum:
   lags of h are summed, O(N * (n_tau + n_t)).
 
 Both call one kernel, ``_phasor_product``, a weighted sum over terms of two
-exponential factors on uniform axes: the dense route once, the echo route
-once per group, with a coarse and a fine lag factor.  Each factor is a
-phasor table exp(z (start + k step)) from ``blocks.phasors``, which the
-lock-in shares: a fresh complex exp every 64th row, products with
-exp(z step) between (at most ~64 ulp per entry; an exp costs 30-40 ns
-against 1-3 ns per multiply).  Tests check both routes against a
-direct exp at every grid point.  The kernel contracts each chunk of terms
-as one matrix product and adds the partials in chunk order.  ``_chunk_terms``
-sizes a chunk from the table shape alone, so the bits depend on the grid
-alone, and zero terms round each chunk up to a multiple of 8
-(``_TERM_MULTIPLE``), so they do not depend on the BLAS thread count either.
-It holds the larger table to 1 MiB, so that it stays in L2 and comes back
-from the heap instead of fresh pages, but keeps at least four times the
-output's entries in it, so that a large output's partial stays amortized.
-A chunk builds its own rates, weights and tables, which go before the next
-chunk's are built, so memory stays flat in the term count, as it does in
+exponential factors on uniform axes: the dense route per request of rows,
+the echo route once per group, with a coarse and a fine lag factor.  Each
+factor is a phasor table from ``blocks.phasors``, shared with the lock-in.
+The kernel takes chunks of terms outside, each building its column table
+once, and sub-blocks of rows inside, each from a fresh anchor, and adds the
+matrix products in chunk order.  ``_chunk_terms`` sizes a chunk from the
+sub-block: 1 MiB in the larger table, so that it stays in L2, but at least
+four times the sub-block's entries.  Zero terms round a chunk up to a
+multiple of 8 (``_TERM_MULTIPLE``).  Sub-blocks, chunks and anchors follow
+from the grid alone, so the bits depend on neither the rows asked for nor
+the BLAS thread count, and memory stays flat in the term count, as in
 ``waiting_time_scan``, which contracts per-emitter sums with real tables of
-exp(-T/T1) in chunks of ``_chunk_terms(n_waits, 1)`` emitters.
+exp(-T/T1) in chunks of ``_chunk_terms(n_waits, 1)`` emitters.  Tests check
+both routes against a direct exp at every grid point.
 
 The echo route is taken when the two grid steps are equal and the distinct
 (delta, T2) groups are few compared with the terms (constant or class T2,
-strain-independent splittings); otherwise, for example with log-normal T2
-or unequal steps, the dense route runs.  The echo route builds its lag
-functions first and then fills any rows on demand, through one 1 MiB
-scratch block: ``synthesize_signal`` fills its grid in place, and
-``signal_rows`` streams the noise-free signal in reused row blocks.
+strain-independent splittings), else the dense route, for example with
+log-normal T2 or unequal steps.  Either gives ``rows(lo, out)``, which fills
+rows on demand: the echo route from lag functions built first, through a
+1 MiB scratch block, the dense route in the grid's ``row_blocks`` beside one
+chunk's column table (4 MiB at 1024^2).  So ``synthesize_signal`` fills its
+grid in place, and ``signal_rows`` streams through one reused row block.
 
-The third product, ``synthesize_diagonal``, is the tau = t diagonal alone.
-There the inhomogeneous phase cancels, S(tau, tau) = sum_k w_k
-exp[(-2/T2_k - 2 pi i delta_k) tau], so terms of equal (delta, T2) merge
-and one phasor product with a single zero-rate column sums the G merged
-terms: O(N log N + G n) time and no grid.
+The third product, ``synthesize_diagonal``, is the tau = t diagonal alone,
+where the inhomogeneous phase cancels: S(tau, tau) = sum_k w_k exp[(-2/T2_k
+- 2 pi i delta_k) tau], so terms of equal (delta, T2) merge and one phasor
+product with a zero-rate column sums the G merged terms in O(N log N + G n).
 """
 from __future__ import annotations
 
@@ -163,44 +158,51 @@ _TERM_MULTIPLE = 8
 
 
 def _chunk_terms(n_row: int, n_col: int) -> int:
-    """Terms per chunk of the phasor product on an (n_row, n_col) output:
-    tables of _TABLE_ENTRIES, but at least four times the output's entries
-    in the larger table."""
+    """Terms per chunk of the phasor product on an (n_row, n_col) sub-block:
+    _TABLE_ENTRIES in the larger table, but at least four times n_row n_col."""
     return max(_TABLE_ENTRIES // max(n_row, n_col), 4 * min(n_row, n_col))
 
 
-def _phasor_product(factors, n_terms: int, n_row: int, row_step: float,
-                    row_start: float, n_col: int, col_step: float) -> np.ndarray:
-    """(n_row, n_col) sum over terms k of weight_k exp(z_row,k (row_start +
-    i row_step)) exp(z_col,k j col_step), ``factors(lo, hi)`` giving (z_row,
-    z_col, weight) of terms lo:hi; partials add in chunk order."""
+def _phasor_product(factors, n_terms: int, out: np.ndarray, row_step: float,
+                    col_step: float, row_start: float = 0.0, lo: int = 0,
+                    height: int | None = None) -> np.ndarray:
+    """Write rows lo:lo + len(out) of the sum over terms k of weight_k
+    exp(z_row,k (row_start + i row_step)) exp(z_col,k j col_step) to ``out``
+    in sub-blocks of ``height`` rows (default all) and return it, ``factors(a,
+    b)`` giving (z_row, z_col, weight) of terms a:b."""
+    n_col = out.shape[1]
+    height = height or len(out)
     # a multiple of _TERM_MULTIPLE, so that only the last chunk takes zeros
-    chunk = -(-_chunk_terms(n_row, n_col) // _TERM_MULTIPLE) * _TERM_MULTIPLE
-
-    def partial(lo):
-        z_row, z_col, weight = factors(lo, lo + chunk)
+    chunk = -(-_chunk_terms(height, n_col) // _TERM_MULTIPLE) * _TERM_MULTIPLE
+    for first in range(0, n_terms, chunk):
+        z_row, z_col, weight = factors(first, first + chunk)
         if pad := -len(weight) % _TERM_MULTIPLE:
             z_row, z_col, weight = (np.concatenate((a, np.zeros(pad, complex)))
                                     for a in (z_row, z_col, weight))
-        u = phasors(z_row, n_row, row_step, row_start)
-        u *= weight
-        return u @ phasors(z_col, n_col, col_step).T
+        along_col = phasors(z_col, n_col, col_step).T
+        for i in range(0, len(out), height):
+            dst = out[i:i + height]
+            u = phasors(z_row, len(dst), row_step, row_start + (lo + i) * row_step)
+            u *= weight
+            if first:
+                dst += u @ along_col
+            else:
+                np.matmul(u, along_col, out=dst)
+            del u           # each table goes before the next is built
+        del along_col
+    return out
 
-    parts = map(partial, range(0, n_terms, chunk))
-    total = next(parts)
-    for part in parts:
-        total += part
-    return total
 
-
-def _dense_sum(terms, n_terms: int, grid: Grid) -> np.ndarray:
-    """Dense route, the general path, on ``terms(lo, hi)`` = (d_exc, d_emit, weight, T2)."""
+def _dense_rows(terms, n_terms: int, grid: Grid):
+    """Dense route, the general path, on ``terms(lo, hi)`` = (d_exc, d_emit,
+    weight, T2), as ``rows(lo, out)`` in sub-blocks of the grid's row blocks."""
     def factors(lo, hi):
         nu_exc, nu_emit, weight, t2 = terms(lo, hi)
         return _rates(nu_exc, t2, 1.0), _rates(nu_emit, t2, -1.0), weight
 
-    return _phasor_product(factors, n_terms, grid.n_tau, grid.tau_step_ps, 0.0,
-                           grid.n_t, grid.t_step_ps)
+    height = min(row_blocks(grid.n_tau, grid.n_t).step, grid.n_tau)
+    return lambda lo, out: _phasor_product(factors, n_terms, out, grid.tau_step_ps,
+                                           grid.t_step_ps, lo=lo, height=height)
 
 
 def _sorted_groups(nu_exc, nu_emit, t2):
@@ -240,10 +242,10 @@ def _echo_groups(nu_exc, nu_emit, weight, t2):
             for lo, hi in zip(bounds[:-1], bounds[1:])]
 
 
-def _echo_fill(groups, grid: Grid):
+def _echo_rows(groups, grid: Grid):
     """Difference-axis route on a grid with equal steps: builds every group's
-    lag function h(L) on L = tau - t, then returns ``fill(lo, out)``, which
-    writes rows lo:lo + len(out) of the signal through Toeplitz views of h."""
+    lag function h(L) on L = tau - t, then returns ``rows(lo, out)``, which
+    fills ``out`` with rows lo:lo + len(out) through Toeplitz views of h."""
     n_tau, n_t, step = grid.n_tau, grid.n_t, grid.tau_step_ps
     n_lag = n_tau + n_t - 1
     # lag index p = b * block + j holds L = (p - n_t + 1) * step, so that
@@ -255,8 +257,8 @@ def _echo_fill(groups, grid: Grid):
     for delta, t2, nu, weight in groups:
         z = 2j * np.pi * nu
         h = _phasor_product(lambda lo, hi, z=z, w=weight: (z[lo:hi], z[lo:hi], w[lo:hi]),
-                            len(weight), n_block, block * step, -(n_t - 1) * step,
-                            block, step).ravel()
+                            len(weight), np.empty((n_block, block), dtype=complex),
+                            block * step, step, -(n_t - 1) * step).ravel()
         # lags[i, j] = h[i - j + n_t - 1]: row i of h reversed once, read
         # forward from index n_tau - 1 - i
         factors.append((sliding_window_view(h[n_lag - 1::-1].copy(), n_t)[::-1],
@@ -277,6 +279,7 @@ def _echo_fill(groups, grid: Grid):
                 part *= along_tau[r]
                 if g:
                     dst += part
+        return out
     return fill
 
 
@@ -314,12 +317,13 @@ def _require_square(grid: Grid) -> None:
 
 def _route(ensemble: Ensemble, grid: Grid, waiting_time_ps: float, mode: str,
            laser: LaserSpectrum | None):
-    """A checked request's echo-route ``fill(lo, out)``, or its dense grid."""
+    """A checked request's ``rows(lo, out)`` (echo route where it pays, else
+    dense): noise-free rows lo:lo + len(out), lo a first row of ``row_blocks``."""
     terms = _checked_terms(ensemble, grid, waiting_time_ps, mode, laser)
     groups = _echo_groups(*terms()) if grid.tau_step_ps == grid.t_step_ps else None
     if groups is None:
-        return _dense_sum(terms, len(ensemble.terms.t2_ps), grid)
-    return _echo_fill(groups, grid)
+        return _dense_rows(terms, len(ensemble.terms.t2_ps), grid)
+    return _echo_rows(groups, grid)
 
 
 def _add_noise(data: np.ndarray, noise_rms: float, noise_seed: int) -> None:
@@ -341,17 +345,13 @@ def signal_rows(ensemble: Ensemble, grid: Grid, waiting_time_ps: float,
                 mode: str, laser: LaserSpectrum | None = None
                 ) -> Iterator[tuple[int, np.ndarray]]:
     """The noise-free signal of ``synthesize_signal`` as (first row, block)
-    pairs with its bits: on the echo route one reused block of about 64k
-    entries, valid until the next pair; on the dense route the whole grid."""
-    source = _route(ensemble, grid, waiting_time_ps, mode, laser)
-    if not callable(source):
-        yield 0, source
-        return
-    rows = row_blocks(grid.n_tau, grid.n_t)
-    block = np.empty((min(rows.step, grid.n_tau), grid.n_t), dtype=complex)
-    for lo in rows:
-        source(lo, block[:grid.n_tau - lo])
-        yield lo, block[:grid.n_tau - lo]
+    pairs with its bits, on either route: one reused block of the grid's
+    ``row_blocks``, about 64k entries, valid until the next pair."""
+    rows = _route(ensemble, grid, waiting_time_ps, mode, laser)
+    firsts = row_blocks(grid.n_tau, grid.n_t)
+    block = np.empty((min(firsts.step, grid.n_tau), grid.n_t), dtype=complex)
+    for lo in firsts:
+        yield lo, rows(lo, block[:grid.n_tau - lo])
 
 
 def synthesize_signal(ensemble: Ensemble, grid: Grid,
@@ -361,12 +361,8 @@ def synthesize_signal(ensemble: Ensemble, grid: Grid,
                       threads: int = 1) -> TimeDomainSignal:
     """Sum pathway responses over the ensemble on the (tau, t) grid.
     ``threads`` is ignored: synthesis is serial, BLAS uses every core."""
-    data = _route(ensemble, grid, waiting_time_ps, mode, laser)
-    if callable(data):
-        fill, data = data, np.empty((grid.n_tau, grid.n_t), dtype=complex)
-        fill(0, data)
-        del fill            # its lag tables and scratch block
-
+    data = _route(ensemble, grid, waiting_time_ps, mode, laser)(
+        0, np.empty((grid.n_tau, grid.n_t), dtype=complex))
     _add_noise(data, noise_rms, noise_seed)
     meta = {"detection_mode": mode, "noise_rms": noise_rms,
             "noise_seed": noise_seed, "n_emitters": len(ensemble)}
@@ -397,8 +393,8 @@ def synthesize_diagonal(ensemble: Ensemble, grid: Grid, waiting_time_ps: float,
     rate, weight = _diagonal_terms(*terms())
     zero = np.zeros_like(rate)
     data = _phasor_product(lambda lo, hi: (rate[lo:hi], zero[lo:hi], weight[lo:hi]),
-                           len(rate), grid.n_tau, grid.tau_step_ps, 0.0,
-                           1, grid.t_step_ps).reshape(1, grid.n_tau)
+                           len(rate), np.empty((grid.n_tau, 1), dtype=complex),
+                           grid.tau_step_ps, grid.t_step_ps).reshape(1, grid.n_tau)
     _add_noise(data, noise_rms, noise_seed)
     return data[0]
 

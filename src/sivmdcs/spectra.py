@@ -125,6 +125,7 @@ def to_spectrum(signal: TimeDomainSignal, pad_factor: int = 1, *,
                       parseval_norm=float(n_tau) * float(n_t), metadata=meta)
 
 
+@np.errstate(over="ignore")      # an overflowing sum is refused where written
 def project_nu_t(spectrum: Spectrum2D) -> Trace1D:
     """Amplitude projection onto the nu_t axis: ``np.abs(F).sum(axis=0)`` bit
     for bit, by row blocks of |F| whose row 0 carries the running sum, so the

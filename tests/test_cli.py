@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -6,9 +7,10 @@ import pytest
 from sivmdcs.cli import (EXIT_CHECK_FAILED, EXIT_OK, EXIT_RUNTIME, EXIT_USAGE,
                          MAX_WAITS, main)
 from sivmdcs.dataset import write_dataset
-from sivmdcs.io_utils import signal_to_dataset
+from sivmdcs.io_utils import signal_to_dataset, spectrum_to_dataset
 from sivmdcs.pulsetrain import MAX_SAMPLES
 from sivmdcs.response import Grid, TimeDomainSignal
+from sivmdcs.spectra import Spectrum2D
 
 TINY_CONFIG = """
 [grid]
@@ -146,7 +148,6 @@ def test_text_that_is_not_utf8_is_a_runtime_error(tmp_path, capsys, argv, conten
     assert not out.exists()
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_project_refuses_a_projection_that_overflows(tmp_path, capsys):
     # finite complex64 values whose |F| column sums overflow float32
     rng = np.random.default_rng(0)
@@ -159,6 +160,56 @@ def test_project_refuses_a_projection_that_overflows(tmp_path, capsys):
     assert main(["project", str(tmp_path / "spectrum.mdcs"), "--out-dir", out]) == EXIT_RUNTIME
     assert "holds a NaN or an infinity" in capsys.readouterr().err
     assert not (tmp_path / "projection.csv").exists()
+
+
+def _overflowing_spectrum(tmp_path):
+    """A 64 x 64 complex64 spectrum of 3e38 + 3e38j, whose |F| overflows."""
+    axis = 0.01 * np.arange(64)
+    path = tmp_path / "spectrum.mdcs"
+    write_dataset(path, spectrum_to_dataset(Spectrum2D(
+        np.full((64, 64), 3e38 + 3e38j, np.complex64), -406.77 - axis[::-1],
+        406.77 + axis, 1, 4096.0)))
+    return str(path)
+
+
+def test_a_refused_write_leaves_no_new_out_dir(tmp_path, capsys):
+    spectrum = _overflowing_spectrum(tmp_path)
+    for new in (tmp_path / "new", tmp_path / "a" / "b"):
+        assert main(["project", spectrum, "--out-dir", str(new)]) == EXIT_RUNTIME
+        assert not new.exists()
+    assert not (tmp_path / "a").exists()
+    old = tmp_path / "old"
+    old.mkdir()
+    (old / "keep.txt").write_text("kept")
+    assert main(["project", spectrum, "--out-dir", str(old)]) == EXIT_RUNTIME
+    assert sorted(p.name for p in old.iterdir()) == ["keep.txt"]
+    assert (old / "keep.txt").read_text() == "kept"
+    assert "holds a NaN or an infinity" in capsys.readouterr().err
+
+
+def test_overflow_refusals_print_no_numpy_warning(tmp_path, capsys):
+    # a warning turned into an error would escape main; none may be raised,
+    # so that the program's own reason is the first line on stderr
+    spectrum = _overflowing_spectrum(tmp_path)
+    for argv in (["project", spectrum, "--out-dir", str(tmp_path)],
+                 ["demod", "--amplitude", "1e308"]):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(argv) == EXIT_RUNTIME
+        assert capsys.readouterr().err.startswith("error:")
+
+
+def test_output_section_is_an_unknown_section(tmp_path, capsys):
+    # the default file name of simulate stays run_signal.mdcs
+    assert main(["simulate", "--config", _write_config(tmp_path),
+                 "--out-dir", str(tmp_path)]) == EXIT_OK
+    assert (tmp_path / "run_signal.mdcs").exists()
+    capsys.readouterr()
+    bad = tmp_path / "output.cfg"
+    bad.write_text(TINY_CONFIG + "\n[output]\ndirectory = out\nbasename = run\n")
+    assert main(["simulate", "--config", str(bad), "--out-dir", str(tmp_path)]) \
+        == EXIT_RUNTIME
+    assert "unknown section [output]" in capsys.readouterr().err
 
 
 def test_negative_seed_is_runtime_error(tmp_path, capsys):

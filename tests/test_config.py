@@ -195,14 +195,14 @@ def test_frame_defaults_to_laser_center():
 # config_hash of every built-in config, as first recorded; a change in the
 # canonical text (key order, formatting, defaults) shows up here
 BUILT_IN_HASHES = {
-    "fig1c": "76b5c40dd1250b7be02988ed60da897a7fe90a719fb3631cff28cf76e2b6b11d",
-    "fig1d": "b34562a962274b3fd37522a34cb697a438849f88b5085fb5181135d9ecffa7ba",
-    "fig2": "421cbc3255dba61a8ccfb704062a3c16fc1a95c0f7a84bcceeb77b4fe56f654d",
-    "fig3": "be888e6a6b8fa4d33e73d4ae7c30abf19592986ea84347d1569fc797b5680b2a",
-    "fig4": "8c56eb3717474ed22c5ed1212e4d8c330c86bca0201f7863df26762f2da35909",
-    "t1scan": "527572a240690a40ee58a3ffa6818db4b82137f841affba1f043f341d97c9513",
-    "fig2_hidden": "dcfda5075e7a9ab88dda77aae400790d356e838c0c37dc0a0c8bf702b51372a4",
-    "fig4_het": "3084d437f1d590c72bc7790de7f7e553ed321ccd534dc24b6af9439ffd75fc40",
+    "fig1c": "6ee89f074cfef0baf5fd3f8bde27d68e42957528e7d07ad63071ba38d9ce5b1c",
+    "fig1d": "ee3d6c7e27c5b20e488827580e375c93556e330405c2df2be60ea94f0dbda524",
+    "fig2": "eb21d071c40c6b53a53671550d5aaf81ffb578786820744e7f8d5d189da13bda",
+    "fig3": "93c432ca496768b49046676bcad343a62dded69afa277391c55eee7ce4ba0563",
+    "fig4": "0b355cb206fa5d0c1c271f62e35cc4554c747e84a0421d54f451e5f9685ab7f1",
+    "t1scan": "97c6f0fdede208f22f9a461192c677012560fdcc53897b98ce1a14ef6de52eb8",
+    "fig2_hidden": "121bdbe0a3cd19bbfda4663018324f8376000aaae8b1b28c0f4f71806abe4cb0",
+    "fig4_het": "46d5e29a18c3df1e1c873eaa2d79bd453191af5f5691919b9c89beea93adea99",
 }
 
 
@@ -244,8 +244,6 @@ KEY_CASES = {
     ("tags", "nu2"): ("80.5 mhz", "tags.nu2_mhz", 80.5),
     ("tags", "nu3"): ("81 mhz", "tags.nu3_mhz", 81.0),
     ("tags", "nu4"): ("81.5 mhz", "tags.nu4_mhz", 81.5),
-    ("output", "directory"): ("elsewhere", "out_dir", "elsewhere"),
-    ("output", "basename"): ("trial", "basename", "trial"),
     ("component.NAME", "weight"): ("0.25", "weight", 0.25),
     ("component.NAME", "strain_shape"): ("lorentzian", "strain.shape", "lorentzian"),
     ("component.NAME", "strain_center"): ("0.1", "strain.center", 0.1),

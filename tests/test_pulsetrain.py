@@ -133,7 +133,6 @@ def test_simulated_beats_match_a_direct_exp_sum():
     assert np.max(np.abs(record.series - direct)) <= 1e-12 * scale
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 @pytest.mark.parametrize("bad", [np.nan, np.inf, 1e308])
 def test_demodulate_refuses_a_value_that_is_not_finite(bad):
     record = simulate_pulse_train({SIG: 1.0}, TAGS, duration_us=20000.0,

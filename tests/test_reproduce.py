@@ -58,18 +58,24 @@ def test_fig1d_blocked_ridge_checks_have_the_whole_array_bits(tmp_path):
         == flipped[k, k].mean() / flipped[(k + n // 8) % n, k].mean()
 
 
-@pytest.mark.parametrize("target", TARGETS)
-def test_a_target_holds_at_most_a_signal_and_a_spectrum(tmp_path, target):
+# fig3 with log-normal T2 takes the dense route for both of its grids
+LOGNORMAL_FIG3 = DEFAULT_CONFIGS["fig3"].replace("t2 = 20 ps", "t2 = lognormal 20 ps 0.3")
+
+
+@pytest.mark.parametrize("target,text", [
+    *((target, None) for target in TARGETS), ("fig3", LOGNORMAL_FIG3)],
+    ids=[*TARGETS, "fig3-lognormal-t2"])
+def test_a_target_holds_at_most_a_signal_and_a_spectrum(tmp_path, target, text):
     # a full grid is one complex128 signal or spectrum of the target's
     # largest grid; each transform runs in its signal's buffer, so a signal
     # and its spectrum are one grid, and every other reader streams or reads
     # cells: a second full grid fails this.  fig4 reads only the tau = t
     # diagonals and synthesizes no grid: 2 MiB, against 16 MiB for one grid
-    texts = [DEFAULT_CONFIGS[target]]
+    texts = [text or DEFAULT_CONFIGS[target]]
     texts += {"fig2": [FIG2_HIDDEN_CONFIG]}.get(target, [])
     grid = max(16 * cfg.grid.n_tau * cfg.grid.n_t for cfg in map(parse_config, texts))
     bound = 2 * 2**20 if target == "fig4" else grid + 8 * 2**20
-    peak = peak_bytes(lambda: run_reproduction(target, out_dir=str(tmp_path)))
+    peak = peak_bytes(lambda: run_reproduction(target, text, out_dir=str(tmp_path)))
     assert peak <= bound
 
 

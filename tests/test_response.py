@@ -19,10 +19,12 @@ from sivmdcs.emitter import (GAUSSIAN_FWHM_PER_SIGMA, EnsembleSpec,
 from sivmdcs.errors import (EmptyEnsemble, GridTooCoarse, InvalidSpec,
                             NonSquareGrid)
 from sivmdcs import response
-from sivmdcs.blocks import phasors
+from sivmdcs.blocks import BLOCK_ENTRIES, phasors, row_blocks
+from sivmdcs.config import parse_config
+from sivmdcs.reproduce import DEFAULT_CONFIGS, build_ensemble
 from sivmdcs.pathways import REPHASING_PATHWAYS
-from sivmdcs.response import (Grid, TimeDomainSignal, _dense_sum, _echo_groups,
-                              _echo_fill, _pathway_terms, signal_rows,
+from sivmdcs.response import (Grid, TimeDomainSignal, _dense_rows, _echo_groups,
+                              _echo_rows, _pathway_terms, signal_rows,
                               synthesize_diagonal, synthesize_signal,
                               waiting_time_scan)
 
@@ -39,9 +41,10 @@ def _emitter(detuning_thz=0.05, t2_ps=122.0, t1_ps=1700.0, yield_=1.0,
 
 
 def _dense(terms, grid):
-    """The dense route over whole per-term arrays."""
-    return _dense_sum(lambda lo=0, hi=None: tuple(a[lo:hi] for a in terms),
-                      len(terms[0]), grid)
+    """The dense route's whole grid over whole per-term arrays."""
+    out = np.empty((grid.n_tau, grid.n_t), dtype=complex)
+    return _dense_rows(lambda lo=0, hi=None: tuple(a[lo:hi] for a in terms),
+                       len(terms[0]), grid)(0, out)
 
 
 def _grid(n=16, step=0.5):
@@ -131,16 +134,18 @@ def test_four_line_emitter_sums_twelve_pathways():
     assert signal.data[0, 0] == pytest.approx(12.0)
 
 
-# sha256 of a dense signal (log-normal T2, unequal steps) and an echo one.
-# On 256 rows the dense sum's 1,390 terms run in chunks of 1,024 and 366:
-# products large enough for BLAS to thread, and a last one that OpenBLAS's
-# serial and threaded zgemm split at different terms unless it is padded
+# sha256 of two dense signals (log-normal T2, unequal steps) and an echo
+# one.  On 256 columns the dense sum's 1,390 terms run in chunks of 1,024 and
+# 366: products large enough for BLAS to thread, and a last one that
+# OpenBLAS's serial and threaded zgemm split at different terms unless it is
+# padded; 300 rows take row blocks of 256 and 44 rows
 _BLAS_HASHES = """
 import hashlib
 from test_response import (CLASS_T2, FRAME, LOGNORMAL_T2, Grid,
                            _mixed_ensemble, synthesize_signal)
-for t2, t_step in ((LOGNORMAL_T2, 0.2), (CLASS_T2, 0.25)):
-    grid = Grid(256, 256, 0.25, t_step, FRAME)
+for t2, n_tau, t_step in ((LOGNORMAL_T2, 256, 0.2), (LOGNORMAL_T2, 300, 0.2),
+                          (CLASS_T2, 256, 0.25)):
+    grid = Grid(n_tau, 256, 0.25, t_step, FRAME)
     data = synthesize_signal(_mixed_ensemble(t2), grid, 0.5, "heterodyne").data
     print(hashlib.sha256(data.tobytes()).hexdigest())
 """
@@ -160,7 +165,7 @@ def _blas_hashes(blas_threads):
 
 def test_blas_thread_count_does_not_change_bits():
     one = _blas_hashes(1)
-    assert len(one) == 2
+    assert len(one) == 3
     assert _blas_hashes(2) == one
 
 
@@ -267,14 +272,14 @@ def test_echo_route_matches_dense_reference(shape, mode, laser, hidden_t2):
     assert groups is not None
     signal = synthesize_signal(ensemble, grid, 0.5, mode, laser)
     echo = np.empty(shape, complex)
-    _echo_fill(groups, grid)(0, echo)
+    _echo_rows(groups, grid)(0, echo)
     assert np.array_equal(signal.data, echo)
     exact = exact_dense_sum(*terms, grid.tau_ps, grid.t_ps)
     assert np.abs(signal.data - exact).max() <= 1e-10 * np.abs(exact).max()
 
 
-# (40, 2000) gives row blocks of 32 rows with a short last block; lognormal
-# T2 takes the dense route, which yields the whole grid as one block
+# (40, 2000) gives row blocks of 32 rows with a short last block, on the
+# echo route (constant T2) and on the dense route (log-normal T2) alike
 @pytest.mark.parametrize("hidden_t2", [CONSTANT_T2, LOGNORMAL_T2])
 def test_signal_rows_concatenate_to_the_noise_free_signal(hidden_t2):
     ensemble = _mixed_ensemble(hidden_t2)
@@ -285,9 +290,41 @@ def test_signal_rows_concatenate_to_the_noise_free_signal(hidden_t2):
     for first, block in signal_rows(ensemble, grid, 0.5, "pl", laser):
         firsts.append(first)
         blocks.append(block.copy())
-    assert len(blocks) == (2 if hidden_t2 is CONSTANT_T2 else 1)
+    assert len(blocks) == 2
     assert firsts == list(np.cumsum([0] + [len(b) for b in blocks[:-1]]))
     assert np.concatenate(blocks).tobytes() == whole.tobytes()
+
+
+def test_dense_signal_rows_are_at_most_a_row_block_tall():
+    # 100 x 2100 at unequal steps: the dense route in row blocks of 31 rows,
+    # the last one 7 rows, each filled in the one reused block
+    ensemble = _mixed_ensemble(LOGNORMAL_T2)
+    grid = Grid(100, 2100, 0.25, 0.2, FRAME)
+    assert row_blocks(grid.n_tau, grid.n_t).step == 31
+    heights, buffers = [], set()
+    for _, block in signal_rows(ensemble, grid, 0.5, "heterodyne"):
+        heights.append(len(block))
+        buffers.add(block.__array_interface__["data"][0])
+    assert heights == [31, 31, 31, 7] and len(buffers) == 1
+
+
+def test_a_dense_grid_takes_at_most_two_grids_of_memory():
+    # fig3's 1024^2 grid with log-normal T2 (6,000 terms) on the dense route:
+    # the signal, one chunk's column table and a row block's partial, well
+    # under two grids plus the 1 MiB block budget (the whole-grid phasor
+    # tables took 144 MiB)
+    text = DEFAULT_CONFIGS["fig3"].replace("t2 = 20 ps", "t2 = lognormal 20 ps 0.3")
+    cfg = parse_config(text)
+    ensemble = build_ensemble(cfg)
+    ensemble.terms       # the layout belongs to the ensemble, not to the call
+    terms = _pathway_terms(ensemble, "heterodyne", cfg.laser, cfg.grid.frame_thz,
+                           cfg.waiting_time_ps)()
+    assert len(terms[0]) == 6000 and _echo_groups(*terms) is None
+    del terms
+    grid_bytes = 16 * cfg.grid.n_tau * cfg.grid.n_t
+    peak = peak_bytes(lambda: synthesize_signal(ensemble, cfg.grid, cfg.waiting_time_ps,
+                                                "heterodyne", cfg.laser))
+    assert peak <= 2 * grid_bytes + BLOCK_ENTRIES * 16
 
 
 def test_echo_route_merges_direct_peak_pathways():
