@@ -1,13 +1,18 @@
-"""Nonlinear least-squares fits for decay traces and frequency lineshapes.
+"""Separable least-squares fits for decay traces and frequency lineshapes.
 
-The solver is a damped Gauss-Newton (Levenberg-Marquardt) iteration written
-here rather than pulled from a library: max 200 iterations, convergence when
-the relative residual change drops below 1e-10 or the step norm below 1e-12,
-positivity bounds enforced by projection.  All models expose analytic
-Jacobians.
-"""
+Every model is Phi(x; theta) c: a basis whose columns the amplitudes and the
+background c multiply.  By variable projection (Golub & Pereyra, SIAM J.
+Numer. Anal. 10, 413 (1973)) the in-repo Levenberg-Marquardt iteration runs
+over theta alone (log time constants, or a peak's center and log width),
+with c from a QR solve at each step and Kaufman's Jacobian (BIT 15, 49
+(1975)).  It stops after 200 iterations, or when the relative residual
+change drops below 1e-10 or the step norm below 1e-12.  Sigmas come from the
+whole model's Jacobian over (c, theta) at the solution.  A noise floor added
+in quadrature is not separable: one more iteration over all parameters
+follows, from the separable solution."""
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field, replace
 
@@ -58,17 +63,24 @@ def _lapack_input(*arrays) -> None:
         raise NoConvergence("fit arithmetic overflowed on this trace")
 
 
-def levenberg_marquardt(model_fn, jac_fn, x, y, p0, lower=None):
+def _covariance(jac, cost, n_points):
+    """Parameter covariance from the Jacobian at the solution."""
+    jtj = jac.T @ jac
+    _lapack_input(jtj)
+    sigma2 = cost / max(n_points - jac.shape[1], 1)
+    try:
+        return sigma2 * np.linalg.inv(jtj)
+    except np.linalg.LinAlgError:
+        return sigma2 * np.linalg.pinv(jtj)
+
+
+def levenberg_marquardt(model_fn, jac_fn, x, y, p0):
     """Minimize sum((model(x, p) - y)^2).
 
-    ``lower`` holds per-parameter lower bounds (or -inf); steps are projected
-    back into the box.  Returns (p, cov, cost, n_iter, converged).
+    A trial step whose model is singular or overflows is rejected like one
+    that raises the cost.  Returns (p, cov, cost, n_iter, converged).
     """
     p = np.asarray(p0, dtype=float).copy()
-    n = len(p)
-    if lower is None:
-        lower = np.full(n, -np.inf)
-    lower = np.asarray(lower, dtype=float)
 
     def cost_of(params):
         r = model_fn(x, params) - y
@@ -77,27 +89,23 @@ def levenberg_marquardt(model_fn, jac_fn, x, y, p0, lower=None):
     r, cost = cost_of(p)
     lam = 1e-3
     converged = False
-    it = 0
     for it in range(1, MAX_ITER + 1):
         jac = jac_fn(x, p)
         jtj = jac.T @ jac
         jtr = jac.T @ r
-        step_ok = False
         for _ in range(40):
             damped = jtj + lam * np.diag(np.maximum(np.diag(jtj), 1e-30))
             _lapack_input(damped, jtr)
             try:
-                delta = np.linalg.solve(damped, -jtr)
-            except np.linalg.LinAlgError:
+                p_new = p + np.linalg.solve(damped, -jtr)
+                r_new, cost_new = cost_of(p_new)
+            except (np.linalg.LinAlgError, OverflowError):
                 lam *= 10.0
                 continue
-            p_new = np.maximum(p + delta, lower)
-            r_new, cost_new = cost_of(p_new)
             if cost_new <= cost:
-                step_ok = True
                 break
             lam *= 7.0
-        if not step_ok:
+        else:
             break
         rel_drop = (cost - cost_new) / max(cost, 1e-300)
         step_norm = float(np.linalg.norm(p_new - p))
@@ -106,97 +114,87 @@ def levenberg_marquardt(model_fn, jac_fn, x, y, p0, lower=None):
         if rel_drop < FTOL or step_norm < XTOL:
             converged = True
             break
-
-    jac = jac_fn(x, p)
-    jtj = jac.T @ jac
-    _lapack_input(jtj)
-    dof = max(len(np.atleast_1d(y)) - n, 1)
-    sigma2 = cost / dof
-    try:
-        cov = sigma2 * np.linalg.inv(jtj)
-    except np.linalg.LinAlgError:
-        cov = sigma2 * np.linalg.pinv(jtj)
-    return p, cov, cost, it, converged
+    return p, _covariance(jac_fn(x, p), cost, len(np.atleast_1d(y))), cost, it, converged
 
 
-# --- model functions -------------------------------------------------------
+# --- separable models -------------------------------------------------------
+# A basis maps (x, theta) to (phi, dphi, owner): the columns of Phi, and in
+# column k of dphi the derivative by theta[k] of column owner[k] of Phi.
+# Both are column-major: the layout LAPACK reads, and faster to scale by c.
 
-def multi_exponential(x, params, floor=0.0):
-    """A exp(-x/Ta) [+ B exp(-x/Tb)], with an optional constant noise floor
-    added in quadrature."""
-    f = np.zeros_like(np.asarray(x, float))
-    for i in range(0, len(params), 2):
-        f = f + params[i] * np.exp(-x / params[i + 1])
-    if floor > 0:
-        return np.sqrt(f * f + floor * floor)
-    return f
-
-
-def multi_exponential_jac(x, params, floor=0.0):
-    x = np.asarray(x, float)
-    cols = []
-    f = np.zeros_like(x)
-    for i in range(0, len(params), 2):
-        a, tau = params[i], params[i + 1]
-        e = np.exp(-x / tau)
-        f = f + a * e
-        cols.append(e)
-        cols.append(a * x / tau ** 2 * e)
-    jac = np.column_stack(cols)
-    if floor > 0:
-        g = np.sqrt(f * f + floor * floor)
-        jac = jac * (f / g)[:, None]
-    return jac
+def _decay_basis(x, theta):
+    """exp(-x / T_k), with theta_k = log T_k."""
+    rate_x = np.outer([math.exp(-t) for t in theta], x).T
+    phi = np.exp(-rate_x)
+    return phi, phi * rate_x, np.arange(len(theta))
 
 
-def gaussian_peak(x, params):
-    amp, center, sigma = params
-    return amp * np.exp(-0.5 * ((x - center) / sigma) ** 2)
+def _peak_basis(shape, envelope=1.0, background=False):
+    """A 'gaussian' or 'lorentzian' g((x - center) / width) * envelope, with
+    theta = (center, log width), and a column of ones after it with
+    ``background``."""
+    def basis(x, theta):
+        width = math.exp(theta[1])
+        u = (x - theta[0]) / width
+        if shape == "gaussian":
+            g = np.exp(-0.5 * u * u)
+            slope = u * g               # -dg/du
+        else:
+            g = 1.0 / (1.0 + u * u)
+            slope = 2.0 * u * g * g
+        g, slope = g * envelope, slope * envelope
+        phi = np.array([g, np.ones(len(x))][:1 + background]).T
+        return phi, np.array([slope / width, slope * u]).T, [0, 0]
+    return basis
 
 
-def gaussian_peak_jac(x, params):
-    amp, center, sigma = params
-    u = (x - center) / sigma
-    e = np.exp(-0.5 * u * u)
-    return np.column_stack([e, amp * e * u / sigma, amp * e * u * u / sigma])
+def _whole(basis, n_theta, floor=0.0):
+    """The model Phi(x; theta) c, with ``floor`` added in quadrature, and its
+    Jacobian, both over p = (c, theta)."""
+    def model(x, p):
+        f = basis(x, p[-n_theta:])[0] @ p[:-n_theta]
+        return np.sqrt(f * f + floor * floor) if floor > 0 else f
 
-
-def lorentzian_peak(x, params):
-    amp, center, hwhm = params
-    return amp * hwhm ** 2 / ((x - center) ** 2 + hwhm ** 2)
-
-
-def lorentzian_peak_jac(x, params):
-    amp, center, hwhm = params
-    d2 = (x - center) ** 2
-    den = d2 + hwhm ** 2
-    return np.column_stack([
-        hwhm ** 2 / den,
-        amp * hwhm ** 2 * 2.0 * (x - center) / den ** 2,
-        amp * 2.0 * hwhm * d2 / den ** 2,
-    ])
-
-
-def finite_bandwidth_model(x, params, laser_sq):
-    """Gaussian inhomogeneous distribution seen through the squared laser
-    spectrum: amp * G(x; center, sigma) * L(x)^2 with L^2 precomputed."""
-    return gaussian_peak(x, params) * laser_sq
-
-
-def finite_bandwidth_jac(x, params, laser_sq):
-    return gaussian_peak_jac(x, params) * laser_sq[:, None]
-
-
-def with_background(model_fn, jac_fn):
-    """Extend a model with a trailing additive constant-background parameter."""
-    def model(x, params):
-        return model_fn(x, params[:-1]) + params[-1]
-
-    def jac(x, params):
-        base = jac_fn(x, params[:-1])
-        return np.column_stack([base, np.ones(len(np.atleast_1d(x)))])
-
+    def jac(x, p):
+        c = p[:-n_theta]
+        phi, dphi, owner = basis(x, p[-n_theta:])
+        jac = np.column_stack([phi, dphi * c[owner]])
+        if floor > 0:       # d sqrt(f^2 + floor^2) = (f / model) df
+            jac = jac * (phi @ c / model(x, p))[:, None]
+        return jac
     return model, jac
+
+
+def _separable_fit(basis, x, y, theta0, floor=0.0):
+    """Levenberg-Marquardt over theta with c projected out; with ``floor``,
+    one more pass over all of p = (c, theta).  Returns (p, sigmas, cost,
+    n_iter, converged), the sigmas from the whole model's Jacobian."""
+    @functools.lru_cache(maxsize=1)     # the Jacobian reads the last theta's again
+    def project(theta):
+        phi, dphi, owner = basis(x, np.array(theta))
+        if not np.isfinite(phi).all():
+            raise np.linalg.LinAlgError("the basis overflowed")
+        q, r = np.linalg.qr(phi)
+        c = np.linalg.solve(r, np.dot(q.T, y))
+        return np.dot(phi, c), q, c, dphi, owner
+
+    def kaufman(_, theta):
+        _, q, c, dphi, owner = project(tuple(theta))
+        d = (dphi * c[owner]).T     # row k: (dPhi/dtheta_k) c; rows are faster here
+        return (d - np.dot(np.dot(d, q), q.T)).T      # less its part in range(Phi)
+
+    try:
+        theta, _, cost, n_iter, converged = levenberg_marquardt(
+            lambda _, theta: project(tuple(theta))[0], kaufman, x, y, theta0)
+        p = np.concatenate([project(tuple(theta))[2], theta])
+        model, jac = _whole(basis, len(theta), floor)
+        if floor > 0:
+            p, _, cost, more, converged = levenberg_marquardt(model, jac, x, y, p)
+            n_iter += more
+        cov = _covariance(jac(x, p), cost, len(y))
+    except (np.linalg.LinAlgError, OverflowError) as exc:
+        raise NoConvergence(f"fit failed on this trace: {exc}") from None
+    return p, np.sqrt(np.maximum(np.diag(cov), 0.0)), cost, n_iter, converged
 
 
 # --- public fit operations --------------------------------------------------
@@ -209,8 +207,9 @@ def fit_exponential(trace: DecayTrace, n_components: int = 1,
     constants land within 10% of each other, one component has vanished
     (its sum of squares over the trace is below the residual's), or one
     component is unresolved (the sigma of its amplitude or of its time
-    constant is at least the value itself), the fit collapses to the
-    single-exponential result and carries a 'degenerate-fit' warning.
+    constant is at least the value itself, as it is for an amplitude at or
+    below 0), the fit collapses to the single-exponential result and carries
+    a 'degenerate-fit' warning.
     """
     if n_components not in (1, 2):
         raise InvalidSpec("n_components must be 1 or 2")
@@ -221,78 +220,80 @@ def fit_exponential(trace: DecayTrace, n_components: int = 1,
     n_par = 2 * n_components
     if len(x) < 4 * n_par:
         raise InvalidSpec(f"trace too short: need >= {4 * n_par} points, got {len(x)}")
+    if np.count_nonzero(y > 0) < 4:
+        raise InvalidSpec("trace has too few positive samples to initialize a fit")
 
-    try:    # finite but extreme samples can overflow the start or the steps
-        p, cov, cost, n_iter, converged = levenberg_marquardt(
-            lambda xx, pp: multi_exponential(xx, pp, floor),
-            lambda xx, pp: multi_exponential_jac(xx, pp, floor), x, y,
-            _exponential_init(x, y, n_components), np.tile([0.0, 1e-9], n_components))
-    except (np.linalg.LinAlgError, OverflowError) as exc:
-        raise NoConvergence(f"exponential fit failed on this trace: {exc}") from None
-    sigmas = np.sqrt(np.maximum(np.diag(cov), 0.0))
-    # Checked before convergence: with a vanished component the iteration
-    # wanders along that component's free time constant and need not stop.
+    p, sigmas, cost, n_iter, converged = _separable_fit(
+        _decay_basis, x, y, _decay_start(x, y, n_components), floor)
+    # Checked on p = (A, B, log Ta, log Tb), where sigma(T) >= T reads
+    # sigma(log T) >= 1, and before convergence: with a vanished component
+    # the iteration wanders along its free time constant and need not stop.
     if n_components == 2:
-        close = min(p[1], p[3]) / max(p[1], p[3]) > 0.90
-        parts = [np.sum((p[i] * np.exp(-x / p[i + 1])) ** 2) for i in (0, 2)]
-        if close or min(parts) <= cost or np.any(sigmas >= p):
+        close = math.exp(-abs(p[2] - p[3])) > 0.90
+        parts = np.sum((_decay_basis(x, p[2:])[0] * p[:2]) ** 2, axis=0)
+        if close or parts.min() <= cost or np.any(sigmas >= np.r_[p[:2], 1.0, 1.0]):
             mono = fit_exponential(trace, 1, floor)
             return replace(mono, warnings=mono.warnings + ("degenerate-fit",))
     if not converged:
         raise NoConvergence(f"exponential fit did not converge in {n_iter} iterations")
 
-    if n_components == 2:
-        # canonical ordering: T2a < T2b
-        if p[1] > p[3]:
-            p, sigmas = p[[2, 3, 0, 1]], sigmas[[2, 3, 0, 1]]
-        names = ("A", "T2a_ps", "B", "T2b_ps")
-        model = "bi-exponential"
-    else:
-        names = ("A", "T2a_ps")
-        model = "mono-exponential"
-    return FitResult(model, names, p, sigmas, math.sqrt(cost), converged, n_iter)
+    # (A, Ta[, B, Tb]) with T2a < T2b
+    order = [0, 1] if n_components == 1 else [0, 2, 1, 3] if p[2] < p[3] else [1, 3, 0, 2]
+    p, sigmas = p[order], sigmas[order]
+    p[1::2] = np.exp(p[1::2])
+    sigmas[1::2] *= p[1::2]
+    model = "bi-exponential" if n_components == 2 else "mono-exponential"
+    return FitResult(model, ("A", "T2a_ps", "B", "T2b_ps")[:len(p)], p, sigmas,
+                     math.sqrt(cost), converged, n_iter)
 
 
-def _line(x, y):
-    """``np.polyfit(x, y, 1)``.  polyfit divides x by the root of its sum of
-    squares, which is 0 when every x is 0 or underflows; the raised 0/0 or
-    x/0 stops it before LAPACK sees the non-finite column."""
-    try:
-        with np.errstate(divide="raise", invalid="raise"):
-            return np.polyfit(x, y, 1)
-    except FloatingPointError:
-        raise NoConvergence("trace times too close to 0 for a line fit") from None
-
-
-def _exponential_init(x, y, n_components):
-    pos = y > 0
-    xs, ys = x[pos], y[pos]
-    if len(xs) < 4:
-        raise InvalidSpec("trace has too few positive samples to initialize a fit")
+def _decay_start(x, y, n_components, n_grid=32):
+    """log T of the single time constant, or of the pair, that fits ``y``
+    best among ``n_grid`` log-spaced from span / len(x) to 10 span.  One
+    Gram matrix of the grid's columns gives every least-squares fit."""
+    taus = float(np.ptp(x)) * np.geomspace(1.0 / len(x), 10.0, n_grid)
+    cols = np.exp(-np.outer(x - x.min(), 1.0 / taus))     # scaled columns: the same fits
+    proj = cols.T @ y
     if n_components == 1:
-        slope, intercept = _line(xs, np.log(ys))
-        tau = -1.0 / slope if slope < 0 else (xs[-1] - xs[0])
-        return np.array([math.exp(intercept), max(tau, 1e-6)])
-    third = max(len(xs) // 3, 2)
-    s_slow, i_slow = _line(xs[-third:], np.log(ys[-third:]))
-    tau_slow = -1.0 / s_slow if s_slow < 0 else (xs[-1] - xs[0])
-    # peel the slow component off before estimating the fast rate, keeping
-    # only early points where the residual still dominates
-    residual = ys - math.exp(i_slow) * np.exp(-xs / tau_slow)
-    early = residual > 1e-3 * ys.max()
-    if early.sum() >= 2:
-        s_fast, _ = _line(xs[early], np.log(residual[early]))
+        i = j = np.arange(n_grid)
+        gain = proj * proj / np.einsum("ij,ij->j", cols, cols)
     else:
-        s_fast, _ = _line(xs[:third], np.log(ys[:third]))
-    tau_fast = -1.0 / s_fast if s_fast < 0 else (xs[third - 1] - xs[0])
-    if tau_slow <= tau_fast:
-        tau_slow = 5.0 * tau_fast
-    # amplitudes by linear least squares at the two candidate rates
-    basis = np.column_stack([np.exp(-x / tau_fast), np.exp(-x / tau_slow)])
-    _lapack_input(basis, y)
-    amps, *_ = np.linalg.lstsq(basis, y, rcond=None)
-    amps = np.maximum(amps, 1e-12 * max(y.max(), 1.0))
-    return np.array([amps[0], tau_fast, amps[1], tau_slow])
+        gram = cols.T @ cols
+        i, j = np.triu_indices(n_grid, 1)
+        gii, gjj, gij = gram[i, i], gram[j, j], gram[i, j]
+        gain = (proj[i] ** 2 * gjj - 2.0 * proj[i] * proj[j] * gij
+                + proj[j] ** 2 * gii) / (gii * gjj - gij * gij)
+    best = np.argmax(np.where(np.isfinite(gain), gain, -np.inf))
+    return np.log(taus[[i[best], j[best]][:n_components]])
+
+
+def _width_points(trace: Trace1D):
+    """The valid bins of ``trace``: at least five, at strictly increasing
+    frequencies, and at least one with a positive amplitude."""
+    x = np.asarray(trace.freqs_thz, float)[trace.valid]
+    y = np.asarray(trace.amplitude, float)[trace.valid]
+    if len(x) < 5:
+        raise InvalidSpec("trace too short for a width measurement")
+    if not (y > 0).any():
+        raise InvalidSpec("no valid bin of the trace has a positive amplitude")
+    if not (np.diff(x) > 0).all():
+        raise InvalidSpec("the valid frequencies of the trace are not strictly increasing")
+    return x, y
+
+
+def _fit_peak(name, shape, x, y, center0, width0, envelope=1.0, background=False):
+    """(amp, center, width[, background]) of amp * shape((x - center) / width)
+    * envelope [+ background], their sigmas, the cost and the iterations."""
+    p, sigmas, cost, n_iter, converged = _separable_fit(
+        _peak_basis(shape, envelope, background), x, y,
+        np.array([center0, math.log(max(width0, 1e-6))]))
+    order = [0, -2, -1] + [1] * background
+    p, sigmas = p[order], sigmas[order]
+    if not converged:
+        raise NoConvergence(f"{name} fit did not converge")
+    p[2] = math.exp(p[2])
+    sigmas[2] *= p[2]
+    return p, sigmas, cost, n_iter
 
 
 def fwhm(trace: Trace1D, model: str = "interpolated",
@@ -304,11 +305,7 @@ def fwhm(trace: Trace1D, model: str = "interpolated",
     constant additive offset parameter to the fitted models; the
     interpolated width has none and raises ``InvalidSpec`` with it.
     """
-    mask = trace.valid
-    x = np.asarray(trace.freqs_thz, float)[mask]
-    y = np.asarray(trace.amplitude, float)[mask]
-    if len(x) < 5:
-        raise InvalidSpec("trace too short for a width measurement")
+    x, y = _width_points(trace)
     if model == "interpolated":
         if background:
             raise InvalidSpec("the interpolated width has no background term; "
@@ -316,33 +313,16 @@ def fwhm(trace: Trace1D, model: str = "interpolated",
         width = interpolated_fwhm(x, y)
         bin_w = float(np.median(np.diff(x)))
         return width, bin_w / 2.0
-
+    if model not in ("gaussian", "lorentzian"):
+        raise InvalidSpec(f"unknown width model {model!r}")
+    scale = GAUSSIAN_FWHM_PER_SIGMA if model == "gaussian" else 2.0
     try:
         width0 = interpolated_fwhm(x, y)
     except NoHalfCrossing:
-        width0 = (x[-1] - x[0]) / 2.0   # init only; the fit refines it
-    center0 = float(x[np.argmax(y)])
-    amp0 = float(y.max())
-    if model == "gaussian":
-        fn, jac = gaussian_peak, gaussian_peak_jac
-        p0 = [amp0, center0, width0 / GAUSSIAN_FWHM_PER_SIGMA]
-        scale = GAUSSIAN_FWHM_PER_SIGMA
-    elif model == "lorentzian":
-        fn, jac = lorentzian_peak, lorentzian_peak_jac
-        p0 = [amp0, center0, width0 / 2.0]
-        scale = 2.0
-    else:
-        raise InvalidSpec(f"unknown width model {model!r}")
-    lower = [0.0, -np.inf, 1e-12]
-    if background:
-        fn, jac = with_background(fn, jac)
-        p0 = p0 + [0.0]
-        lower = lower + [-np.inf]
-    p, cov, cost, n_iter, converged = levenberg_marquardt(
-        fn, jac, x, y, p0, lower=lower)
-    if not converged:
-        raise NoConvergence(f"{model} width fit did not converge")
-    return scale * p[2], scale * math.sqrt(max(cov[2, 2], 0.0))
+        width0 = (x[-1] - x[0]) / 2.0   # start only; the fit refines it
+    p, sigmas, _, _ = _fit_peak(f"{model} width", model, x, y, float(x[np.argmax(y)]),
+                                width0 / scale, background=background)
+    return scale * p[2], scale * sigmas[2]
 
 
 def fit_finite_bandwidth(trace: Trace1D, laser: LaserSpectrum,
@@ -354,11 +334,7 @@ def fit_finite_bandwidth(trace: Trace1D, laser: LaserSpectrum,
     additive offset parameter.  Flags 'ill-conditioned' when the fitted
     width reaches 3x the laser bandwidth.
     """
-    mask = trace.valid
-    x = np.asarray(trace.freqs_thz, float)[mask]
-    y = np.asarray(trace.amplitude, float)[mask]
-    if len(x) < 5:
-        raise InvalidSpec("trace too short for a width measurement")
+    x, y = _width_points(trace)
     laser_sq = laser.amplitude(x) ** 2
 
     # crude deconvolution for the starting point
@@ -368,31 +344,16 @@ def fit_finite_bandwidth(trace: Trace1D, laser: LaserSpectrum,
     except NoHalfCrossing:
         width0 = laser.fwhm_thz
     center0 = float(np.sum(x * rough) / np.sum(rough))
-    sigma0 = max(width0 / GAUSSIAN_FWHM_PER_SIGMA, 1e-6)
-    amp0 = float(np.max(y) / max(np.max(laser_sq), 1e-300))
 
-    fn = lambda xx, pp: finite_bandwidth_model(xx, pp, laser_sq)
-    jac = lambda xx, pp: finite_bandwidth_jac(xx, pp, laser_sq)
-    p0 = [amp0, center0, sigma0]
-    lower = [0.0, -np.inf, 1e-12]
-    names = ["amplitude", "center_thz", "sigma_thz"]
-    if background:
-        fn, jac = with_background(fn, jac)
-        p0 = p0 + [0.0]
-        lower = lower + [-np.inf]
-        names.append("background")
-    p, cov, cost, n_iter, converged = levenberg_marquardt(
-        fn, jac, x, y, np.array(p0), lower=lower)
-    if not converged:
-        raise NoConvergence("finite-bandwidth lineshape fit did not converge")
-
-    sigmas = np.sqrt(np.maximum(np.diag(cov), 0.0))
+    p, sigmas, cost, n_iter = _fit_peak("finite-bandwidth lineshape", "gaussian", x, y, center0,
+                                        width0 / GAUSSIAN_FWHM_PER_SIGMA, laser_sq, background)
     warnings = ()
     if GAUSSIAN_FWHM_PER_SIGMA * p[2] >= 3.0 * laser.fwhm_thz:
         warnings = ("ill-conditioned",)
+    names = ("amplitude", "center_thz", "sigma_thz") + ("background",) * background
     return FitResult(
-        "finite-bandwidth", tuple(names),
-        p, sigmas, math.sqrt(cost), converged, n_iter, warnings=warnings,
+        "finite-bandwidth", names,
+        p, sigmas, math.sqrt(cost), True, n_iter, warnings=warnings,
         extras={"fwhm_thz": GAUSSIAN_FWHM_PER_SIGMA * p[2],
                 "fwhm_sigma_thz": GAUSSIAN_FWHM_PER_SIGMA * sigmas[2]})
 

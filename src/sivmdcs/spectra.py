@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .emitter import LaserSpectrum
-from .errors import InvalidSpec
+from .errors import InvalidSpec, NoHalfCrossing
 from .blocks import row_blocks
 from .response import TimeDomainSignal, _require_square
 
@@ -176,10 +176,10 @@ def interpolated_fwhm(freqs: np.ndarray, amplitude: np.ndarray) -> float:
     Uses the outermost crossings (scanning inward from each edge), which is
     stable against shot-to-shot spikes near the peak of sampled envelopes.
     """
-    from .errors import NoHalfCrossing
-
     half = float(np.max(amplitude)) / 2.0
     above = np.nonzero(amplitude >= half)[0]
+    if len(above) == 0:
+        raise NoHalfCrossing("no sample reaches half the maximum")
     il, ir = int(above[0]), int(above[-1])
     if il == 0 or ir == len(amplitude) - 1:
         raise NoHalfCrossing("peak is truncated within the trace")

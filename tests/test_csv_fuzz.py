@@ -1,8 +1,8 @@
 """Property tests of the CSV boundary: whatever bytes a CSV file holds, the
 readers return finite, equal-length columns or raise ``IoFailure``, the same
 columns or message as the ``csv``-module reference, ``fit-decay`` refuses a
-row with a bad cell with exit 3, and finite but extreme rows make it exit 0
-or 3.  The writers write the reference's bytes and refuse a non-finite cell."""
+row with a bad cell with exit 3, and finite but extreme rows make it and
+``fit-width`` exit 0 or 3.  The writers write the reference's bytes and refuse a non-finite cell."""
 import math
 
 import numpy as np
@@ -200,4 +200,25 @@ def test_fit_decay_on_finite_extreme_rows_keeps_the_exit_contract(tmp_path, capf
     path = tmp_path / "decay.csv"
     path.write_text("t_plus_tau (ps),amplitude (arb)\n" + rows)
     assert main(["fit-decay", str(path), "--components", "2"]) in (EXIT_OK, EXIT_RUNTIME)
+    assert "On entry to" not in capfd.readouterr().out
+
+
+# ascending distinct frequencies, so that the width fits run past their checks
+increasing_rows = st.lists(
+    st.tuples(*[st.floats(-1e300, 1e300, allow_nan=False)] * 2),
+    min_size=8, max_size=16, unique_by=lambda row: row[0]
+).map(lambda rows: "".join(",".join(map(repr, row)) + "\n" for row in sorted(rows)))
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("model", ["interpolated", "gaussian", "lorentzian", "lineshape"])
+@seed(20202)
+@FUZZ
+@given(rows=st.one_of(extreme_rows, increasing_rows))
+def test_fit_width_on_finite_extreme_rows_keeps_the_exit_contract(tmp_path, capfd, model, rows):
+    # a trace with no positive amplitude or with frequencies out of order
+    # is refused with exit 3, and an overflowing fit fails with exit 3
+    path = tmp_path / "trace.csv"
+    path.write_text("nu_t (THz),amplitude (arb)\n" + rows)
+    assert main(["fit-width", str(path), "--model", model]) in (EXIT_OK, EXIT_RUNTIME)
     assert "On entry to" not in capfd.readouterr().out

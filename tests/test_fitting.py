@@ -2,47 +2,44 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, seed, settings
+from hypothesis import strategies as st
 
 from oracles import jacobian_fd_error
 from sivmdcs.emitter import GAUSSIAN_FWHM_PER_SIGMA, LaserSpectrum
 from sivmdcs.errors import InvalidSpec
-from sivmdcs.fitting import (finite_bandwidth_jac, finite_bandwidth_model,
-                             fit_exponential, fit_finite_bandwidth, fwhm,
-                             gaussian_peak, gaussian_peak_jac,
-                             levenberg_marquardt, lorentzian_peak,
-                             lorentzian_peak_jac, lorentzian_width_from_t2,
-                             multi_exponential, multi_exponential_jac,
-                             with_background)
+from sivmdcs.fitting import (_decay_basis, _peak_basis, _whole, fit_exponential,
+                             fit_finite_bandwidth, fwhm, levenberg_marquardt,
+                             lorentzian_width_from_t2)
 from sivmdcs.spectra import DecayTrace, Trace1D
 
+# Each case is a whole model Phi(x; theta) c and its Jacobian over
+# p = (c, theta): the one that sigma and the noise-floor pass use, with the
+# basis derivatives in its theta columns.  Time constants and widths enter
+# theta as logs.
 JACOBIAN_CASES = [
-    ("mono-exponential", multi_exponential, multi_exponential_jac,
-     np.linspace(0.0, 500.0, 60), [3.0, 122.0]),
-    ("bi-exponential", multi_exponential, multi_exponential_jac,
-     np.linspace(0.0, 3000.0, 80), [2.0, 120.0, 0.7, 990.0]),
-    ("mono-exponential-floor",
-     lambda x, p: multi_exponential(x, p, floor=0.05),
-     lambda x, p: multi_exponential_jac(x, p, floor=0.05),
-     np.linspace(0.0, 900.0, 70), [1.5, 122.0]),
-    ("gaussian", gaussian_peak, gaussian_peak_jac,
-     np.linspace(-2.0, 2.0, 50), [1.2, 0.1, 0.4]),
-    ("lorentzian", lorentzian_peak, lorentzian_peak_jac,
-     np.linspace(-2.0, 2.0, 50), [0.8, -0.2, 0.3]),
-    ("gaussian-background", *with_background(gaussian_peak, gaussian_peak_jac),
-     np.linspace(-2.0, 2.0, 50), [1.2, 0.1, 0.4, 0.2]),
+    ("mono-exponential", *_whole(_decay_basis, 1),
+     np.linspace(0.0, 500.0, 60), [3.0, math.log(122.0)]),
+    ("bi-exponential", *_whole(_decay_basis, 2),
+     np.linspace(0.0, 3000.0, 80), [2.0, 0.7, math.log(120.0), math.log(990.0)]),
+    ("mono-exponential-floor", *_whole(_decay_basis, 1, floor=0.05),
+     np.linspace(0.0, 900.0, 70), [1.5, math.log(122.0)]),
+    ("gaussian", *_whole(_peak_basis("gaussian"), 2),
+     np.linspace(-2.0, 2.0, 50), [1.2, 0.1, math.log(0.4)]),
+    ("lorentzian", *_whole(_peak_basis("lorentzian"), 2),
+     np.linspace(-2.0, 2.0, 50), [0.8, -0.2, math.log(0.3)]),
+    ("gaussian-background", *_whole(_peak_basis("gaussian", background=True), 2),
+     np.linspace(-2.0, 2.0, 50), [1.2, 0.2, 0.1, math.log(0.4)]),
 ]
 
 _LASER_SQ_X = np.linspace(404.0, 409.5, 48)
 _LASER_SQ = LaserSpectrum(406.77, 4.14).amplitude(_LASER_SQ_X) ** 2
 JACOBIAN_CASES += [
-    ("finite-bandwidth",
-     lambda x, p: finite_bandwidth_model(x, p, _LASER_SQ),
-     lambda x, p: finite_bandwidth_jac(x, p, _LASER_SQ),
-     _LASER_SQ_X, [2.0, 406.8, 0.8]),
+    ("finite-bandwidth", *_whole(_peak_basis("gaussian", _LASER_SQ), 2),
+     _LASER_SQ_X, [2.0, 406.8, math.log(0.8)]),
     ("finite-bandwidth-background",
-     *with_background(lambda x, p: finite_bandwidth_model(x, p, _LASER_SQ),
-                      lambda x, p: finite_bandwidth_jac(x, p, _LASER_SQ)),
-     _LASER_SQ_X, [2.0, 406.8, 0.8, 0.1]),
+     *_whole(_peak_basis("gaussian", _LASER_SQ, background=True), 2),
+     _LASER_SQ_X, [2.0, 0.1, 406.8, math.log(0.8)]),
 ]
 
 
@@ -54,11 +51,10 @@ def test_analytic_jacobians_match_finite_differences(name, fn, jac, x, params):
 
 def test_levenberg_marquardt_recovers_gaussian():
     x = np.linspace(-3.0, 3.0, 200)
-    truth = np.array([2.5, 0.3, 0.7])
-    y = gaussian_peak(x, truth)
-    p, cov, cost, n_iter, converged = levenberg_marquardt(
-        gaussian_peak, gaussian_peak_jac, x, y, [1.0, 0.0, 1.0],
-        lower=[0.0, -np.inf, 1e-12])
+    model, jac = _whole(_peak_basis("gaussian"), 2)     # p = (amp, center, log sigma)
+    truth = np.array([2.5, 0.3, math.log(0.7)])
+    y = model(x, truth)
+    p, cov, cost, n_iter, converged = levenberg_marquardt(model, jac, x, y, [1.0, 0.0, 0.0])
     assert converged
     assert np.allclose(p, truth, rtol=1e-8)
     assert cost < 1e-16
@@ -84,6 +80,23 @@ def test_fit_exponential_bi_canonical_order():
     assert result["T2a_ps"] < result["T2b_ps"]
     assert result["A"] == pytest.approx(2.0, rel=1e-4)
     assert result["B"] == pytest.approx(0.8, rel=1e-4)
+
+
+# The start scans one log-spaced grid of time constants; from there the
+# fit must reach the exact decay over the whole range of rates and
+# amplitude ratios, not only near the 120/990 ps of fig4.
+@seed(2311)
+@settings(max_examples=300, deadline=None, database=None)
+@given(t_fast=st.floats(5.0, 200.0), ratio=st.floats(3.0, 20.0),
+       a=st.floats(0.1, 10.0), b=st.floats(0.1, 10.0), n=st.integers(200, 1024))
+def test_fit_exponential_recovers_noise_free_decays_from_its_start(t_fast, ratio, a, b, n):
+    t_slow = ratio * t_fast
+    x = np.linspace(0.0, 5.0 * t_slow, n)
+    bi = fit_exponential(DecayTrace(x, a * np.exp(-x / t_fast) + b * np.exp(-x / t_slow)), 2)
+    assert bi.model == "bi-exponential"
+    assert bi.values == pytest.approx([a, t_fast, b, t_slow], rel=1e-6)
+    mono = fit_exponential(DecayTrace(x, b * np.exp(-x / t_slow)), 1)
+    assert mono.values == pytest.approx([b, t_slow], rel=1e-6)
 
 
 def test_fit_exponential_degenerate_collapses_to_mono():
@@ -195,6 +208,28 @@ def test_fwhm_validation():
     short = Trace1D(trace.freqs_thz[:3], trace.amplitude[:3])
     with pytest.raises(InvalidSpec):
         fwhm(short)
+
+
+# Six-bin traces that no width fit can measure: no valid bin above 0, or
+# frequencies that do not strictly increase.
+_BAD_WIDTH_TRACES = {
+    "negative": (np.linspace(406.0, 407.0, 6), -np.ones(6)),
+    "zero": (np.linspace(406.0, 407.0, 6), np.zeros(6)),
+    "equal-frequencies": (np.full(6, 406.5), np.exp(-np.linspace(-2.0, 2.0, 6) ** 2)),
+    "descending": (np.linspace(407.0, 406.0, 6), np.exp(-np.linspace(-2.0, 2.0, 6) ** 2)),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_BAD_WIDTH_TRACES))
+@pytest.mark.parametrize("model", ["interpolated", "gaussian", "lorentzian", "lineshape"])
+def test_width_fits_refuse_traces_they_cannot_measure(case, model):
+    trace = Trace1D(*_BAD_WIDTH_TRACES[case])
+    match = "positive amplitude" if case in ("negative", "zero") else "strictly increasing"
+    with pytest.raises(InvalidSpec, match=match):
+        if model == "lineshape":
+            fit_finite_bandwidth(trace, LaserSpectrum(406.77, 4.14))
+        else:
+            fwhm(trace, model=model)
 
 
 def test_fwhm_interpolated_rejects_background():

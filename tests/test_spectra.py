@@ -244,3 +244,10 @@ def test_interpolated_fwhm_truncated_peak_raises():
     y = np.exp(-x)
     with pytest.raises(NoHalfCrossing):
         interpolated_fwhm(x, y)
+
+
+def test_interpolated_fwhm_without_half_crossing_raises():
+    # a negative maximum: no sample reaches half of it
+    x = np.linspace(0.0, 1.0, 50)
+    with pytest.raises(NoHalfCrossing, match="half the maximum"):
+        interpolated_fwhm(x, -1.0 - x * (1.0 - x))
