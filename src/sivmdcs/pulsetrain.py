@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Mapping
 
 import numpy as np
@@ -41,8 +41,6 @@ MAX_SAMPLES = 1 << 24          # 128 MiB per float64 array
 class RawTrainRecord:
     sample_rate_msps: float          # megasamples per second == samples/us
     series: np.ndarray               # real detector intensity
-    tags: TagSet
-    metadata: dict = field(default_factory=dict)
 
     @property
     def duration_us(self) -> float:
@@ -51,21 +49,20 @@ class RawTrainRecord:
 
 def simulate_pulse_train(amplitudes: Mapping[tuple[int, int, int, int], complex],
                          tags: TagSet, duration_us: float,
-                         sample_rate_msps: float,
-                         dc_offset: float = 1.0) -> RawTrainRecord:
+                         sample_rate_msps: float) -> RawTrainRecord:
     """Detector intensity record containing one beat per signature.
 
-    Each entry contributes Re[A exp(2 pi i nu_sig t)]; a DC pedestal stands
-    in for the average photocurrent of the 76 MHz train (the train comb
-    itself is far above the record's Nyquist frequency and is not
-    modelled).
+    Each entry contributes Re[A exp(2 pi i nu_sig t)] on top of a DC
+    pedestal of 1.0, which stands in for the average photocurrent of the 76 MHz
+    train (the train comb itself is far above the record's Nyquist frequency
+    and is not modelled); ``demodulate`` subtracts the record's mean.
     """
     if not (math.isfinite(duration_us) and duration_us > 0):
         raise InvalidSpec(f"record duration must be positive, got {duration_us} us")
     if not (math.isfinite(sample_rate_msps) and sample_rate_msps > 0):
         raise InvalidSpec(f"sample rate must be positive, got {sample_rate_msps} MS/s")
-    if not np.all(np.isfinite([dc_offset, *amplitudes.values()])):
-        raise InvalidSpec("beat amplitudes and the DC offset must be finite")
+    if not np.all(np.isfinite([*amplitudes.values()])):
+        raise InvalidSpec("beat amplitudes must be finite")
     beats = {sig: signature_frequency(sig, tags) for sig in amplitudes}
     max_beat = max((abs(f) for f in beats.values()), default=0.0)
     if sample_rate_msps <= 4.0 * max_beat:
@@ -75,14 +72,13 @@ def simulate_pulse_train(amplitudes: Mapping[tuple[int, int, int, int], complex]
     n = round(duration_us * sample_rate_msps)
     if n > MAX_SAMPLES:
         raise InvalidSpec(f"{n} samples exceed the ceiling of {MAX_SAMPLES} samples")
-    series = np.full(n, dc_offset)
+    series = np.ones(n)
     for sig, amp in amplitudes.items():
         if amp != 0:
             tone = _tone(beats[sig], n, sample_rate_msps)
             tone *= amp
             series += tone.real
-    return RawTrainRecord(sample_rate_msps, series, tags,
-                          metadata={"dc_offset": dc_offset})
+    return RawTrainRecord(sample_rate_msps, series)
 
 
 def _tone(frequency_mhz: float, n: int, sample_rate_msps: float) -> np.ndarray:

@@ -14,7 +14,9 @@ emitter quantum yield for PL detection.  The terms follow the merged
 pathway table of ``pathways`` (a direct peak's GSB and SE rows are one term
 of twice the weight): eight per four-line emitter, one per two-level one.
 The ensemble owns that layout, ``Ensemble.terms``; a call applies its mode,
-laser, frame and waiting time to it one chunk of terms at a time.
+laser, frame and waiting time to it one chunk of terms at a time, through
+``_pathway_terms``, the one request check: a known mode and an emitter, for
+the grid, the streamed rows, the diagonal and the waiting-time scan alike.
 
 Two routes evaluate the double sum:
 
@@ -22,7 +24,7 @@ Two routes evaluate the double sum:
   every term over the grid, O(N * n_tau * n_t);
 * the difference-axis ("echo") route uses the photon-echo structure of
   the rephasing signal (Siemens et al., Opt. Express 18, 17699 (2010)).
-  Terms sharing delta = d_emit - d_exc and T2 sum to
+  Terms sharing delta = d_emit - d_exc and T2 (a ``_groups`` group) sum to
   exp[-(tau + t)/T2 - 2 pi i delta t] * h(tau - t) with
   h(L) = sum_k w_k exp(2 pi i d_exc,k L), so only the n_tau + n_t - 1
   lags of h are summed, O(N * (n_tau + n_t)).
@@ -54,8 +56,8 @@ grid in place, and ``signal_rows`` streams through one reused row block.
 
 The third product, ``synthesize_diagonal``, is the tau = t diagonal alone,
 where the inhomogeneous phase cancels: S(tau, tau) = sum_k w_k exp[(-2/T2_k
-- 2 pi i delta_k) tau], so terms of equal (delta, T2) merge and one phasor
-product with a zero-rate column sums the G merged terms in O(N log N + G n).
+- 2 pi i delta_k) tau], so each ``_groups`` group merges into one term, and
+one phasor product with a zero-rate column sums them in O(N log N + G n).
 """
 from __future__ import annotations
 
@@ -98,9 +100,12 @@ class Grid:
     def t_ps(self) -> np.ndarray:
         return np.arange(self.n_t) * self.t_step_ps
 
-    @property
-    def is_square(self) -> bool:
-        return self.n_tau == self.n_t and self.tau_step_ps == self.t_step_ps
+    def require_square(self) -> None:
+        """Raise ``NonSquareGrid`` unless the grid has a tau = t diagonal."""
+        if self.n_tau != self.n_t or self.tau_step_ps != self.t_step_ps:
+            raise NonSquareGrid(
+                f"the tau = t diagonal needs a square grid with equal steps, got "
+                f"{self.n_tau}x{self.n_t} at ({self.tau_step_ps}, {self.t_step_ps}) ps")
 
 
 @dataclass
@@ -120,7 +125,12 @@ def _pathway_terms(ensemble: Ensemble, mode: str, laser: LaserSpectrum | None,
                    frame_thz: float, waiting_time_ps: float):
     """The function (lo, hi) -> per-term arrays (d_exc, d_emit, weight, T2)
     of terms lo:hi of the ensemble's cached layout, every term when called
-    with no arguments; a weight carries its row's multiplicity."""
+    with no arguments; a weight carries its row's multiplicity.  Raises
+    unless ``mode`` is a detection mode and the ensemble has an emitter."""
+    if mode not in DETECTION_MODES:
+        raise InvalidSpec(f"unknown detection mode {mode!r}")
+    if len(ensemble) == 0:
+        raise EmptyEnsemble("the ensemble needs at least one emitter")
     layout = ensemble.terms
     base = (ensemble.quantum_yield if mode == "pl" else 1.0) * ensemble.dipole ** 4 \
         * np.exp(-waiting_time_ps / ensemble.t1_ps)
@@ -205,40 +215,29 @@ def _dense_rows(terms, n_terms: int, grid: Grid):
                                            grid.t_step_ps, lo=lo, height=height)
 
 
-def _sorted_groups(nu_exc, nu_emit, t2):
-    """Sort the terms by (T2, delta = d_emit - d_exc, d_exc): the order, the
-    sorted delta, T2 and d_exc, and flags on each (delta, T2) group's first."""
+def _groups(nu_exc, nu_emit, weight, t2):
+    """Sort the terms by (T2, delta = d_emit - d_exc, d_exc): the first index
+    of each group of exactly equal (delta, T2), and the sorted delta, T2,
+    d_exc and weight.  delta is the rounded difference; with both detunings
+    under Nyquist its rounding moves the phase at t by at most 2 pi n_t
+    2^-53 rad, the size of the dense route's own rounding of its exponent."""
     delta = nu_emit - nu_exc
     order = np.lexsort((nu_exc, delta, t2))
-    delta, t2, nu = delta[order], t2[order], nu_exc[order]
+    delta, t2 = delta[order], t2[order]
     new_group = np.empty(len(order), dtype=bool)
     new_group[0] = True
     new_group[1:] = (delta[1:] != delta[:-1]) | (t2[1:] != t2[:-1])
-    return order, delta, t2, nu, new_group
+    return np.flatnonzero(new_group), delta, t2, nu_exc[order], weight[order]
 
 
 def _echo_groups(nu_exc, nu_emit, weight, t2):
-    """Split the terms into groups of exactly equal (delta, T2), merging
-    terms that also share d_exc (those of emitters with identical lines).
-
-    Returns a list of (delta, T2, d_exc array, weight array), or None when
-    the groups are too many for the echo route to pay.  delta is the rounded
-    difference d_emit - d_exc; with both detunings under Nyquist its
-    rounding moves the phase at t by at most 2 pi n_t 2^-53 rad, the size of
-    the dense route's own rounding of its exponent.
-    """
-    order, delta, t2, nu, new_group = _sorted_groups(nu_exc, nu_emit, t2)
-    n_groups = int(np.count_nonzero(new_group))
-    if n_groups * _ECHO_TERMS_PER_GROUP > len(order):
+    """The (delta, T2, d_exc array, weight array) of each ``_groups`` group,
+    or None when the groups are too many for the echo route to pay."""
+    starts, delta, t2, nu, weight = _groups(nu_exc, nu_emit, weight, t2)
+    if len(starts) * _ECHO_TERMS_PER_GROUP > len(nu):
         return None
-    new_term = new_group.copy()
-    new_term[1:] |= nu[1:] != nu[:-1]
-    term_starts = np.flatnonzero(new_term)
-    merged = np.add.reduceat(weight[order], term_starts)
-    # position of each group's first term among the merged terms
-    bounds = np.append(np.flatnonzero(new_group[term_starts]), len(term_starts))
-    return [(delta[term_starts[lo]], t2[term_starts[lo]],
-             nu[term_starts[lo:hi]], merged[lo:hi])
+    bounds = np.append(starts, len(nu))
+    return [(delta[lo], t2[lo], nu[lo:hi], weight[lo:hi])
             for lo, hi in zip(bounds[:-1], bounds[1:])]
 
 
@@ -283,19 +282,11 @@ def _echo_rows(groups, grid: Grid):
     return fill
 
 
-def _check_request(ensemble: Ensemble, mode: str) -> None:
-    """Raise unless ``mode`` is a detection mode and the ensemble has an emitter."""
-    if mode not in DETECTION_MODES:
-        raise InvalidSpec(f"unknown detection mode {mode!r}")
-    if len(ensemble) == 0:
-        raise EmptyEnsemble("the ensemble needs at least one emitter")
-
-
 def _checked_terms(ensemble: Ensemble, grid: Grid, waiting_time_ps: float,
                    mode: str, laser: LaserSpectrum | None):
-    """The ``_pathway_terms`` of a request with a detection mode, an emitter
-    and grid steps that resolve its largest detuning."""
-    _check_request(ensemble, mode)
+    """The ``_pathway_terms`` of a request whose grid steps resolve its
+    largest detuning."""
+    terms = _pathway_terms(ensemble, mode, laser, grid.frame_thz, waiting_time_ps)
     layout = ensemble.terms
     nyquist = 0.5 / max(grid.tau_step_ps, grid.t_step_ps)
     # every emitting line also excites, and rounding nu - frame is monotonic
@@ -304,15 +295,7 @@ def _checked_terms(ensemble: Ensemble, grid: Grid, waiting_time_ps: float,
     if max_det >= nyquist:
         raise GridTooCoarse(f"largest detuning {max_det:.4g} THz exceeds Nyquist "
                             f"{nyquist:.4g} THz; shrink the grid step")
-    return _pathway_terms(ensemble, mode, laser, grid.frame_thz, waiting_time_ps)
-
-
-def _require_square(grid: Grid) -> None:
-    """Raise ``NonSquareGrid`` unless the grid has a tau = t diagonal."""
-    if not grid.is_square:
-        raise NonSquareGrid(
-            f"the tau = t diagonal needs a square grid with equal steps, got "
-            f"{grid.n_tau}x{grid.n_t} at ({grid.tau_step_ps}, {grid.t_step_ps}) ps")
+    return terms
 
 
 def _route(ensemble: Ensemble, grid: Grid, waiting_time_ps: float, mode: str,
@@ -371,15 +354,6 @@ def synthesize_signal(ensemble: Ensemble, grid: Grid,
     return TimeDomainSignal(data, grid, waiting_time_ps, mode, meta)
 
 
-def _diagonal_terms(nu_exc, nu_emit, weight, t2):
-    """Rates -2/T2 - 2 pi i delta and summed weights of the (delta, T2)
-    groups; the per-term arrays go when it returns."""
-    order, delta, t2, _, new_group = _sorted_groups(nu_exc, nu_emit, t2)
-    starts = np.flatnonzero(new_group)
-    return (_rates(delta[starts], t2[starts] / 2.0, -1.0),
-            np.add.reduceat(weight[order], starts))
-
-
 def synthesize_diagonal(ensemble: Ensemble, grid: Grid, waiting_time_ps: float,
                         mode: str, laser: LaserSpectrum | None = None,
                         noise_rms: float = 0.0, noise_seed: int = 0) -> np.ndarray:
@@ -389,8 +363,11 @@ def synthesize_diagonal(ensemble: Ensemble, grid: Grid, waiting_time_ps: float,
     adds to a 1 x n grid of the same ``noise_rms`` and ``noise_seed``: a
     noisy grid's lineout in distribution, not in bits."""
     terms = _checked_terms(ensemble, grid, waiting_time_ps, mode, laser)
-    _require_square(grid)
-    rate, weight = _diagonal_terms(*terms())
+    grid.require_square()
+    starts, delta, t2, _, weight = _groups(*terms())
+    rate = _rates(delta[starts], t2[starts] / 2.0, -1.0)
+    weight = np.add.reduceat(weight, starts)
+    del starts, delta, t2, _    # the per-term arrays go before the sum
     zero = np.zeros_like(rate)
     data = _phasor_product(lambda lo, hi: (rate[lo:hi], zero[lo:hi], weight[lo:hi]),
                            len(rate), np.empty((grid.n_tau, 1), dtype=complex),
@@ -410,10 +387,8 @@ def waiting_time_scan(ensemble: Ensemble, tau0_ps: float, t0_ps: float,
         raise InvalidSpec("waiting times must be a non-empty list of finite values >= 0")
     if not (math.isfinite(tau0_ps) and math.isfinite(t0_ps)):
         raise InvalidSpec(f"delays tau = {tau0_ps} ps, t = {t0_ps} ps must be finite")
-    _check_request(ensemble, mode)
-
-    layout = ensemble.terms
     terms = _pathway_terms(ensemble, mode, laser, frame_thz, 0.0)
+    layout = ensemble.terms
     chunk = _chunk_terms(len(waits), 1)
     amps = np.zeros((len(waits), 2))
     for first in range(0, len(ensemble), chunk):

@@ -15,7 +15,7 @@ import numpy as np
 from .emitter import LaserSpectrum
 from .errors import InvalidSpec, NoHalfCrossing
 from .blocks import row_blocks
-from .response import TimeDomainSignal, _require_square
+from .response import TimeDomainSignal
 
 
 @dataclass
@@ -143,7 +143,7 @@ def project_nu_t(spectrum: Spectrum2D) -> Trace1D:
 
 def diagonal_lineout(signal: TimeDomainSignal) -> DecayTrace:
     """|S| sampled along tau = t, plotted against t + tau."""
-    _require_square(signal.grid)
+    signal.grid.require_square()
     k = np.arange(signal.grid.n_tau)
     return diagonal_decay(signal.data[k, k], signal.grid.tau_step_ps)
 
@@ -175,6 +175,9 @@ def interpolated_fwhm(freqs: np.ndarray, amplitude: np.ndarray) -> float:
 
     Uses the outermost crossings (scanning inward from each edge), which is
     stable against shot-to-shot spikes near the peak of sampled envelopes.
+    Each crossing is interpolated from its inner sample, the one at or above
+    half, by a fraction in [0, 1] of the step to the outer one, so it lies
+    between the two samples and the width is never negative.
     """
     half = float(np.max(amplitude)) / 2.0
     above = np.nonzero(amplitude >= half)[0]
@@ -183,8 +186,8 @@ def interpolated_fwhm(freqs: np.ndarray, amplitude: np.ndarray) -> float:
     il, ir = int(above[0]), int(above[-1])
     if il == 0 or ir == len(amplitude) - 1:
         raise NoHalfCrossing("peak is truncated within the trace")
-    x_left = np.interp(half, [amplitude[il - 1], amplitude[il]],
-                       [freqs[il - 1], freqs[il]])
-    x_right = np.interp(half, [amplitude[ir + 1], amplitude[ir]],
-                        [freqs[ir + 1], freqs[ir]])
-    return float(x_right - x_left)
+
+    def crossing(inner, outer):
+        a_in, a_out = amplitude[inner], amplitude[outer]
+        return freqs[inner] + (freqs[outer] - freqs[inner]) * ((a_in - half) / (a_in - a_out))
+    return float(crossing(ir, ir + 1) - crossing(il, il - 1))

@@ -239,6 +239,23 @@ def test_fit_width_refuses_nan_and_one_row_traces(tmp_path, capsys, model, rows)
     assert "error:" in captured.err and "fwhm_thz" not in captured.out
 
 
+# one sample above half, next to an extreme bin: the right crossing sits a
+# fraction 0.5 / (1 + 9.0e15) of the 1.6e32 THz step out from the peak
+EXTREME_BIN_ROWS = [(0.0, 0.0), (0.25, 0.0), (0.5, 0.0), (1.0, 0.0), (2.0, 0.0),
+                    (3.0, 0.0), (4.0, 1.0), (1.622592768292134e+32, -9007199159670887.0)]
+
+
+@pytest.mark.parametrize("mirror", [False, True])
+def test_fit_width_interpolated_crossing_next_to_an_extreme_bin(tmp_path, capsys, mirror):
+    rows = [(-f, a) for f, a in reversed(EXTREME_BIN_ROWS)] if mirror else EXTREME_BIN_ROWS
+    path = tmp_path / "trace.csv"
+    path.write_text("nu_t (THz),amplitude (arb)\n"
+                    + "".join(f"{f!r},{a!r}\n" for f, a in rows))
+    assert main(["fit-width", str(path), "--model", "interpolated"]) == EXIT_OK
+    width = capsys.readouterr().out.split("fwhm_thz = ")[1].split()[0]
+    assert float(width) == pytest.approx(9.0072e15, rel=1e-4)
+
+
 def test_pipeline_chain(tmp_path, capsys):
     cfg = _write_config(tmp_path)
     out = str(tmp_path)

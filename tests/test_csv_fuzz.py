@@ -2,7 +2,8 @@
 readers return finite, equal-length columns or raise ``IoFailure``, the same
 columns or message as the ``csv``-module reference, ``fit-decay`` refuses a
 row with a bad cell with exit 3, and finite but extreme rows make it and
-``fit-width`` exit 0 or 3.  The writers write the reference's bytes and refuse a non-finite cell."""
+``fit-width`` exit 0 or 3, with an interpolated width that is never
+negative.  The writers write the reference's bytes and refuse a non-finite cell."""
 import math
 
 import numpy as np
@@ -220,5 +221,9 @@ def test_fit_width_on_finite_extreme_rows_keeps_the_exit_contract(tmp_path, capf
     # is refused with exit 3, and an overflowing fit fails with exit 3
     path = tmp_path / "trace.csv"
     path.write_text("nu_t (THz),amplitude (arb)\n" + rows)
-    assert main(["fit-width", str(path), "--model", model]) in (EXIT_OK, EXIT_RUNTIME)
-    assert "On entry to" not in capfd.readouterr().out
+    code = main(["fit-width", str(path), "--model", model])
+    assert code in (EXIT_OK, EXIT_RUNTIME)
+    out = capfd.readouterr().out
+    assert "On entry to" not in out
+    if model == "interpolated" and code == EXIT_OK:
+        assert float(out.split("fwhm_thz = ")[1].split()[0]) >= 0

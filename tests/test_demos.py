@@ -1,5 +1,6 @@
 """Every narrative script in demos/ runs to completion and uses only the
-public API."""
+public API, and no module of the package imports another module's private
+name."""
 import ast
 import os
 import subprocess
@@ -10,6 +11,7 @@ import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
 DEMOS = sorted((ROOT / "demos").glob("*.py"))
+MODULES = sorted((ROOT / "src" / "sivmdcs").glob("*.py"))
 
 
 @pytest.mark.parametrize("demo", DEMOS, ids=[d.name for d in DEMOS])
@@ -31,4 +33,16 @@ def test_demo_imports_no_private_name(demo):
                for alias in node.names
                if alias.name.startswith("_")
                or any(part.startswith("_") for part in node.module.split("."))]
+    assert private == []
+
+
+@pytest.mark.parametrize("module", MODULES, ids=[m.name for m in MODULES])
+def test_module_imports_no_private_name_of_another(module):
+    # a private name another module needs should be made public instead
+    private = [f"{node.module}.{alias.name}"
+               for node in ast.walk(ast.parse(module.read_text()))
+               if isinstance(node, ast.ImportFrom)
+               and (node.level or (node.module or "").split(".")[0] == "sivmdcs")
+               for alias in node.names
+               if alias.name.startswith("_") and alias.name != "__version__"]
     assert private == []

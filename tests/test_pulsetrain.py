@@ -15,7 +15,8 @@ def test_record_layout_and_duration():
     assert len(record.series) == 5000
     assert record.duration_us == pytest.approx(1000.0)
     assert record.series.dtype == np.float64
-    assert record.metadata["dc_offset"] == 1.0
+    pedestal = simulate_pulse_train({SIG: 0.0}, TAGS, 1000.0, 5.0).series
+    assert np.array_equal(pedestal, np.ones(5000))
 
 
 def test_demodulation_recovers_complex_amplitude():
