@@ -269,15 +269,20 @@ def _decay_start(x, y, n_components, n_grid=32):
 
 def _width_points(trace: Trace1D):
     """The valid bins of ``trace``: at least five, at strictly increasing
-    frequencies, and at least one with a positive amplitude."""
+    frequencies whose span, and so every step, is finite, and at least one
+    with a positive amplitude."""
     x = np.asarray(trace.freqs_thz, float)[trace.valid]
     y = np.asarray(trace.amplitude, float)[trace.valid]
     if len(x) < 5:
         raise InvalidSpec("trace too short for a width measurement")
     if not (y > 0).any():
         raise InvalidSpec("no valid bin of the trace has a positive amplitude")
-    if not (np.diff(x) > 0).all():
+    with np.errstate(over="ignore"):        # an overflowing span is refused
+        steps, span = np.diff(x), x[-1] - x[0]
+    if not (steps > 0).all():
         raise InvalidSpec("the valid frequencies of the trace are not strictly increasing")
+    if not math.isfinite(span):
+        raise InvalidSpec("the frequency span of the trace overflows")
     return x, y
 
 

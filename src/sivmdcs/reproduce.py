@@ -20,8 +20,8 @@ from .fitting import (fit_exponential, fit_finite_bandwidth, fwhm,
 from .io_utils import (signal_to_dataset, write_dataset, write_decay_csv,
                        write_trace_csv, write_tscan_csv)
 from .blocks import row_blocks
-from .response import (signal_rows, synthesize_diagonal, synthesize_signal,
-                       waiting_time_scan)
+from .response import (TimeDomainSignal, signal_rows, synthesize_diagonal,
+                       synthesize_signal, waiting_time_scan)
 from .spectra import (deconvolve_laser, diagonal_decay, interpolated_fwhm,
                       project_nu_t, to_spectrum)
 
@@ -278,10 +278,11 @@ def build_ensemble(cfg: ExperimentConfig):
 
 
 def run_simulation(cfg: ExperimentConfig, mode: str | None = None):
+    """The complex64 signal of ``cfg``, the precision its dataset stores."""
     ensemble = build_ensemble(cfg)
     return synthesize_signal(ensemble, cfg.grid, cfg.waiting_time_ps,
-                             mode or cfg.mode, cfg.laser,
-                             noise_rms=cfg.noise, noise_seed=cfg.seed + 1)
+                             mode or cfg.mode, cfg.laser, noise_rms=cfg.noise,
+                             noise_seed=cfg.seed + 1, dtype=np.complex64)
 
 
 def _box(spectrum, nu_tau_center, nu_t_center, half_width):
@@ -401,24 +402,31 @@ def _target_fig2(cfg, report, seed_shift):
 
 def _target_fig3(cfg, report, seed_shift):
     ensemble = build_ensemble(cfg)
+    grid, wait = cfg.grid, cfg.waiting_time_ps
+    data = np.empty((grid.n_tau, grid.n_t), np.complex64)   # fig3's one full grid
+
+    def projection(mode):
+        signal = TimeDomainSignal(data, grid, wait, mode)
+        return project_nu_t(to_spectrum(signal, overwrite=True))
 
     # (c) with yield suppression disabled, PL == Y0 * heterodyne; the yield-free
-    # ``het`` serves, and the flat-yield PL rows stream against it: one full
-    # grid, and the bits of max |pl - 0.8 het| / max |het| / 0.8
-    het = synthesize_signal(ensemble, cfg.grid, cfg.waiting_time_ps, "heterodyne", cfg.laser)
+    # heterodyne rows stream with the flat-yield PL rows, for the complex128
+    # bits of max |pl - 0.8 het| / max |het| / 0.8, and are stored in ``data``
+    flat = replace(ensemble, quantum_yield=np.full(len(ensemble), 0.8))
     worst = scale = 0.0
-    for lo, pl in signal_rows(replace(ensemble, quantum_yield=np.full(len(ensemble), 0.8)),
-                              cfg.grid, cfg.waiting_time_ps, "pl", cfg.laser):
-        rows = slice(lo, lo + len(pl))      # no view of het outlives het
-        worst = np.maximum(worst, np.abs(pl - 0.8 * het.data[rows]).max())
-        scale = np.maximum(scale, np.abs(het.data[rows]).max())
-    del pl                                  # the streamed block, before the next one
+    for (lo, het), (_, pl) in zip(signal_rows(ensemble, grid, wait, "heterodyne", cfg.laser),
+                                  signal_rows(flat, grid, wait, "pl", cfg.laser)):
+        worst = np.maximum(worst, np.abs(pl - 0.8 * het).max())
+        scale = np.maximum(scale, np.abs(het).max())
+        data[lo:lo + len(het)] = het
+    del het, pl                     # the streamed blocks, before the next ones
     dev = worst / scale / 0.8
-    het_proj = project_nu_t(to_spectrum(het, overwrite=True))
-    for lo, pl in signal_rows(ensemble, cfg.grid, cfg.waiting_time_ps, "pl", cfg.laser):
-        het.data[lo:lo + len(pl)] = pl      # the one full grid of fig3 takes PL
-    pl_proj = project_nu_t(to_spectrum(het, overwrite=True))
-    del het
+    het_proj = projection("heterodyne")
+    for lo, pl in signal_rows(ensemble, grid, wait, "pl", cfg.laser):
+        data[lo:lo + len(pl)] = pl
+    del pl
+    pl_proj = projection("pl")
+    del data
     write_trace_csv(report.path("fig3_het_projection.csv"), het_proj)
     write_trace_csv(report.path("fig3_pl_projection.csv"), pl_proj)
 

@@ -51,8 +51,9 @@ strain-independent splittings), else the dense route, for example with
 log-normal T2 or unequal steps.  Either gives ``rows(lo, out)``, which fills
 rows on demand: the echo route from lag functions built first, through a
 1 MiB scratch block, the dense route in the grid's ``row_blocks`` beside one
-chunk's column table (4 MiB at 1024^2).  So ``synthesize_signal`` fills its
-grid in place, and ``signal_rows`` streams through one reused row block.
+chunk's column table (4 MiB at 1024^2).  So ``synthesize_signal`` fills a
+complex128 grid in place, and ``signal_rows`` streams through one reused row
+block, which also fills a complex64 grid block by block.
 
 The third product, ``synthesize_diagonal``, is the tau = t diagonal alone,
 where the inhomogeneous phase cancels: S(tau, tau) = sum_k w_k exp[(-2/T2_k
@@ -329,8 +330,13 @@ def signal_rows(ensemble: Ensemble, grid: Grid, waiting_time_ps: float,
                 ) -> Iterator[tuple[int, np.ndarray]]:
     """The noise-free signal of ``synthesize_signal`` as (first row, block)
     pairs with its bits, on either route: one reused block of the grid's
-    ``row_blocks``, about 64k entries, valid until the next pair."""
-    rows = _route(ensemble, grid, waiting_time_ps, mode, laser)
+    ``row_blocks``, about 64k entries, valid until the next pair.  The
+    request is checked at the call."""
+    return _streamed(_route(ensemble, grid, waiting_time_ps, mode, laser), grid)
+
+
+def _streamed(rows, grid: Grid) -> Iterator[tuple[int, np.ndarray]]:
+    """``rows(lo, out)`` as (first row, block) pairs through one reused block."""
     firsts = row_blocks(grid.n_tau, grid.n_t)
     block = np.empty((min(firsts.step, grid.n_tau), grid.n_t), dtype=complex)
     for lo in firsts:
@@ -341,11 +347,22 @@ def synthesize_signal(ensemble: Ensemble, grid: Grid,
                       waiting_time_ps: float, mode: str,
                       laser: LaserSpectrum | None = None,
                       noise_rms: float = 0.0, noise_seed: int = 0,
-                      threads: int = 1) -> TimeDomainSignal:
-    """Sum pathway responses over the ensemble on the (tau, t) grid.
-    ``threads`` is ignored: synthesis is serial, BLAS uses every core."""
-    data = _route(ensemble, grid, waiting_time_ps, mode, laser)(
-        0, np.empty((grid.n_tau, grid.n_t), dtype=complex))
+                      threads: int = 1, dtype=complex) -> TimeDomainSignal:
+    """Sum pathway responses over the ensemble on a (tau, t) grid of
+    ``dtype``, complex (complex128) or complex64.  A complex64 grid is the
+    complex128 sum's rows from ``signal_rows``, each cast on store, and
+    then takes the noise, so a noisy sample is rounded twice.  ``threads``
+    is ignored: synthesis is serial, BLAS uses every core."""
+    dtype = np.dtype(dtype)
+    if dtype not in (np.complex64, np.complex128):
+        raise InvalidSpec(f"a signal grid is complex64 or complex128, not {dtype}")
+    rows = _route(ensemble, grid, waiting_time_ps, mode, laser)
+    data = np.empty((grid.n_tau, grid.n_t), dtype)
+    if dtype == np.complex128:
+        rows(0, data)
+    else:
+        for lo, block in _streamed(rows, grid):
+            data[lo:lo + len(block)] = block
     _add_noise(data, noise_rms, noise_seed)
     meta = {"detection_mode": mode, "noise_rms": noise_rms,
             "noise_seed": noise_seed, "n_emitters": len(ensemble)}

@@ -91,9 +91,11 @@ def to_spectrum(signal: TimeDomainSignal, pad_factor: int = 1, *,
                 and data.flags.c_contiguous and data.flags.writeable)
     out = data if in_place else np.empty((n_tau, n_t), dtype)
 
-    # tau axis by widened, zero-padded column blocks (numpy's fft runs in double
-    # precision for any complex input), stored fftshifted and row-reversed; a
-    # block is copied whole into scratch before its columns are written
+    # tau axis by zero-padded column blocks widened to double precision, which
+    # keeps the spectrum bytes pinned in tests/test_dataset.py (numpy's fft
+    # would run complex64 in single precision), stored fftshifted and
+    # row-reversed; a block is copied whole into scratch before its columns
+    # are written
     cols = row_blocks(grid.n_t, n_tau)
     scratch = np.empty((n_tau, min(cols.step, grid.n_t)), np.complex128)
     for lo in cols:

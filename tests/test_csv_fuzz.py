@@ -5,6 +5,7 @@ row with a bad cell with exit 3, and finite but extreme rows make it and
 ``fit-width`` exit 0 or 3, with an interpolated width that is never
 negative.  The writers write the reference's bytes and refuse a non-finite cell."""
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -227,3 +228,26 @@ def test_fit_width_on_finite_extreme_rows_keeps_the_exit_contract(tmp_path, capf
     assert "On entry to" not in out
     if model == "interpolated" and code == EXIT_OK:
         assert float(out.split("fwhm_thz = ")[1].split()[0]) >= 0
+
+
+@pytest.mark.parametrize("model", ["interpolated", "gaussian", "lorentzian", "lineshape"])
+@pytest.mark.parametrize("rows", [
+    # the step across the peak, 1.5e308 - -1.3e308, overflows
+    [(-1.7e308, 0), (-1.6e308, 0), (-1.5e308, 0), (-1.4e308, 0), (-1.3e308, 1),
+     (1.5e308, 0), (1.6e308, 0), (1.7e308, 0)],
+    # every step is finite, the span is not
+    [(-1e308, 0), (-0.6e308, 0), (-0.2e308, 0), (0.2e308, 0), (0.6e308, 0.3), (1e308, 1)]],
+    ids=["step", "span"])
+def test_fit_width_refuses_an_overflowing_frequency_span_without_a_warning(
+        tmp_path, capfd, model, rows):
+    # finite rows whose frequency span overflows: every model exits 3 with
+    # one error line, before any arithmetic warns
+    path = tmp_path / "trace.csv"
+    path.write_text("nu_t (THz),amplitude (arb)\n"
+                    + "".join(f"{nu!r},{amp!r}\n" for nu, amp in rows))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = main(["fit-width", str(path), "--model", model])
+    out, err = capfd.readouterr()
+    assert code == EXIT_RUNTIME and not caught
+    assert out == "" and err.count("\n") == 1 and err.startswith("error: ")

@@ -200,6 +200,53 @@ def test_noise_bits_follow_the_seeded_stream():
     assert noisy.data.imag.tobytes() == (quiet.data.imag + scale * z[1]).tobytes()
 
 
+# 100 x 2100 at equal steps: row blocks of 31 rows, the last one 7 rows
+SHORT_LAST_BLOCK = Grid(100, 2100, 0.25, 0.25, FRAME)
+
+
+def _complex64_pair(hidden_t2, **noise):
+    """(complex128, complex64) signals of one request on SHORT_LAST_BLOCK."""
+    ensemble, laser = _mixed_ensemble(hidden_t2), LaserSpectrum(FRAME, 0.5)
+    return tuple(synthesize_signal(ensemble, SHORT_LAST_BLOCK, 0.5, "pl", laser,
+                                   dtype=dtype, **noise).data
+                 for dtype in (complex, np.complex64))
+
+
+@pytest.mark.parametrize("hidden_t2,echo", [(CONSTANT_T2, True), (LOGNORMAL_T2, False)])
+def test_a_complex64_grid_is_the_complex128_grid_cast(hidden_t2, echo):
+    terms = _pathway_terms(_mixed_ensemble(hidden_t2), "pl", LaserSpectrum(FRAME, 0.5),
+                           FRAME, 0.5)()
+    assert (_echo_groups(*terms) is not None) == echo
+    assert row_blocks(SHORT_LAST_BLOCK.n_tau, SHORT_LAST_BLOCK.n_t).step == 31
+    wide, narrow = _complex64_pair(hidden_t2)
+    assert narrow.dtype == np.complex64
+    assert narrow.tobytes() == wide.astype(np.complex64).tobytes()
+
+
+@pytest.mark.parametrize("hidden_t2", [CONSTANT_T2, LOGNORMAL_T2])
+@pytest.mark.parametrize("noise_rms", [1e-3, 1.0, 100.0])
+def test_a_noisy_complex64_grid_is_rounded_twice(hidden_t2, noise_rms):
+    # the noise goes onto the cast grid: each float32 part is the float64 sum
+    # of the cast part and its draw, rounded, so it is within one float32 ulp
+    # of the cast of the complex128 noisy grid, an ulp of the larger of the
+    # noise-free and the noisy part (where a draw cancels the part, the
+    # result's own ulp is far finer)
+    clean = _complex64_pair(hidden_t2)[1]
+    wide, narrow = _complex64_pair(hidden_t2, noise_rms=noise_rms, noise_seed=9)
+    z = np.random.default_rng(9).standard_normal((2, *clean.shape))
+    scale = noise_rms / math.sqrt(2.0)
+    assert narrow.real.tobytes() == (clean.real + scale * z[0]).astype(np.float32).tobytes()
+    assert narrow.imag.tobytes() == (clean.imag + scale * z[1]).astype(np.float32).tobytes()
+    cast, clean, narrow = (a.view(np.float32) for a in (wide.astype(np.complex64), clean, narrow))
+    ulp = np.spacing(np.maximum(np.abs(clean), np.abs(cast)))
+    assert np.all(np.abs(narrow.astype(float) - cast) <= ulp)
+
+
+def test_a_signal_grid_is_complex():
+    with pytest.raises(InvalidSpec):
+        synthesize_signal(_emitter(), _grid(), 0.5, "heterodyne", dtype=float)
+
+
 def test_grid_too_coarse_raises():
     with pytest.raises(GridTooCoarse):
         synthesize_signal(_emitter(detuning_thz=1.2), _grid(8, 0.5), 0.5,
