@@ -118,7 +118,8 @@ class LaserSpectrum:
         """Unit-peak spectral weight at the given absolute frequencies."""
         nu = np.asarray(freq_thz, dtype=float)
         sigma = self.fwhm_thz / GAUSSIAN_FWHM_PER_SIGMA
-        return np.exp(-0.5 * ((nu - self.center_thz) / sigma) ** 2)
+        with np.errstate(over="ignore"):    # a far frequency has weight 0
+            return np.exp(-0.5 * ((nu - self.center_thz) / sigma) ** 2)
 
 
 # --- ensemble specification ------------------------------------------------

@@ -20,7 +20,7 @@ import numpy as np
 
 from .emitter import GAUSSIAN_FWHM_PER_SIGMA, LaserSpectrum
 from .errors import InvalidSpec, NoConvergence, NoHalfCrossing
-from .spectra import DecayTrace, Trace1D, interpolated_fwhm
+from .spectra import DecayTrace, Trace1D, deconvolve_laser, interpolated_fwhm
 
 MAX_ITER = 200
 FTOL = 1e-10
@@ -343,7 +343,7 @@ def fit_finite_bandwidth(trace: Trace1D, laser: LaserSpectrum,
     laser_sq = laser.amplitude(x) ** 2
 
     # crude deconvolution for the starting point
-    rough = y / np.maximum(laser_sq, 0.05 * laser_sq.max())
+    rough = deconvolve_laser(Trace1D(x, y), laser, 0.05).amplitude
     try:
         width0 = interpolated_fwhm(x, rough)
     except NoHalfCrossing:

@@ -15,13 +15,14 @@ import numpy as np
 from . import __version__
 from .config import ExperimentConfig, config_hash, parse_config
 from .emitter import sample_ensemble
+from .errors import InvalidSpec
 from .fitting import (fit_exponential, fit_finite_bandwidth, fwhm,
                       lorentzian_width_from_t2)
 from .io_utils import (signal_to_dataset, write_dataset, write_decay_csv,
                        write_trace_csv, write_tscan_csv)
 from .blocks import row_blocks
-from .response import (TimeDomainSignal, signal_rows, synthesize_diagonal,
-                       synthesize_signal, waiting_time_scan)
+from .response import (TimeDomainSignal, add_noise, signal_rows,
+                       synthesize_diagonal, synthesize_signal, waiting_time_scan)
 from .spectra import (deconvolve_laser, diagonal_decay, interpolated_fwhm,
                       project_nu_t, to_spectrum)
 
@@ -282,7 +283,7 @@ def run_simulation(cfg: ExperimentConfig, mode: str | None = None):
     ensemble = build_ensemble(cfg)
     return synthesize_signal(ensemble, cfg.grid, cfg.waiting_time_ps,
                              mode or cfg.mode, cfg.laser, noise_rms=cfg.noise,
-                             noise_seed=cfg.seed + 1, dtype=np.complex64)
+                             noise_seed=cfg.seed + 1)
 
 
 def _box(spectrum, nu_tau_center, nu_t_center, half_width):
@@ -406,6 +407,7 @@ def _target_fig3(cfg, report, seed_shift):
     data = np.empty((grid.n_tau, grid.n_t), np.complex64)   # fig3's one full grid
 
     def projection(mode):
+        add_noise(data, cfg.noise, cfg.seed + 1)    # run_simulation's noise
         signal = TimeDomainSignal(data, grid, wait, mode)
         return project_nu_t(to_spectrum(signal, overwrite=True))
 
@@ -491,7 +493,9 @@ def _target_t1scan(cfg, report, seed_shift):
                              cfg.laser, cfg.grid.frame_thz)
     write_tscan_csv(report.path("t1scan.csv"), scan)
     amps = np.array([abs(a) for _, a in scan])
-    slope, _ = np.polyfit(waits, np.log(amps), 1)
+    if not (amps > 0).all():
+        raise InvalidSpec("the waiting-time scan is 0 at some wait, so T1 cannot be fitted")
+    slope, _ = np.polyfit(waits, np.log(amps), 1)      # scale-free, unlike an LM fit
     t1_ps = -1.0 / slope
     report.add_interval("t1_ns", t1_ps * 1e-3, 1.7 * 0.95, 1.7 * 1.05)
 

@@ -30,17 +30,18 @@ Two routes evaluate the double sum:
   lags of h are summed, O(N * (n_tau + n_t)).
 
 Both call one kernel, ``_phasor_product``, a weighted sum over terms of two
-exponential factors on uniform axes: the dense route per request of rows,
-the echo route once per group, with a coarse and a fine lag factor.  Each
+exponential factors on uniform axes: the dense route per row block, the
+echo route once per group, with a coarse and a fine lag factor.  Each
 factor is a phasor table from ``blocks.phasors``, shared with the lock-in.
-The kernel takes chunks of terms outside, each building its column table
-once, and sub-blocks of rows inside, each from a fresh anchor, and adds the
-matrix products in chunk order.  ``_chunk_terms`` sizes a chunk from the
-sub-block: 1 MiB in the larger table, so that it stays in L2, but at least
-four times the sub-block's entries.  Zero terms round a chunk up to a
-multiple of 8 (``_TERM_MULTIPLE``).  Sub-blocks, chunks and anchors follow
-from the grid alone, so the bits depend on neither the rows asked for nor
-the BLAS thread count, and memory stays flat in the term count, as in
+The kernel takes chunks of terms, each building its column table and its
+row table from a fresh anchor, and adds the matrix products in chunk order.
+``_chunk_terms`` sizes a chunk from the rows: 1 MiB in the larger table, so
+that it stays in L2, but at least four times the block's entries; the dense
+route sizes it from a whole row block, so a short last block takes the same
+chunks.  Zero terms round a chunk up to a multiple of 8
+(``_TERM_MULTIPLE``).  Blocks, chunks and anchors follow from the grid
+alone, so the bits depend on neither the rows asked for nor the BLAS thread
+count, and memory stays flat in the term count, as in
 ``waiting_time_scan``, which contracts per-emitter sums with real tables of
 exp(-T/T1) in chunks of ``_chunk_terms(n_waits, 1)`` emitters.  Tests check
 both routes against a direct exp at every grid point.
@@ -49,11 +50,11 @@ The echo route is taken when the two grid steps are equal and the distinct
 (delta, T2) groups are few compared with the terms (constant or class T2,
 strain-independent splittings), else the dense route, for example with
 log-normal T2 or unequal steps.  Either gives ``rows(lo, out)``, which fills
-rows on demand: the echo route from lag functions built first, through a
-1 MiB scratch block, the dense route in the grid's ``row_blocks`` beside one
-chunk's column table (4 MiB at 1024^2).  So ``synthesize_signal`` fills a
-complex128 grid in place, and ``signal_rows`` streams through one reused row
-block, which also fills a complex64 grid block by block.
+one of the grid's ``row_blocks`` in complex128: the echo route from lag
+functions built first, through a 1 MiB scratch block, the dense route
+beside one chunk's column table (4 MiB at 1024^2).  ``signal_rows`` streams
+those blocks through one reused block, and ``synthesize_signal`` casts each
+into its complex64 grid, the precision datasets store, and adds the noise.
 
 The third product, ``synthesize_diagonal``, is the tau = t diagonal alone,
 where the inhomogeneous phase cancels: S(tau, tau) = sum_k w_k exp[(-2/T2_k
@@ -175,45 +176,41 @@ def _chunk_terms(n_row: int, n_col: int) -> int:
 
 
 def _phasor_product(factors, n_terms: int, out: np.ndarray, row_step: float,
-                    col_step: float, row_start: float = 0.0, lo: int = 0,
+                    col_step: float, row_start: float = 0.0,
                     height: int | None = None) -> np.ndarray:
-    """Write rows lo:lo + len(out) of the sum over terms k of weight_k
-    exp(z_row,k (row_start + i row_step)) exp(z_col,k j col_step) to ``out``
-    in sub-blocks of ``height`` rows (default all) and return it, ``factors(a,
-    b)`` giving (z_row, z_col, weight) of terms a:b."""
+    """Write the sum over terms k of weight_k exp(z_row,k (row_start + i
+    row_step)) exp(z_col,k j col_step) to ``out`` and return it, in chunks of
+    terms sized for ``height`` rows (default len(out)), ``factors(a, b)``
+    giving (z_row, z_col, weight) of terms a:b."""
     n_col = out.shape[1]
-    height = height or len(out)
     # a multiple of _TERM_MULTIPLE, so that only the last chunk takes zeros
-    chunk = -(-_chunk_terms(height, n_col) // _TERM_MULTIPLE) * _TERM_MULTIPLE
+    chunk = -(-_chunk_terms(height or len(out), n_col) // _TERM_MULTIPLE) * _TERM_MULTIPLE
     for first in range(0, n_terms, chunk):
         z_row, z_col, weight = factors(first, first + chunk)
         if pad := -len(weight) % _TERM_MULTIPLE:
             z_row, z_col, weight = (np.concatenate((a, np.zeros(pad, complex)))
                                     for a in (z_row, z_col, weight))
         along_col = phasors(z_col, n_col, col_step).T
-        for i in range(0, len(out), height):
-            dst = out[i:i + height]
-            u = phasors(z_row, len(dst), row_step, row_start + (lo + i) * row_step)
-            u *= weight
-            if first:
-                dst += u @ along_col
-            else:
-                np.matmul(u, along_col, out=dst)
-            del u           # each table goes before the next is built
-        del along_col
+        u = phasors(z_row, len(out), row_step, row_start)
+        u *= weight
+        if first:
+            out += u @ along_col
+        else:
+            np.matmul(u, along_col, out=out)
+        del u, along_col    # each table goes before the next is built
     return out
 
 
 def _dense_rows(terms, n_terms: int, grid: Grid):
     """Dense route, the general path, on ``terms(lo, hi)`` = (d_exc, d_emit,
-    weight, T2), as ``rows(lo, out)`` in sub-blocks of the grid's row blocks."""
+    weight, T2), as ``rows(lo, out)``, in chunks sized for a whole row block."""
     def factors(lo, hi):
         nu_exc, nu_emit, weight, t2 = terms(lo, hi)
         return _rates(nu_exc, t2, 1.0), _rates(nu_emit, t2, -1.0), weight
 
     height = min(row_blocks(grid.n_tau, grid.n_t).step, grid.n_tau)
     return lambda lo, out: _phasor_product(factors, n_terms, out, grid.tau_step_ps,
-                                           grid.t_step_ps, lo=lo, height=height)
+                                           grid.t_step_ps, lo * grid.tau_step_ps, height)
 
 
 def _groups(nu_exc, nu_emit, weight, t2):
@@ -264,21 +261,18 @@ def _echo_rows(groups, grid: Grid):
         factors.append((sliding_window_view(h[n_lag - 1::-1].copy(), n_t)[::-1],
                         np.exp((-2j * np.pi * delta - 1.0 / t2) * grid.t_ps),
                         np.exp(-grid.tau_ps / t2)[:, None]))
-    # row block by row block: group 0 writes the block, later groups add to
-    # it through a scratch block, in group order
-    rows = row_blocks(n_tau, n_t).step
-    scratch = np.empty((min(rows, n_tau), n_t), dtype=complex)
+    # group 0 writes the block, later groups add to it through a scratch
+    # block, in group order
+    scratch = np.empty((min(row_blocks(n_tau, n_t).step, n_tau), n_t), dtype=complex)
 
     def fill(lo, out):
-        for first in range(0, len(out), rows):
-            dst = out[first:first + rows]
-            r = slice(lo + first, lo + first + len(dst))
-            for g, (lags, along_t, along_tau) in enumerate(factors):
-                part = scratch[:len(dst)] if g else dst
-                np.multiply(lags[r], along_t, out=part)
-                part *= along_tau[r]
-                if g:
-                    dst += part
+        r = slice(lo, lo + len(out))
+        for g, (lags, along_t, along_tau) in enumerate(factors):
+            part = scratch[:len(out)] if g else out
+            np.multiply(lags[r], along_t, out=part)
+            part *= along_tau[r]
+            if g:
+                out += part
         return out
     return fill
 
@@ -302,7 +296,9 @@ def _checked_terms(ensemble: Ensemble, grid: Grid, waiting_time_ps: float,
 def _route(ensemble: Ensemble, grid: Grid, waiting_time_ps: float, mode: str,
            laser: LaserSpectrum | None):
     """A checked request's ``rows(lo, out)`` (echo route where it pays, else
-    dense): noise-free rows lo:lo + len(out), lo a first row of ``row_blocks``."""
+    dense), which fills one row block: the noise-free complex128 rows
+    lo:lo + len(out), lo a first row of ``row_blocks`` and len(out) at most
+    its step."""
     terms = _checked_terms(ensemble, grid, waiting_time_ps, mode, laser)
     groups = _echo_groups(*terms()) if grid.tau_step_ps == grid.t_step_ps else None
     if groups is None:
@@ -310,7 +306,7 @@ def _route(ensemble: Ensemble, grid: Grid, waiting_time_ps: float, mode: str,
     return _echo_rows(groups, grid)
 
 
-def _add_noise(data: np.ndarray, noise_rms: float, noise_seed: int) -> None:
+def add_noise(data: np.ndarray, noise_rms: float, noise_seed: int) -> None:
     """Add noise of RMS ``noise_rms`` to the 2D ``data`` by row blocks, all
     real parts first: the stream of two whole-array draws of the seed."""
     if noise_rms <= 0:
@@ -328,42 +324,35 @@ def _add_noise(data: np.ndarray, noise_rms: float, noise_seed: int) -> None:
 def signal_rows(ensemble: Ensemble, grid: Grid, waiting_time_ps: float,
                 mode: str, laser: LaserSpectrum | None = None
                 ) -> Iterator[tuple[int, np.ndarray]]:
-    """The noise-free signal of ``synthesize_signal`` as (first row, block)
-    pairs with its bits, on either route: one reused block of the grid's
-    ``row_blocks``, about 64k entries, valid until the next pair.  The
-    request is checked at the call."""
-    return _streamed(_route(ensemble, grid, waiting_time_ps, mode, laser), grid)
+    """The noise-free complex128 signal as (first row, block) pairs, on
+    either route: one reused block of the grid's ``row_blocks``, about 64k
+    entries, valid until the next pair.  The request is checked at the
+    call."""
+    rows = _route(ensemble, grid, waiting_time_ps, mode, laser)
 
-
-def _streamed(rows, grid: Grid) -> Iterator[tuple[int, np.ndarray]]:
-    """``rows(lo, out)`` as (first row, block) pairs through one reused block."""
-    firsts = row_blocks(grid.n_tau, grid.n_t)
-    block = np.empty((min(firsts.step, grid.n_tau), grid.n_t), dtype=complex)
-    for lo in firsts:
-        yield lo, rows(lo, block[:grid.n_tau - lo])
+    def stream():       # the block is made at the first pair, after the caller's grid
+        firsts = row_blocks(grid.n_tau, grid.n_t)
+        block = np.empty((min(firsts.step, grid.n_tau), grid.n_t), dtype=complex)
+        for lo in firsts:
+            yield lo, rows(lo, block[:grid.n_tau - lo])
+    return stream()
 
 
 def synthesize_signal(ensemble: Ensemble, grid: Grid,
                       waiting_time_ps: float, mode: str,
                       laser: LaserSpectrum | None = None,
                       noise_rms: float = 0.0, noise_seed: int = 0,
-                      threads: int = 1, dtype=complex) -> TimeDomainSignal:
-    """Sum pathway responses over the ensemble on a (tau, t) grid of
-    ``dtype``, complex (complex128) or complex64.  A complex64 grid is the
-    complex128 sum's rows from ``signal_rows``, each cast on store, and
-    then takes the noise, so a noisy sample is rounded twice.  ``threads``
-    is ignored: synthesis is serial, BLAS uses every core."""
-    dtype = np.dtype(dtype)
-    if dtype not in (np.complex64, np.complex128):
-        raise InvalidSpec(f"a signal grid is complex64 or complex128, not {dtype}")
-    rows = _route(ensemble, grid, waiting_time_ps, mode, laser)
-    data = np.empty((grid.n_tau, grid.n_t), dtype)
-    if dtype == np.complex128:
-        rows(0, data)
-    else:
-        for lo, block in _streamed(rows, grid):
-            data[lo:lo + len(block)] = block
-    _add_noise(data, noise_rms, noise_seed)
+                      threads: int = 1) -> TimeDomainSignal:
+    """Sum pathway responses over the ensemble on a complex64 (tau, t) grid,
+    the precision datasets store: the complex128 blocks of ``signal_rows``,
+    each cast on store, plus the seeded noise, so a noisy sample is rounded
+    twice.  ``threads`` is ignored: synthesis is serial, BLAS uses every
+    core."""
+    blocks = signal_rows(ensemble, grid, waiting_time_ps, mode, laser)
+    data = np.empty((grid.n_tau, grid.n_t), np.complex64)
+    for lo, block in blocks:
+        data[lo:lo + len(block)] = block
+    add_noise(data, noise_rms, noise_seed)
     meta = {"detection_mode": mode, "noise_rms": noise_rms,
             "noise_seed": noise_seed, "n_emitters": len(ensemble)}
     if laser is not None:
@@ -376,9 +365,10 @@ def synthesize_diagonal(ensemble: Ensemble, grid: Grid, waiting_time_ps: float,
                         noise_rms: float = 0.0, noise_seed: int = 0) -> np.ndarray:
     """S(tau_k, tau_k), k < n, on the diagonal of a square grid with equal
     steps, without the grid, in O(N log N + G n) for G distinct (delta, T2).
-    The checks are those of ``synthesize_signal``, and the noise is what it
-    adds to a 1 x n grid of the same ``noise_rms`` and ``noise_seed``: a
-    noisy grid's lineout in distribution, not in bits."""
+    The checks are those of ``synthesize_signal``, and the noise is what
+    ``add_noise`` adds to a complex128 1 x n row of the same ``noise_rms``
+    and ``noise_seed``: a noisy grid's lineout in distribution, not in bits,
+    since a grid is complex64 and rounds its noisy samples."""
     terms = _checked_terms(ensemble, grid, waiting_time_ps, mode, laser)
     grid.require_square()
     starts, delta, t2, _, weight = _groups(*terms())
@@ -389,7 +379,7 @@ def synthesize_diagonal(ensemble: Ensemble, grid: Grid, waiting_time_ps: float,
     data = _phasor_product(lambda lo, hi: (rate[lo:hi], zero[lo:hi], weight[lo:hi]),
                            len(rate), np.empty((grid.n_tau, 1), dtype=complex),
                            grid.tau_step_ps, grid.t_step_ps).reshape(1, grid.n_tau)
-    _add_noise(data, noise_rms, noise_seed)
+    add_noise(data, noise_rms, noise_seed)
     return data[0]
 
 

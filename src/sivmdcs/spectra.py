@@ -168,6 +168,8 @@ def deconvolve_laser(trace: Trace1D, laser: LaserSpectrum,
         raise InvalidSpec(f"deconvolution floor must be in (0, 1), got {floor}")
     l2 = laser.amplitude(trace.freqs_thz) ** 2
     threshold = floor * l2.max()
+    if threshold == 0:
+        raise InvalidSpec("the laser spectrum is 0 on every bin of the trace")
     out = trace.amplitude / np.maximum(l2, threshold)
     return Trace1D(trace.freqs_thz.copy(), out, (l2 >= threshold) & trace.valid)
 

@@ -251,3 +251,23 @@ def test_fit_width_refuses_an_overflowing_frequency_span_without_a_warning(
     out, err = capfd.readouterr()
     assert code == EXIT_RUNTIME and not caught
     assert out == "" and err.count("\n") == 1 and err.startswith("error: ")
+
+
+@pytest.mark.parametrize("command", [["deconvolve"], ["fit-width", "--model", "lineshape"]])
+@pytest.mark.parametrize("freqs", [[500.0, 501.0, 502.0, 503.0, 504.0, 505.0],
+                                   [1e300, 2e300, 3e300, 4e300, 5e300]],
+                         ids=["500-thz", "1e300-thz"])
+def test_a_dark_laser_is_refused_without_a_warning(tmp_path, capfd, monkeypatch,
+                                                  command, freqs):
+    # the default laser's spectrum is 0 at every row: dividing it out would
+    # divide by zero, so both commands exit 3 with one error line
+    monkeypatch.chdir(tmp_path)
+    path = tmp_path / "trace.csv"
+    path.write_text("nu_t (THz),amplitude (arb)\n"
+                    + "".join(f"{nu!r},{float(k == 2)!r}\n" for k, nu in enumerate(freqs)))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = main([*command, str(path)])
+    out, err = capfd.readouterr()
+    assert code == EXIT_RUNTIME and not caught
+    assert out == "" and err.count("\n") == 1 and err.startswith("error: ")

@@ -1,6 +1,7 @@
 import json
 import subprocess
 import sys
+import warnings
 from dataclasses import replace
 from pathlib import Path
 
@@ -8,11 +9,11 @@ import numpy as np
 import pytest
 
 from memory import peak_bytes
-from sivmdcs.cli import EXIT_OK, main
+from wide import wide_signal
+from sivmdcs.cli import EXIT_OK, EXIT_RUNTIME, main
 from sivmdcs.config import parse_config
 from sivmdcs.reproduce import (DEFAULT_CONFIGS, FIG2_HIDDEN_CONFIG, TARGETS,
                                build_ensemble, run_reproduction, run_simulation)
-from sivmdcs.response import synthesize_signal
 from sivmdcs.spectra import to_spectrum
 
 
@@ -38,8 +39,7 @@ def test_fig3_streamed_proportionality_dev_has_the_whole_array_bits(tmp_path):
     # heterodyne grid; it must report the bits of the whole-array expression
     cfg = parse_config(DEFAULT_CONFIGS["fig3"])
     ensemble = build_ensemble(cfg)
-    het, pl = (synthesize_signal(ens, cfg.grid, cfg.waiting_time_ps, mode,
-                                 cfg.laser).data
+    het, pl = (wide_signal(ens, cfg.grid, cfg.waiting_time_ps, mode, cfg.laser)
                for ens, mode in ((ensemble, "heterodyne"),
                                  (replace(ensemble, quantum_yield=np.full(
                                      len(ensemble), 0.8)), "pl")))
@@ -77,14 +77,55 @@ def test_a_projection_is_the_file_chains_projection_of_its_dataset(tmp_path, cap
         == (tmp_path / f"{target}_projection.csv").read_bytes()
 
 
-def test_a_traced_benchmark_round_of_the_figures_passes():
+def test_fig3_adds_the_configured_noise_as_simulate_does(tmp_path):
+    # each projection is the file chain's projection of `simulate --mode`
+    # on fig3's config, noise included
+    text = DEFAULT_CONFIGS["fig3"].replace("noise = 0.0", "noise = 1.0")
+    config = tmp_path / "fig3.toml"
+    config.write_text(text)
+    run_reproduction("fig3", text, out_dir=str(tmp_path))
+    for mode, name in (("heterodyne", "het"), ("pl", "pl")):
+        out = ["--out-dir", str(tmp_path / mode)]
+        assert main(["simulate", "--config", str(config), "--mode", mode, *out]) == EXIT_OK
+        assert main(["spectrum", str(tmp_path / mode / "run_signal.mdcs"), *out]) == EXIT_OK
+        assert main(["project", str(tmp_path / mode / "spectrum.mdcs"), *out]) == EXIT_OK
+        assert (tmp_path / mode / "projection.csv").read_bytes() \
+            == (tmp_path / f"fig3_{name}_projection.csv").read_bytes()
+
+
+def test_a_dark_laser_stops_t1scan_with_one_error_line(tmp_path, capsys):
+    # a laser far from every line weights every pathway 0: the scan is 0 at
+    # every wait, and its log-linear T1 fit would take the log of 0
+    config = tmp_path / "t1scan.toml"
+    config.write_text(DEFAULT_CONFIGS["t1scan"].replace("center = 406.770 thz",
+                                                        "center = 500 thz"))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = main(["reproduce", "t1scan", "--config", str(config),
+                     "--out-dir", str(tmp_path / "out")])
+    err = capsys.readouterr().err
+    assert code == EXIT_RUNTIME and not caught
+    assert err.count("\n") == 1 and err.startswith("error: ")
+
+
+def test_t1scan_measures_t1_under_a_faint_laser(tmp_path):
+    # 43 THz off the lines the scan is about 1e-261 of its usual size; T1 is
+    # a ratio of its samples, and the fit must not depend on their scale
+    text = DEFAULT_CONFIGS["t1scan"].replace("center = 406.770 thz", "center = 450 thz")
+    report = run_reproduction("t1scan", text, out_dir=str(tmp_path))
+    assert report.passed and _check(report, "t1_ns") == pytest.approx(1.7, rel=1e-9)
+
+
+@pytest.mark.parametrize("workload,seconds", [("figures", 300), ("sweep", 120)])
+def test_a_traced_benchmark_round_passes(workload, seconds):
     # the benchmark traces the program through names the targets call, such
-    # as reproduce.synthesize_signal; a target that stops calling one makes
-    # the traced run fail here
+    # as reproduce.synthesize_signal, and checks the sweep's signals against
+    # the closed form; a target that stops calling one, or a synthesis that
+    # moves the sweep's values, fails here
     root = Path(__file__).resolve().parent.parent
-    done = subprocess.run([sys.executable, "perfbench/run.py", "--workload", "figures",
+    done = subprocess.run([sys.executable, "perfbench/run.py", "--workload", workload,
                            "--seed", "1", "--seconds", "0", "--trace", "1"],
-                          cwd=root, capture_output=True, text=True, timeout=300)
+                          cwd=root, capture_output=True, text=True, timeout=seconds)
     assert done.returncode == 0, done.stderr
     result = json.loads(done.stdout.splitlines()[-1])
     assert result["correct"] is True and result["failed"] == 0, result

@@ -12,6 +12,7 @@ from memory import peak_bytes
 from oracles import (direct_waiting_time_scan, exact_dense_sum,
                      gaussian_ensemble_response, lognormal_t2_diagonal_moments,
                      rephasing_response_model, rephasing_response_oracle)
+from wide import wide_signal
 from sivmdcs.emitter import (GAUSSIAN_FWHM_PER_SIGMA, EnsembleSpec,
                              LaserSpectrum, LevelScheme, PopulationComponent,
                              StrainDistribution, StrainModel, T2Rule,
@@ -24,8 +25,8 @@ from sivmdcs.config import parse_config
 from sivmdcs.reproduce import DEFAULT_CONFIGS, build_ensemble
 from sivmdcs.pathways import REPHASING_PATHWAYS
 from sivmdcs.response import (Grid, TimeDomainSignal, _dense_rows, _echo_groups,
-                              _echo_rows, _pathway_terms, signal_rows,
-                              synthesize_diagonal, synthesize_signal,
+                              _echo_rows, _pathway_terms, _route, add_noise,
+                              signal_rows, synthesize_diagonal, synthesize_signal,
                               waiting_time_scan)
 
 FRAME = 406.770
@@ -40,11 +41,20 @@ def _emitter(detuning_thz=0.05, t2_ps=122.0, t1_ps=1700.0, yield_=1.0,
     return ensembles.four_line(ensembles.default_scheme(), 1, t2_ps, t1_ps, yield_)
 
 
+def _whole(rows, grid):
+    """The complex128 grid of a route's ``rows(lo, out)``, one row block per
+    call."""
+    out = np.empty((grid.n_tau, grid.n_t), dtype=complex)
+    firsts = row_blocks(grid.n_tau, grid.n_t)
+    for lo in firsts:
+        rows(lo, out[lo:lo + firsts.step])
+    return out
+
+
 def _dense(terms, grid):
     """The dense route's whole grid over whole per-term arrays."""
-    out = np.empty((grid.n_tau, grid.n_t), dtype=complex)
-    return _dense_rows(lambda lo=0, hi=None: tuple(a[lo:hi] for a in terms),
-                       len(terms[0]), grid)(0, out)
+    return _whole(_dense_rows(lambda lo=0, hi=None: tuple(a[lo:hi] for a in terms),
+                              len(terms[0]), grid), grid)
 
 
 def _grid(n=16, step=0.5):
@@ -93,61 +103,61 @@ def test_signal_shape_must_match_grid():
 def test_single_two_level_emitter_matches_closed_form():
     d, t2, t1, wait = 0.07, 40.0, 1700.0, 12.0
     grid = _grid(12, 0.4)
-    signal = synthesize_signal(_emitter(d, t2, t1), grid, wait, "heterodyne")
+    signal = wide_signal(_emitter(d, t2, t1), grid, wait, "heterodyne")
     tau = grid.tau_ps[:, None]
     t = grid.t_ps[None, :]
     expected = 2.0 * np.exp(-wait / t1) \
         * np.exp((2j * np.pi * d - 1.0 / t2) * tau) \
         * np.exp((-2j * np.pi * d - 1.0 / t2) * t)
-    assert np.allclose(signal.data, expected, rtol=1e-12, atol=1e-15)
+    assert np.allclose(signal, expected, rtol=1e-12, atol=1e-15)
 
 
 def test_single_emitter_matches_density_matrix_oracle():
     d, t2, t1, wait = -0.21, 35.0, 1700.0, 5.0
     grid = _grid(4, 0.7)
-    signal = synthesize_signal(_emitter(d, t2, t1), grid, wait, "heterodyne")
+    signal = wide_signal(_emitter(d, t2, t1), grid, wait, "heterodyne")
     for i, tau in enumerate(grid.tau_ps):
         for j, t in enumerate(grid.t_ps):
             oracle = rephasing_response_oracle(d, t2, t1, tau, wait, t)
-            assert abs(signal.data[i, j] - oracle) <= 1e-6 * abs(oracle) + 1e-12
+            assert abs(signal[i, j] - oracle) <= 1e-6 * abs(oracle) + 1e-12
 
 
 def test_pl_mode_weights_by_quantum_yield():
     grid = _grid()
-    het = synthesize_signal(_emitter(yield_=0.3), grid, 0.5, "heterodyne")
-    pl = synthesize_signal(_emitter(yield_=0.3), grid, 0.5, "pl")
-    assert np.allclose(pl.data, 0.3 * het.data, rtol=1e-12)
+    het = wide_signal(_emitter(yield_=0.3), grid, 0.5, "heterodyne")
+    pl = wide_signal(_emitter(yield_=0.3), grid, 0.5, "pl")
+    assert np.allclose(pl, 0.3 * het, rtol=1e-12)
 
 
 def test_laser_filter_applies_per_interaction_pair():
     laser = LaserSpectrum(FRAME, 4.14)
     grid = _grid()
-    plain = synthesize_signal(_emitter(0.3), grid, 0.5, "heterodyne")
-    filtered = synthesize_signal(_emitter(0.3), grid, 0.5, "heterodyne", laser)
+    plain = wide_signal(_emitter(0.3), grid, 0.5, "heterodyne")
+    filtered = wide_signal(_emitter(0.3), grid, 0.5, "heterodyne", laser)
     weight = laser.amplitude(FRAME + 0.3) ** 2
-    assert np.allclose(filtered.data, weight * plain.data, rtol=1e-12)
+    assert np.allclose(filtered, weight * plain, rtol=1e-12)
 
 
 def test_four_line_emitter_sums_twelve_pathways():
     # at tau = t = 0 every pathway term reduces to its weight
     grid = _grid(2, 0.001)
-    signal = synthesize_signal(_emitter(two_level=False), grid, 0.0, "heterodyne")
-    assert signal.data[0, 0] == pytest.approx(12.0)
+    signal = wide_signal(_emitter(two_level=False), grid, 0.0, "heterodyne")
+    assert signal[0, 0] == pytest.approx(12.0)
 
 
-# sha256 of two dense signals (log-normal T2, unequal steps) and an echo
-# one.  On 256 columns the dense sum's 1,390 terms run in chunks of 1,024 and
+# sha256 of two dense complex128 signals (log-normal T2, unequal steps) and
+# an echo one.  On 256 columns the dense sum's 1,390 terms run in chunks of 1,024 and
 # 366: products large enough for BLAS to thread, and a last one that
 # OpenBLAS's serial and threaded zgemm split at different terms unless it is
 # padded; 300 rows take row blocks of 256 and 44 rows
 _BLAS_HASHES = """
 import hashlib
 from test_response import (CLASS_T2, FRAME, LOGNORMAL_T2, Grid,
-                           _mixed_ensemble, synthesize_signal)
+                           _mixed_ensemble, wide_signal)
 for t2, n_tau, t_step in ((LOGNORMAL_T2, 256, 0.2), (LOGNORMAL_T2, 300, 0.2),
                           (CLASS_T2, 256, 0.25)):
     grid = Grid(n_tau, 256, 0.25, t_step, FRAME)
-    data = synthesize_signal(_mixed_ensemble(t2), grid, 0.5, "heterodyne").data
+    data = wide_signal(_mixed_ensemble(t2), grid, 0.5, "heterodyne")
     print(hashlib.sha256(data.tobytes()).hexdigest())
 """
 
@@ -188,16 +198,22 @@ def test_noise_is_seeded_and_scaled():
 def test_noise_bits_follow_the_seeded_stream():
     # 300 rows span two noise blocks of 218 rows; the real parts take the
     # first n draws of the seed's standard-normal stream, the imaginary
-    # parts the next n
+    # parts the next n, on the complex128 rows and on the complex64 grid,
+    # which adds them to its cast rows and rounds
     grid = _grid(300, 0.3)
-    quiet = synthesize_signal(_emitter(), grid, 0.5, "heterodyne")
-    noisy = synthesize_signal(_emitter(), grid, 0.5, "heterodyne",
-                              noise_rms=2.0, noise_seed=9)
+    quiet = wide_signal(_emitter(), grid, 0.5, "heterodyne")
+    narrow = synthesize_signal(_emitter(), grid, 0.5, "heterodyne",
+                               noise_rms=2.0, noise_seed=9).data
+    noisy = quiet.copy()
+    add_noise(noisy, 2.0, 9)
     n = 300 * 300
     z = np.random.default_rng(9).standard_normal(2 * n).reshape(2, 300, 300)
     scale = 2.0 / math.sqrt(2.0)
-    assert noisy.data.real.tobytes() == (quiet.data.real + scale * z[0]).tobytes()
-    assert noisy.data.imag.tobytes() == (quiet.data.imag + scale * z[1]).tobytes()
+    assert noisy.real.tobytes() == (quiet.real + scale * z[0]).tobytes()
+    assert noisy.imag.tobytes() == (quiet.imag + scale * z[1]).tobytes()
+    cast = quiet.astype(np.complex64)
+    assert narrow.real.tobytes() == (cast.real + scale * z[0]).astype(np.float32).tobytes()
+    assert narrow.imag.tobytes() == (cast.imag + scale * z[1]).astype(np.float32).tobytes()
 
 
 # 100 x 2100 at equal steps: row blocks of 31 rows, the last one 7 rows
@@ -205,11 +221,11 @@ SHORT_LAST_BLOCK = Grid(100, 2100, 0.25, 0.25, FRAME)
 
 
 def _complex64_pair(hidden_t2, **noise):
-    """(complex128, complex64) signals of one request on SHORT_LAST_BLOCK."""
+    """The complex128 rows of one request on SHORT_LAST_BLOCK, and its
+    complex64 grid."""
     ensemble, laser = _mixed_ensemble(hidden_t2), LaserSpectrum(FRAME, 0.5)
-    return tuple(synthesize_signal(ensemble, SHORT_LAST_BLOCK, 0.5, "pl", laser,
-                                   dtype=dtype, **noise).data
-                 for dtype in (complex, np.complex64))
+    return (wide_signal(ensemble, SHORT_LAST_BLOCK, 0.5, "pl", laser),
+            synthesize_signal(ensemble, SHORT_LAST_BLOCK, 0.5, "pl", laser, **noise).data)
 
 
 @pytest.mark.parametrize("hidden_t2,echo", [(CONSTANT_T2, True), (LOGNORMAL_T2, False)])
@@ -228,23 +244,19 @@ def test_a_complex64_grid_is_the_complex128_grid_cast(hidden_t2, echo):
 def test_a_noisy_complex64_grid_is_rounded_twice(hidden_t2, noise_rms):
     # the noise goes onto the cast grid: each float32 part is the float64 sum
     # of the cast part and its draw, rounded, so it is within one float32 ulp
-    # of the cast of the complex128 noisy grid, an ulp of the larger of the
+    # of the cast of the noisy complex128 rows, an ulp of the larger of the
     # noise-free and the noisy part (where a draw cancels the part, the
     # result's own ulp is far finer)
-    clean = _complex64_pair(hidden_t2)[1]
     wide, narrow = _complex64_pair(hidden_t2, noise_rms=noise_rms, noise_seed=9)
+    clean = wide.astype(np.complex64)
     z = np.random.default_rng(9).standard_normal((2, *clean.shape))
     scale = noise_rms / math.sqrt(2.0)
     assert narrow.real.tobytes() == (clean.real + scale * z[0]).astype(np.float32).tobytes()
     assert narrow.imag.tobytes() == (clean.imag + scale * z[1]).astype(np.float32).tobytes()
+    add_noise(wide, noise_rms, 9)
     cast, clean, narrow = (a.view(np.float32) for a in (wide.astype(np.complex64), clean, narrow))
     ulp = np.spacing(np.maximum(np.abs(clean), np.abs(cast)))
     assert np.all(np.abs(narrow.astype(float) - cast) <= ulp)
-
-
-def test_a_signal_grid_is_complex():
-    with pytest.raises(InvalidSpec):
-        synthesize_signal(_emitter(), _grid(), 0.5, "heterodyne", dtype=float)
 
 
 def test_grid_too_coarse_raises():
@@ -318,22 +330,21 @@ def test_echo_route_matches_dense_reference(shape, mode, laser, hidden_t2):
     terms = _pathway_terms(ensemble, mode, laser, FRAME, 0.5)()
     groups = _echo_groups(*terms)
     assert groups is not None
-    signal = synthesize_signal(ensemble, grid, 0.5, mode, laser)
-    echo = np.empty(shape, complex)
-    _echo_rows(groups, grid)(0, echo)
-    assert np.array_equal(signal.data, echo)
+    signal = wide_signal(ensemble, grid, 0.5, mode, laser)
+    assert np.array_equal(signal, _whole(_echo_rows(groups, grid), grid))
     exact = exact_dense_sum(*terms, grid.tau_ps, grid.t_ps)
-    assert np.abs(signal.data - exact).max() <= 1e-10 * np.abs(exact).max()
+    assert np.abs(signal - exact).max() <= 1e-10 * np.abs(exact).max()
 
 
 # (40, 2000) gives row blocks of 32 rows with a short last block, on the
 # echo route (constant T2) and on the dense route (log-normal T2) alike
 @pytest.mark.parametrize("hidden_t2", [CONSTANT_T2, LOGNORMAL_T2])
 def test_signal_rows_concatenate_to_the_noise_free_signal(hidden_t2):
+    # the reused block holds the bits that the route writes to fresh rows
     ensemble = _mixed_ensemble(hidden_t2)
     grid = Grid(40, 2000, 0.25, 0.25, FRAME)
     laser = LaserSpectrum(FRAME, 0.5)
-    whole = synthesize_signal(ensemble, grid, 0.5, "pl", laser).data
+    whole = _whole(_route(ensemble, grid, 0.5, "pl", laser), grid)
     firsts, blocks = [], []
     for first, block in signal_rows(ensemble, grid, 0.5, "pl", laser):
         firsts.append(first)
@@ -356,11 +367,11 @@ def test_dense_signal_rows_are_at_most_a_row_block_tall():
     assert heights == [31, 31, 31, 7] and len(buffers) == 1
 
 
-def test_a_dense_grid_takes_at_most_two_grids_of_memory():
+def test_a_dense_grid_takes_one_complex64_grid_and_7_mib():
     # fig3's 1024^2 grid with log-normal T2 (6,000 terms) on the dense route:
-    # the signal, one chunk's column table and a row block's partial, well
-    # under two grids plus the 1 MiB block budget (the whole-grid phasor
-    # tables took 144 MiB)
+    # the complex64 signal plus 7 MiB, one chunk's 4 MiB column table and
+    # up to three 1 MiB blocks: the streamed block, a row block's partial
+    # and its row table (the whole-grid phasor tables took 144 MiB)
     text = DEFAULT_CONFIGS["fig3"].replace("t2 = 20 ps", "t2 = lognormal 20 ps 0.3")
     cfg = parse_config(text)
     ensemble = build_ensemble(cfg)
@@ -369,10 +380,10 @@ def test_a_dense_grid_takes_at_most_two_grids_of_memory():
                            cfg.waiting_time_ps)()
     assert len(terms[0]) == 6000 and _echo_groups(*terms) is None
     del terms
-    grid_bytes = 16 * cfg.grid.n_tau * cfg.grid.n_t
+    grid_bytes = 8 * cfg.grid.n_tau * cfg.grid.n_t
     peak = peak_bytes(lambda: synthesize_signal(ensemble, cfg.grid, cfg.waiting_time_ps,
                                                 "heterodyne", cfg.laser))
-    assert peak <= 2 * grid_bytes + BLOCK_ENTRIES * 16
+    assert peak <= grid_bytes + 7 * BLOCK_ENTRIES * 16
 
 
 @pytest.mark.parametrize("two_level", [True, False])
@@ -384,11 +395,11 @@ def test_echo_route_sums_identical_emitters(two_level):
     grid = Grid(24, 40, 0.25, 0.25, FRAME)
     terms = _pathway_terms(ensemble, "heterodyne", None, FRAME, 0.5)()
     assert _echo_groups(*terms) is not None
-    data = synthesize_signal(ensemble, grid, 0.5, "heterodyne").data
+    data = wide_signal(ensemble, grid, 0.5, "heterodyne")
     exact = exact_dense_sum(*terms, grid.tau_ps, grid.t_ps)
     bound = 1e-10 * np.abs(exact).max()
     assert np.abs(data - exact).max() <= bound
-    single = synthesize_signal(one, grid, 0.5, "heterodyne").data
+    single = wide_signal(one, grid, 0.5, "heterodyne")
     assert np.abs(data - 64 * single).max() <= bound
 
 
@@ -399,10 +410,10 @@ def test_echo_route_sums_identical_emitters(two_level):
 def test_dense_only_inputs_give_dense_bits(hidden_t2, grid):
     ensemble = _mixed_ensemble(hidden_t2)
     terms = _pathway_terms(ensemble, "heterodyne", None, FRAME, 0.5)()
-    signal = synthesize_signal(ensemble, grid, 0.5, "heterodyne")
-    assert np.array_equal(signal.data, _dense(terms, grid))
+    signal = wide_signal(ensemble, grid, 0.5, "heterodyne")
+    assert np.array_equal(signal, _dense(terms, grid))
     exact = exact_dense_sum(*terms, grid.tau_ps, grid.t_ps)
-    assert np.abs(signal.data - exact).max() <= 1e-12 * np.abs(exact).max()
+    assert np.abs(signal - exact).max() <= 1e-12 * np.abs(exact).max()
 
 
 # --- the phasor-product kernel over many chunks -----------------------------
@@ -422,7 +433,7 @@ def test_many_chunks_match_the_exact_sum(monkeypatch, grid, bound):
     if grid.tau_step_ps == grid.t_step_ps:
         assert min(len(nu) for _, _, nu, _ in groups) > 2 * 64
     assert len(terms[0]) >= 3 * 64
-    data = synthesize_signal(ensemble, grid, 0.5, "pl", laser).data
+    data = wide_signal(ensemble, grid, 0.5, "pl", laser)
     exact = exact_dense_sum(*terms, grid.tau_ps, grid.t_ps)
     assert np.abs(data - exact).max() <= bound * np.abs(exact).max()
 
@@ -502,13 +513,13 @@ def test_gaussian_ensemble_matches_closed_form():
     base = LevelScheme(FRAME + nu0, 59.0, 261.0)
     ensemble = sample_ensemble(spec, base, StrainModel(), n, seed=3)
     grid = _grid(16, 0.5)
-    signal = synthesize_signal(ensemble, grid, wait, "heterodyne")
+    signal = wide_signal(ensemble, grid, wait, "heterodyne")
     sigma = fwhm / GAUSSIAN_FWHM_PER_SIGMA
     for i, j in ((0, 0), (3, 3), (6, 2), (2, 6), (9, 4), (15, 15), (12, 0)):
         tau, t = grid.tau_ps[i], grid.t_ps[j]
         expected = gaussian_ensemble_response(nu0, sigma, t2, t1, tau, wait, t)
         bound = 5.0 * 2.0 * np.exp(-wait / t1 - (tau + t) / t2) / np.sqrt(n)
-        got = signal.data[i, j] / n
+        got = signal[i, j] / n
         assert abs(got.real - expected.real) <= bound
         assert abs(got.imag - expected.imag) <= bound
 
@@ -530,9 +541,9 @@ def test_monte_carlo_error_converges_as_inverse_sqrt_n():
     sizes = (250, 1000, 4000)
     errors = []
     for k, n in enumerate(sizes):
-        sq = [np.mean(np.abs(synthesize_signal(
+        sq = [np.mean(np.abs(wide_signal(
             sample_ensemble(spec, base, StrainModel(), n, seed=16 * k + s),
-            grid, wait, "heterodyne").data / n - expected) ** 2 / scale ** 2)
+            grid, wait, "heterodyne") / n - expected) ** 2 / scale ** 2)
             for s in range(16)]
         errors.append(np.sqrt(np.mean(sq)))
     slope = np.polyfit(np.log(sizes), np.log(errors), 1)[0]
@@ -701,7 +712,7 @@ def test_diagonal_matches_the_grid_and_the_exact_sum(mode, laser, hidden_t2, bou
     diagonal = synthesize_diagonal(ensemble, grid, 0.5, mode, laser)
     assert diagonal.shape == (130,)
     k = np.arange(130)
-    signal = synthesize_signal(ensemble, grid, 0.5, mode, laser).data[k, k]
+    signal = wide_signal(ensemble, grid, 0.5, mode, laser)[k, k]
     terms = _pathway_terms(ensemble, mode, laser, FRAME, 0.5)()
     exact = exact_dense_sum(*terms, grid.tau_ps, grid.t_ps)[k, k]
     for want in (exact, signal):
@@ -709,17 +720,17 @@ def test_diagonal_matches_the_grid_and_the_exact_sum(mode, laser, hidden_t2, bou
 
 
 def test_diagonal_noise_is_that_of_a_one_row_grid():
-    # the noisy diagonal and a noisy 1 x n grid each add the seed's stream,
-    # real parts first, to their own noise-free values
+    # the noisy diagonal and a noisy complex128 1 x n row each add the
+    # seed's stream, real parts first, to their own noise-free values
     ensemble = _mixed_ensemble(CLASS_T2)
     n, rms, seed = 300, 2.0, 9
     quiet = synthesize_diagonal(ensemble, _grid(n, 0.25), 0.5, "pl")
     noisy = synthesize_diagonal(ensemble, _grid(n, 0.25), 0.5, "pl",
                                 noise_rms=rms, noise_seed=seed)
-    row = Grid(1, n, 0.25, 0.25, FRAME)
-    row_quiet, row_noisy = (synthesize_signal(ensemble, row, 0.5, "pl", noise_rms=r,
-                                              noise_seed=seed).data[0]
-                            for r in (0.0, rms))
+    row_quiet = wide_signal(ensemble, Grid(1, n, 0.25, 0.25, FRAME), 0.5, "pl")
+    row_noisy = row_quiet.copy()
+    add_noise(row_noisy, rms, seed)
+    row_quiet, row_noisy = row_quiet[0], row_noisy[0]
     z = np.random.default_rng(seed).standard_normal(2 * n).reshape(2, n)
     scale = rms / math.sqrt(2.0)
     for clean, dirty in ((quiet, noisy), (row_quiet, row_noisy)):

@@ -11,9 +11,9 @@ from hypothesis import example, given, seed, settings
 from hypothesis import strategies as st
 
 import ensembles
+from wide import wide_signal
 from sivmdcs.emitter import Ensemble, LaserSpectrum
-from sivmdcs.response import (Grid, TimeDomainSignal, _checked_terms, _echo_groups,
-                              synthesize_signal)
+from sivmdcs.response import Grid, TimeDomainSignal, _checked_terms, _echo_groups
 from sivmdcs.spectra import to_spectrum
 
 FRAME = 406.770
@@ -56,11 +56,12 @@ def _take(ensemble: Ensemble, index) -> Ensemble:
 
 
 def _signal(ensemble, grid, mode, laser, route) -> TimeDomainSignal:
-    """The noise-free signal, after checking that it takes ``route``."""
+    """The noise-free complex128 signal, after checking that it takes
+    ``route``."""
     terms = _checked_terms(ensemble, grid, 0.5, mode, laser)
     echo = grid.tau_step_ps == grid.t_step_ps and _echo_groups(*terms()) is not None
     assert ("echo" if echo else "dense") == route
-    return synthesize_signal(ensemble, grid, 0.5, mode, laser)
+    return TimeDomainSignal(wide_signal(ensemble, grid, 0.5, mode, laser), grid, 0.5, mode)
 
 
 def _grid(route, shape, frame=FRAME) -> Grid:
