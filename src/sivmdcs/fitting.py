@@ -165,10 +165,23 @@ def _whole(basis, n_theta, floor=0.0):
     return model, jac
 
 
+def _unit_exponent(y) -> int:
+    """k with max |y| 2^-k in [1/2, 1): y 2^-k is exact and lies where the
+    absolute floors of the fit arithmetic neither underflow nor overflow."""
+    return math.frexp(float(np.max(np.abs(y))))[1]
+
+
 def _separable_fit(basis, x, y, theta0, floor=0.0):
     """Levenberg-Marquardt over theta with c projected out; with ``floor``,
-    one more pass over all of p = (c, theta).  Returns (p, sigmas, cost,
-    n_iter, converged), the sigmas from the whole model's Jacobian."""
+    one more pass over all of p = (c, theta).  Returns (p, sigmas, residual
+    norm, n_iter, converged), the sigmas from the whole model's Jacobian.
+    The fit runs on y 2^-k and floor 2^-k, with 2^k the power of two at or
+    above max |y|, since the damping and cost floors of
+    ``levenberg_marquardt`` are absolute; the scaling is exact, so c, the
+    residual norm and their sigmas scale back bit for bit."""
+    k = _unit_exponent(y)
+    y, floor = np.ldexp(y, -k), math.ldexp(floor, -k)
+
     @functools.lru_cache(maxsize=1)     # the Jacobian reads the last theta's again
     def project(theta):
         phi, dphi, owner = basis(x, np.array(theta))
@@ -192,9 +205,12 @@ def _separable_fit(basis, x, y, theta0, floor=0.0):
             p, _, cost, more, converged = levenberg_marquardt(model, jac, x, y, p)
             n_iter += more
         cov = _covariance(jac(x, p), cost, len(y))
+        sigmas = np.sqrt(np.maximum(np.diag(cov), 0.0))
+        n_c = len(p) - len(theta0)
+        p[:n_c], sigmas[:n_c] = np.ldexp(p[:n_c], k), np.ldexp(sigmas[:n_c], k)
     except (np.linalg.LinAlgError, OverflowError) as exc:
         raise NoConvergence(f"fit failed on this trace: {exc}") from None
-    return p, np.sqrt(np.maximum(np.diag(cov), 0.0)), cost, n_iter, converged
+    return p, sigmas, math.ldexp(math.sqrt(cost), k), n_iter, converged
 
 
 # --- public fit operations --------------------------------------------------
@@ -205,7 +221,7 @@ def fit_exponential(trace: DecayTrace, n_components: int = 1,
 
     Two-component results are reported with T2a < T2b.  When the two time
     constants land within 10% of each other, one component has vanished
-    (its sum of squares over the trace is below the residual's), or one
+    (its norm over the trace is at most the residual's), or one
     component is unresolved (the sigma of its amplitude or of its time
     constant is at least the value itself, as it is for an amplitude at or
     below 0), the fit collapses to the single-exponential result and carries
@@ -222,16 +238,19 @@ def fit_exponential(trace: DecayTrace, n_components: int = 1,
         raise InvalidSpec(f"trace too short: need >= {4 * n_par} points, got {len(x)}")
     if np.count_nonzero(y > 0) < 4:
         raise InvalidSpec("trace has too few positive samples to initialize a fit")
+    if floor >= y.max():
+        raise InvalidSpec(f"floor {floor:g} must lie below the largest sample of the "
+                          f"trace, {y.max():g}: no model fits a trace inside its floor")
 
-    p, sigmas, cost, n_iter, converged = _separable_fit(
+    p, sigmas, norm, n_iter, converged = _separable_fit(
         _decay_basis, x, y, _decay_start(x, y, n_components), floor)
     # Checked on p = (A, B, log Ta, log Tb), where sigma(T) >= T reads
     # sigma(log T) >= 1, and before convergence: with a vanished component
     # the iteration wanders along its free time constant and need not stop.
     if n_components == 2:
         close = math.exp(-abs(p[2] - p[3])) > 0.90
-        parts = np.sum((_decay_basis(x, p[2:])[0] * p[:2]) ** 2, axis=0)
-        if close or parts.min() <= cost or np.any(sigmas >= np.r_[p[:2], 1.0, 1.0]):
+        parts = np.abs(p[:2]) * np.sqrt(np.sum(_decay_basis(x, p[2:])[0] ** 2, axis=0))
+        if close or parts.min() <= norm or np.any(sigmas >= np.r_[p[:2], 1.0, 1.0]):
             mono = fit_exponential(trace, 1, floor)
             return replace(mono, warnings=mono.warnings + ("degenerate-fit",))
     if not converged:
@@ -244,13 +263,14 @@ def fit_exponential(trace: DecayTrace, n_components: int = 1,
     sigmas[1::2] *= p[1::2]
     model = "bi-exponential" if n_components == 2 else "mono-exponential"
     return FitResult(model, ("A", "T2a_ps", "B", "T2b_ps")[:len(p)], p, sigmas,
-                     math.sqrt(cost), converged, n_iter)
+                     norm, converged, n_iter)
 
 
 def _decay_start(x, y, n_components, n_grid=32):
     """log T of the single time constant, or of the pair, that fits ``y``
     best among ``n_grid`` log-spaced from span / len(x) to 10 span.  One
     Gram matrix of the grid's columns gives every least-squares fit."""
+    y = np.ldexp(y, -_unit_exponent(y))    # the same gains, none overflowing
     taus = float(np.ptp(x)) * np.geomspace(1.0 / len(x), 10.0, n_grid)
     cols = np.exp(-np.outer(x - x.min(), 1.0 / taus))     # scaled columns: the same fits
     proj = cols.T @ y
@@ -288,8 +308,9 @@ def _width_points(trace: Trace1D):
 
 def _fit_peak(name, shape, x, y, center0, width0, envelope=1.0, background=False):
     """(amp, center, width[, background]) of amp * shape((x - center) / width)
-    * envelope [+ background], their sigmas, the cost and the iterations."""
-    p, sigmas, cost, n_iter, converged = _separable_fit(
+    * envelope [+ background], their sigmas, the residual norm and the
+    iterations."""
+    p, sigmas, norm, n_iter, converged = _separable_fit(
         _peak_basis(shape, envelope, background), x, y,
         np.array([center0, math.log(max(width0, 1e-6))]))
     order = [0, -2, -1] + [1] * background
@@ -298,7 +319,7 @@ def _fit_peak(name, shape, x, y, center0, width0, envelope=1.0, background=False
         raise NoConvergence(f"{name} fit did not converge")
     p[2] = math.exp(p[2])
     sigmas[2] *= p[2]
-    return p, sigmas, cost, n_iter
+    return p, sigmas, norm, n_iter
 
 
 def fwhm(trace: Trace1D, model: str = "interpolated",
@@ -350,7 +371,7 @@ def fit_finite_bandwidth(trace: Trace1D, laser: LaserSpectrum,
         width0 = laser.fwhm_thz
     center0 = float(np.sum(x * rough) / np.sum(rough))
 
-    p, sigmas, cost, n_iter = _fit_peak("finite-bandwidth lineshape", "gaussian", x, y, center0,
+    p, sigmas, norm, n_iter = _fit_peak("finite-bandwidth lineshape", "gaussian", x, y, center0,
                                         width0 / GAUSSIAN_FWHM_PER_SIGMA, laser_sq, background)
     warnings = ()
     if GAUSSIAN_FWHM_PER_SIGMA * p[2] >= 3.0 * laser.fwhm_thz:
@@ -358,7 +379,7 @@ def fit_finite_bandwidth(trace: Trace1D, laser: LaserSpectrum,
     names = ("amplitude", "center_thz", "sigma_thz") + ("background",) * background
     return FitResult(
         "finite-bandwidth", names,
-        p, sigmas, math.sqrt(cost), True, n_iter, warnings=warnings,
+        p, sigmas, norm, True, n_iter, warnings=warnings,
         extras={"fwhm_thz": GAUSSIAN_FWHM_PER_SIGMA * p[2],
                 "fwhm_sigma_thz": GAUSSIAN_FWHM_PER_SIGMA * sigmas[2]})
 

@@ -27,34 +27,41 @@ Two routes evaluate the double sum:
   Terms sharing delta = d_emit - d_exc and T2 (a ``_groups`` group) sum to
   exp[-(tau + t)/T2 - 2 pi i delta t] * h(tau - t) with
   h(L) = sum_k w_k exp(2 pi i d_exc,k L), so only the n_tau + n_t - 1
-  lags of h are summed, O(N * (n_tau + n_t)).
+  lags of h are summed.  ``_lag_sums`` sums them by Gaussian gridding
+  (Greengard & Lee, SIAM Rev. 46, 443 (2004)): each term spreads onto 24
+  cells of a grid of at least four cells per lag, and one inverse FFT gives
+  every lag, O(N + n log n) in all, within 1e-13 of the group's sum |w|.
+  Each row block is then one matrix product over every group per at most
+  64 rows, which holds the rows along its skewed diagonals.
 
-Both call one kernel, ``_phasor_product``, a weighted sum over terms of two
-exponential factors on uniform axes: the dense route per row block, the
-echo route once per group, with a coarse and a fine lag factor.  Each
-factor is a phasor table from ``blocks.phasors``, shared with the lock-in.
-The kernel takes chunks of terms, each building its column table and its
-row table from a fresh anchor, and adds the matrix products in chunk order.
+The dense route and the diagonal call ``_phasor_product``, a weighted sum
+over terms of two exponential factors on uniform axes.  Each factor is a
+phasor table from ``blocks.phasors``, shared with the lock-in.  The kernel
+takes chunks of terms, each building its column table and its row table
+from a fresh anchor, and adds the matrix products in chunk order.
 ``_chunk_terms`` sizes a chunk from the rows: 1 MiB in the larger table, so
 that it stays in L2, but at least four times the block's entries; the dense
 route sizes it from a whole row block, so a short last block takes the same
-chunks.  Zero terms round a chunk up to a multiple of 8
-(``_TERM_MULTIPLE``).  Blocks, chunks and anchors follow from the grid
-alone, so the bits depend on neither the rows asked for nor the BLAS thread
-count, and memory stays flat in the term count, as in
-``waiting_time_scan``, which contracts per-emitter sums with real tables of
-exp(-T/T1) in chunks of ``_chunk_terms(n_waits, 1)`` emitters.  Tests check
-both routes against a direct exp at every grid point.
+chunks.  The lag sums spread their terms in chunks of as many kernel
+entries.  Zero terms round a chunk, and zero groups a product over more
+than 256 groups, up to a multiple of 8 (``_TERM_MULTIPLE``).  Blocks,
+chunks, anchors and products follow from the grid alone, so the bits
+depend on neither the rows asked for nor the BLAS thread count, and memory
+stays flat in the term count, as in ``waiting_time_scan``, which contracts
+per-emitter sums with real tables of exp(-T/T1) in chunks of
+``_chunk_terms(n_waits, 1)`` emitters.  Tests check both routes against a
+direct exp at every grid point.
 
 The echo route is taken when the two grid steps are equal and the distinct
 (delta, T2) groups are few compared with the terms (constant or class T2,
 strain-independent splittings), else the dense route, for example with
 log-normal T2 or unequal steps.  Either gives ``rows(lo, out)``, which fills
 one of the grid's ``row_blocks`` in complex128: the echo route from lag
-functions built first, through a 1 MiB scratch block, the dense route
-beside one chunk's column table (4 MiB at 1024^2).  ``signal_rows`` streams
-those blocks through one reused block, and ``synthesize_signal`` casts each
-into its complex64 grid, the precision datasets store, and adds the noise.
+sums built first, through one reused product of at most 64 (n_t + 63)
+entries, the dense route beside one chunk's column table (4 MiB at
+1024^2).  ``signal_rows`` streams those blocks through one reused block,
+and ``synthesize_signal`` casts each into its complex64 grid, the precision
+datasets store, and adds the noise.
 
 The third product, ``synthesize_diagonal``, is the tau = t diagonal alone,
 where the inhomogeneous phase cancels: S(tau, tau) = sum_k w_k exp[(-2/T2_k
@@ -68,7 +75,7 @@ from dataclasses import dataclass, field
 from typing import Iterator, Sequence
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
+from numpy.lib.stride_tricks import as_strided
 
 from .blocks import BLOCK_ENTRIES, phasors, row_blocks
 from .emitter import Ensemble, LaserSpectrum
@@ -156,17 +163,37 @@ def _rates(nu, t2, sign: float) -> np.ndarray:
     return z
 
 
-# The echo route assembles every (delta, T2) group over the whole grid.  For
-# 8 groups of m terms on 64^2 to 1024^2 grids it takes 0.8-1.3x the dense
-# time at m = 48, 0.7-1.0x at m = 64 and 0.4-0.8x at m = 96: 64 is the
-# smallest of these where the echo route is never the slower.
-_ECHO_TERMS_PER_GROUP = 64
+# For 8 groups of m terms on 64^2, 256^2 and 1024^2 grids the echo route
+# takes 0.17-2.4x the dense time at m = 16 to 24 (more than 1x on 64^2),
+# 0.13-0.94x at m = 32 and 0.07-0.64x at m = 64: 32 is the smallest of these
+# where the echo route is never the slower.  On 16^2 it takes 3-4x at any m.
+_ECHO_TERMS_PER_GROUP = 32
 _TABLE_ENTRIES = BLOCK_ENTRIES  # of a chunk's larger table: 1 MiB
 # OpenBLAS's zgemm contracts in blocks of Q = 256 terms and halves a last
 # Q < r < 2Q terms at (r + 1) // 2 when threaded but at r // 2 rounded up to
 # a multiple of 4 when serial, so those bits follow the BLAS thread count.
 # Zero terms up to a multiple of 8 make both split at r / 2 and add zeros.
 _TERM_MULTIPLE = 8
+
+
+# Gaussian gridding (Greengard & Lee, SIAM Rev. 46, 443 (2004)) on n >= 4 n_lag
+# cells, so that every output index m has |m| <= n_lag / 2 <= n / 8.  A
+# Gaussian of sigma 1.5 cells spread to its 24 nearest cells (each omitted
+# cell at least 12 away) errs by at most 1.4e-14 of sum |w| through truncation
+# and 3.5e-15 through aliasing, both after the division by its transform,
+# which grows by at most exp(2 pi^2 sigma^2 / 64) = 2.0 out to |m| = n / 8; the
+# FFT's rounding adds a few log2(n) ulps of sum |w|.  Together: 1e-13 of
+# sum |w| at any n_lag.
+_SPREAD = np.arange(-11, 13)    # cells from the one at or below a term
+_SIGMA = 1.5                    # the Gaussian's standard deviation, in cells
+# In a product of h rows the echo route's decay factors reach exp(-2 (h - 1)
+# step / T2) exp(-tau_0 / T2) in C and exp((h - 1) step / T2) in K, so h
+# step / T2_min stays at most _ECHO_DECAY: K stays finite, and where C
+# underflows the signal is under exp(-256) of its lag sum.  h stays at most
+# _ECHO_ROWS too, so that a product's h (n_t + h - 1) entries waste little on
+# narrow grids.
+_ECHO_DECAY = 256.0
+_ECHO_ROWS = 64
 
 
 def _chunk_terms(n_row: int, n_col: int) -> int:
@@ -239,40 +266,101 @@ def _echo_groups(nu_exc, nu_emit, weight, t2):
             for lo, hi in zip(bounds[:-1], bounds[1:])]
 
 
+def _cis(turns) -> np.ndarray:
+    """exp(2 pi i turns), with whole turns taken off first, so that the phase
+    rounds relative to each product ``turns``, not to a shared constant."""
+    return np.exp(2j * np.pi * (turns - np.rint(turns)))
+
+
+def _lag_sums(nu, weight, n_lag: int, step: float, first: float) -> np.ndarray:
+    """h(L_p) = sum_k weight_k exp(2 pi i nu_k L_p) on the lags L_p = first +
+    p step, p < n_lag, by Gaussian gridding: each weight, moved to the middle
+    lag L_mid, spreads onto a power-of-two grid of at least 4 n_lag cells,
+    then one inverse FFT, divided by the Gaussian's transform, gives every
+    lag, within 1e-13 of sum |weight| beyond the rounding of the products
+    nu_k step and nu_k L_mid, which a direct sum also makes.  The terms go in
+    chunks whose kernel table holds _TABLE_ENTRIES, so memory stays flat in
+    their number."""
+    n = 1 << (4 * n_lag - 1).bit_length()
+    half = n_lag // 2
+    mid = first + half * step
+    chunk = _chunk_terms(len(_SPREAD), 1)
+    sums = np.zeros(n, dtype=complex)
+    for lo in range(0, len(nu), chunk):
+        part = nu[lo:lo + chunk]
+        cell = part * step * n          # n cells per turn of the phase per lag
+        below = np.floor(cell)
+        kernel = np.subtract.outer(cell - below, _SPREAD)
+        np.square(kernel, out=kernel)
+        kernel *= -0.5 / _SIGMA ** 2
+        np.exp(kernel, out=kernel)
+        at = np.add.outer(below.astype(np.intp), _SPREAD)
+        at &= n - 1                     # the grid is periodic: modulo n
+        at = at.ravel()
+        w = weight[lo:lo + chunk] * _cis(part * mid)
+        for dst, w_part in ((sums.real, w.real), (sums.imag, w.imag)):
+            dst += np.bincount(at, np.multiply(kernel, w_part[:, None]).ravel(), n)
+    m = np.arange(-half, n_lag - half)  # p - half: |m| <= n_lag / 2 <= n / 8
+    h = np.fft.ifft(sums)[m]
+    h *= np.exp((2.0 * np.pi ** 2 * _SIGMA ** 2) * (m / n) ** 2)
+    h *= n / (_SIGMA * math.sqrt(2.0 * np.pi))
+    return h
+
+
 def _echo_rows(groups, grid: Grid):
     """Difference-axis route on a grid with equal steps: builds every group's
-    lag function h(L) on L = tau - t, then returns ``rows(lo, out)``, which
-    fills ``out`` with rows lo:lo + len(out) through Toeplitz views of h."""
+    lag function, then returns ``rows(lo, out)``, which fills ``out`` with rows
+    lo:lo + len(out), up to 64 rows per matrix product over the groups.
+
+    A product's row r, at tau = tau_0 + r step, takes from group g
+    C[r, g] K[g, L] at each lag L = tau - t, with C = exp(-(2 r step + tau_0)
+    / T2 - 2 pi i delta tau) and K = exp((L - tau_0) / T2 + 2 pi i delta L) h(L).
+    So M = C @ K holds every row, each along a skewed diagonal; the lags are
+    stored in reverse order, so that the diagonals read forward.  With one
+    group M is an outer product.  The decay of K depends on L - tau_0 alone:
+    one table serves every product."""
     n_tau, n_t, step = grid.n_tau, grid.n_t, grid.tau_step_ps
     n_lag = n_tau + n_t - 1
-    # lag index p = b * block + j holds L = (p - n_t + 1) * step, so that
-    # exp(2 pi i d L) = coarse[b] * fine[j], two phasor tables of about
-    # sqrt(n_lag) rows each
-    block = math.isqrt(n_lag - 1) + 1
-    n_block = -(-n_lag // block)
-    factors = []
-    for delta, t2, nu, weight in groups:
-        z = 2j * np.pi * nu
-        h = _phasor_product(lambda lo, hi, z=z, w=weight: (z[lo:hi], z[lo:hi], w[lo:hi]),
-                            len(weight), np.empty((n_block, block), dtype=complex),
-                            block * step, step, -(n_t - 1) * step).ravel()
-        # lags[i, j] = h[i - j + n_t - 1]: row i of h reversed once, read
-        # forward from index n_tau - 1 - i
-        factors.append((sliding_window_view(h[n_lag - 1::-1].copy(), n_t)[::-1],
-                        np.exp((-2j * np.pi * delta - 1.0 / t2) * grid.t_ps),
-                        np.exp(-grid.tau_ps / t2)[:, None]))
-    # group 0 writes the block, later groups add to it through a scratch
-    # block, in group order
-    scratch = np.empty((min(row_blocks(n_tau, n_t).step, n_tau), n_t), dtype=complex)
+    # zero groups (C = 1, K = 0) pad a product over more than 256 groups to a
+    # multiple of _TERM_MULTIPLE, where OpenBLAS would split it by thread count
+    n_real = len(groups)
+    n_group = n_real if n_real <= 256 else -(-n_real // _TERM_MULTIPLE) * _TERM_MULTIPLE
+    rate, turns = np.zeros(n_group), np.zeros(n_group)     # per row, per ps
+    # lags[g, v] = exp(2 pi i delta L) h(L) at L = (n_tau - 1 - v) step
+    lags = np.empty((n_real, n_lag), dtype=complex)
+    lag_ps = (n_tau - 1 - np.arange(n_lag)) * step
+    for g, (delta, t2, nu, weight) in enumerate(groups):
+        rate[g], turns[g] = step / t2, -delta
+        lags[g] = _lag_sums(nu, weight, n_lag, -step, lag_ps[0])
+        lags[g] *= _cis(delta * lag_ps)
+    t2_min = min(t2 for _, t2, _, _ in groups)
+    height = min(row_blocks(n_tau, n_t).step, n_tau,
+                 max(1, int(min(_ECHO_ROWS, _ECHO_DECAY * t2_min / step))))
+    width = n_t + height - 1
+    # decay[g, a] = exp((height - 1 - a) step / T2): a product of h rows reads
+    # it from column height - h on
+    decay = np.exp(np.outer(rate[:n_real], np.arange(height - 1.0, height - 1.0 - width, -1.0)))
+    scaled = np.zeros((n_group, width), dtype=complex)     # K; its zero groups stay 0
+    product = np.empty(height * width, dtype=complex)
 
     def fill(lo, out):
-        r = slice(lo, lo + len(out))
-        for g, (lags, along_t, along_tau) in enumerate(factors):
-            part = scratch[:len(out)] if g else out
-            np.multiply(lags[r], along_t, out=part)
-            part *= along_tau[r]
-            if g:
-                out += part
+        for first in range(0, len(out), height):
+            h, row = min(height, len(out) - first), lo + first
+            w = n_t + h - 1
+            k = scaled[:, :w]
+            np.multiply(lags[:, n_tau - row - h:n_tau - row - h + w],
+                        decay[:, height - h:height - h + w], out=k[:n_real])
+            r = np.arange(row, row + h, dtype=float)
+            c = _cis(np.outer(r * step, turns))
+            c *= np.exp(-np.outer(2.0 * r - row, rate))
+            m = product[:h * w].reshape(h, w)
+            if n_real == 1:     # zgemm over one term takes 2.5x the time of two
+                np.multiply.outer(c[:, 0], k[0], out=m)
+            else:
+                np.matmul(c, k, out=m)
+            # row i of the block is m[i, h - 1 - i:][:n_t]
+            out[first:first + h] = as_strided(m.ravel()[h - 1:], (h, n_t),
+                                              ((w - 1) * m.itemsize, m.itemsize))
         return out
     return fill
 

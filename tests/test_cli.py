@@ -401,6 +401,20 @@ def test_non_finite_demod_and_tscan_arguments_are_runtime_errors(tmp_path, capsy
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("floor", ["1e300", "1.5"])
+def test_a_decay_inside_its_floor_is_refused_without_a_warning(tmp_path, capfd, floor):
+    # the largest sample is 1: with 1e300 the floor's square overflowed in the
+    # fit, which printed a RuntimeWarning before its error line
+    decay = tmp_path / "decay.csv"
+    decay.write_text(DECAY_CSV)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = main(["fit-decay", str(decay), "--floor", floor])
+    out, err = capfd.readouterr()
+    assert code == EXIT_RUNTIME and not caught
+    assert out == "" and err.count("\n") == 1 and err.startswith("error: floor")
+
+
 # every size is exabytes, so each allocation fails at once: a scan or a
 # record past its ceiling is refused before any array is made, numpy's
 # MemoryError says "Unable to allocate", and a padded spectrum larger than

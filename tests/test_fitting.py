@@ -147,6 +147,33 @@ def test_fit_exponential_noise_floor():
     assert result["T2a_ps"] == pytest.approx(122.0, rel=0.05)
 
 
+@pytest.mark.parametrize("scale", [1.0, 1e-20, 1e-45, 1e-261])
+def test_exponential_fit_is_scale_free(scale):
+    # the iteration's damping and cost floors are absolute: on the unscaled
+    # trace they stopped the fit at its start from 1e-45 down
+    x = np.arange(0.0, 4001.0, 250.0)
+    unit = fit_exponential(DecayTrace(x, np.exp(-x / 1700.0)))
+    result = fit_exponential(DecayTrace(x, scale * np.exp(-x / 1700.0)))
+    assert result.converged and result.n_iter == unit.n_iter
+    assert result["T2a_ps"] == pytest.approx(1700.0, rel=1e-9)
+    assert result["A"] == pytest.approx(scale, rel=1e-9)
+
+
+@pytest.mark.parametrize("floor", [0.0, 0.05])
+def test_a_power_of_two_scales_the_fit_bit_for_bit(floor):
+    rng = np.random.default_rng(1)
+    x = np.linspace(0.0, 3000.0, 80)
+    y = 2.0 * np.exp(-x / 120.0) + 0.7 * np.exp(-x / 990.0) + rng.normal(0.0, 0.01, 80)
+    base = fit_exponential(DecayTrace(x, y), 2, floor)
+    for k in (-900, -150, 120):
+        fit = fit_exponential(DecayTrace(x, np.ldexp(y, k)), 2, math.ldexp(floor, k))
+        assert np.array_equal(fit.values[1::2], base.values[1::2])
+        assert np.array_equal(fit.values[0::2], np.ldexp(base.values[0::2], k))
+        assert np.array_equal(fit.sigmas[0::2], np.ldexp(base.sigmas[0::2], k))
+        assert fit.residual_norm == math.ldexp(base.residual_norm, k)
+        assert fit.n_iter == base.n_iter
+
+
 def test_fit_exponential_validation():
     x = np.linspace(0.0, 10.0, 30)
     trace = DecayTrace(x, np.exp(-x))
@@ -158,6 +185,8 @@ def test_fit_exponential_validation():
         fit_exponential(trace, 1, floor=-1.0)
     with pytest.raises(InvalidSpec, match="positive samples"):
         fit_exponential(DecayTrace(x, -np.exp(-x)), 1)
+    with pytest.raises(InvalidSpec, match="below the largest sample"):
+        fit_exponential(trace, 1, floor=1.0)        # the trace lies inside its floor
 
 
 def _gaussian_trace(fwhm_thz=0.028, center=406.654, background=0.0, n=301):

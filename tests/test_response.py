@@ -25,7 +25,7 @@ from sivmdcs.config import parse_config
 from sivmdcs.reproduce import DEFAULT_CONFIGS, build_ensemble
 from sivmdcs.pathways import REPHASING_PATHWAYS
 from sivmdcs.response import (Grid, TimeDomainSignal, _dense_rows, _echo_groups,
-                              _echo_rows, _pathway_terms, _route, add_noise,
+                              _echo_rows, _lag_sums, _pathway_terms, _route, add_noise,
                               signal_rows, synthesize_diagonal, synthesize_signal,
                               waiting_time_scan)
 
@@ -146,19 +146,30 @@ def test_four_line_emitter_sums_twelve_pathways():
 
 
 # sha256 of two dense complex128 signals (log-normal T2, unequal steps) and
-# an echo one.  On 256 columns the dense sum's 1,390 terms run in chunks of 1,024 and
-# 366: products large enough for BLAS to thread, and a last one that
-# OpenBLAS's serial and threaded zgemm split at different terms unless it is
-# padded; 300 rows take row blocks of 256 and 44 rows
+# two echo ones.  On 256 columns the dense sum's 1,390 terms run in chunks of
+# 1,024 and 366: products large enough for BLAS to thread, and a last one
+# that OpenBLAS's serial and threaded zgemm split at different terms unless
+# it is padded; 300 rows take row blocks of 256 and 44 rows.  The second echo
+# signal has 300 (delta, T2) groups of 64 terms, so that each of its row
+# products contracts over more than 256 groups, the same split
 _BLAS_HASHES = """
 import hashlib
-from test_response import (CLASS_T2, FRAME, LOGNORMAL_T2, Grid,
-                           _mixed_ensemble, wide_signal)
+import numpy as np
+from test_response import (CLASS_T2, FRAME, LOGNORMAL_T2, Grid, _echo_groups,
+                           _echo_rows, _mixed_ensemble, _whole, wide_signal)
 for t2, n_tau, t_step in ((LOGNORMAL_T2, 256, 0.2), (LOGNORMAL_T2, 300, 0.2),
                           (CLASS_T2, 256, 0.25)):
     grid = Grid(n_tau, 256, 0.25, t_step, FRAME)
     data = wide_signal(_mixed_ensemble(t2), grid, 0.5, "heterodyne")
     print(hashlib.sha256(data.tobytes()).hexdigest())
+rng = np.random.default_rng(7)         # dyadic detunings: d_emit - d_exc = delta
+nu_exc = rng.integers(-2 ** 10, 2 ** 10, 300 * 64) / 2 ** 10
+delta = np.repeat(rng.choice(np.arange(-2 ** 9, 2 ** 9), 300, replace=False), 64) / 2 ** 10
+groups = _echo_groups(nu_exc, nu_exc + delta, rng.uniform(0.5, 1.0, len(nu_exc)) + 0j,
+                      np.full(len(nu_exc), 60.0))
+assert len(groups) == 300
+grid = Grid(256, 256, 0.25, 0.25, FRAME)
+print(hashlib.sha256(_whole(_echo_rows(groups, grid), grid).tobytes()).hexdigest())
 """
 
 
@@ -176,7 +187,7 @@ def _blas_hashes(blas_threads):
 
 def test_blas_thread_count_does_not_change_bits():
     one = _blas_hashes(1)
-    assert len(one) == 3
+    assert len(one) == 4
     assert _blas_hashes(2) == one
 
 
@@ -334,6 +345,61 @@ def test_echo_route_matches_dense_reference(shape, mode, laser, hidden_t2):
     assert np.array_equal(signal, _whole(_echo_rows(groups, grid), grid))
     exact = exact_dense_sum(*terms, grid.tau_ps, grid.t_ps)
     assert np.abs(signal - exact).max() <= 1e-10 * np.abs(exact).max()
+
+
+# dyadic turns per lag and lags on a 0.25 ps step, so that the direct sum's
+# phases are exact: the gridding's own error is all that remains
+@pytest.mark.parametrize("n_lag", [1, 2, 3, 64, 1023, 1024])
+@pytest.mark.parametrize("case", ["one term", "mixed phase", "wrap"])
+@pytest.mark.parametrize("step", [0.25, -0.25])
+def test_lag_sums_meet_their_bound(n_lag, case, step):
+    rng = np.random.default_rng(n_lag)
+    turns = {"one term": np.array([0.3125]),
+             "mixed phase": rng.integers(-2 ** 19 + 1, 2 ** 19, 300) / 2 ** 20,
+             # |nu step| up to 1/2 - 2^-30: terms at both ends of the periodic grid
+             "wrap": np.array([0.5 - 2 ** -20, -0.5 + 2 ** -20, 0.5 - 2 ** -30,
+                               -0.5 + 2 ** -30, 0.0])}[case]
+    weight = rng.normal(size=len(turns)) + 1j * rng.normal(size=len(turns))
+    first = 0.75 - (n_lag // 2) * step          # the middle lag is 0.75 ps
+    lags = first / step + np.arange(n_lag)      # L_p / step, whole numbers
+    direct = np.exp(2j * np.pi * (np.outer(lags, turns) % 1.0)) @ weight
+    h = _lag_sums(turns / step, weight, n_lag, step, first)
+    assert h.shape == (n_lag,)
+    assert np.abs(h - direct).max() <= 1e-13 * np.abs(weight).sum()
+
+
+@pytest.mark.parametrize("kept", [(0, 1, 2), (0,), (1,)])
+def test_echo_route_matches_the_exact_sum_at_a_t2_of_a_fiftieth_step(kept):
+    # T2 = step / 50 in group 0 takes products of 5 rows, so that K's
+    # exp((h - 1) step / T2) stays finite; the 60 ps groups carry the signal.
+    # A group alone takes an outer product in place of zgemm.
+    rng = np.random.default_rng(8)
+    grid = Grid(40, 24, 0.25, 0.25, FRAME)
+    nu_exc = rng.integers(-2 ** 10, 2 ** 10, 3 * 64) / 2 ** 10   # d_emit - d_exc = delta
+    delta = np.repeat([0.0, 0.3125, -0.1875], 64)
+    t2 = np.repeat([0.25 / 50, 60.0, 60.0], 64)
+    terms = (nu_exc, nu_exc + delta, rng.uniform(0.5, 1.0, len(nu_exc)) + 0j, t2)
+    keep = np.isin(np.repeat([0, 1, 2], 64), kept)
+    terms = tuple(a[keep] for a in terms)
+    groups = _echo_groups(*terms)
+    assert groups is not None and len(groups) == len(kept)
+    data = _whole(_echo_rows(groups, grid), grid)
+    exact = exact_dense_sum(*terms, grid.tau_ps, grid.t_ps)
+    assert np.isfinite(data).all()
+    assert np.abs(data - exact).max() <= 1e-10 * np.abs(exact).max()
+
+
+def test_echo_route_memory_is_flat_in_the_term_count(monkeypatch):
+    # one group of 2,048 or 4,096 terms, spread in chunks of 64: a lag sum
+    # that kept each chunk's 36 KiB of tables would add 1 MiB between them
+    monkeypatch.setattr(response, "_chunk_terms", lambda n_row, n_col: 64)
+    rng = np.random.default_rng(9)
+    grid = Grid(256, 256, 0.25, 0.25, FRAME)
+    peaks = []
+    for n in (32 * 64, 64 * 64):
+        groups = [(0.0, 60.0, rng.uniform(-1.0, 1.0, n), np.ones(n, dtype=complex))]
+        peaks.append(peak_bytes(lambda: _whole(_echo_rows(groups, grid), grid)))
+    assert peaks[1] <= 1.1 * peaks[0]
 
 
 # (40, 2000) gives row blocks of 32 rows with a short last block, on the
